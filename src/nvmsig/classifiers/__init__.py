@@ -6,13 +6,14 @@ from .model import (
     predict,
     predict_detail,
     save_model,
+    train,
     train_knn,
     train_svm,
     train_tree,
 )
 
 __all__ = [
-    "KINDS", "TrainedModel", "train_knn", "train_tree", "train_svm",
+    "KINDS", "TrainedModel", "train", "train_knn", "train_tree", "train_svm",
     "predict", "predict_detail", "save_model", "load_model",
     "evaluate", "cross_validate", "EvalReport", "CrossValResult",
     "fold_assignments",

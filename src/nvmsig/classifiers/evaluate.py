@@ -3,6 +3,7 @@
 import io
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -110,10 +111,6 @@ class CrossValResult:
     stdev_accuracy: float
 
 
-_TRAINERS = {"knn": _model.train_knn, "tree": _model.train_tree,
-             "svm": _model.train_svm}
-
-
 def fold_assignments(y, folds: int, seed: int) -> np.ndarray:
     """Stratified fold ids: per-class seeded shuffle, then a round-robin
     that keeps counting across classes so folds stay balanced and
@@ -138,32 +135,22 @@ def cross_validate(kind: str, train, folds: int = 8, seed: int = 0,
     `ranking_fn`, when given, maps a training subset to a FeatureRanking;
     it runs inside each fold so selection never sees held-out samples.
     """
-    if kind not in _TRAINERS:
+    if kind not in _model.KINDS:
         raise ValidationError(f"unknown classifier kind '{kind}'")
     y = np.asarray(train.y)
     n = y.size
     if not 2 <= folds <= n:
         raise ValidationError(f"folds must be in [2, {n}]")
     fold_of = fold_assignments(y, folds, seed)
-    trainer = _TRAINERS[kind]
     X = np.asarray(train.X, dtype=np.float64)
     names = dict(getattr(train, "class_names", {}) or {})
     accs = np.empty(folds)
     for f in range(folds):
         held = fold_of == f
-        sub = _Subset(X[~held], y[~held], names)
-        if ranking_fn is not None:
-            m = trainer(sub, ranking=ranking_fn(sub), **hyperparams)
-        else:
-            m = trainer(sub, **hyperparams)
+        sub = SimpleNamespace(X=X[~held], y=y[~held], class_names=names)
+        ranking = ranking_fn(sub) if ranking_fn is not None else None
+        m = _model.train(kind, sub, ranking=ranking, **hyperparams)
         pred = _model.predict(m, X[held])
         accs[f] = float((pred == y[held]).mean())
     return CrossValResult(kind, folds, accs, float(accs.mean()),
                           float(accs.std()))
-
-
-class _Subset:
-    def __init__(self, X, y, class_names):
-        self.X = X
-        self.y = y
-        self.class_names = class_names

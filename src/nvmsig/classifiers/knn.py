@@ -21,10 +21,6 @@ class KnnCore:
     def __post_init__(self):
         if self.k < 1 or self.k > self.X.shape[0]:
             raise ValidationError(f"k must be in [1, {self.X.shape[0]}]")
-        if self.k % 2 == 0 and self.k != self.X.shape[0]:
-            # even k invites avoidable vote ties; allowed, but the default
-            # constructors pass odd k
-            pass
 
 
 def fit(X, y, k: int) -> KnnCore:
@@ -61,40 +57,29 @@ def _neighbors(core: KnnCore, X):
     return nn, nd
 
 
+def predict_detail(core: KnnCore, X, tags):
+    """(pred, scores) from one neighbor search: the calls under the tie
+    rules above, and neighbor vote counts per class aligned with `tags`
+    (ascending)."""
+    X = np.asarray(X, dtype=np.float64)
+    nn, nd = _neighbors(core, X)
+    rows = np.arange(X.shape[0])[:, None]
+    col = np.searchsorted(tags, core.y[nn])
+    scores = np.zeros((X.shape[0], len(tags)), dtype=np.float64)
+    np.add.at(scores, (rows, col), 1.0)
+    nearest = np.full(scores.shape, np.inf)
+    np.minimum.at(nearest, (rows, col), nd)
+    nearest[scores < scores.max(axis=1, keepdims=True)] = np.inf
+    return np.asarray(tags)[np.argmin(nearest, axis=1)], scores
+
+
 def predict_scores(core: KnnCore, X, tags) -> np.ndarray:
     """Neighbor vote counts per class, aligned with `tags`."""
-    X = np.asarray(X, dtype=np.float64)
-    nn, _ = _neighbors(core, X)
-    pos = {int(t): i for i, t in enumerate(tags)}
-    scores = np.zeros((X.shape[0], len(tags)), dtype=np.float64)
-    for r in range(X.shape[0]):
-        for lab in core.y[nn[r]]:
-            scores[r, pos[int(lab)]] += 1.0
-    return scores
+    return predict_detail(core, X, tags)[1]
 
 
 def predict(core: KnnCore, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    nn, nd = _neighbors(core, X)
-    out = np.empty(X.shape[0], dtype=np.int64)
-    for r in range(X.shape[0]):
-        labs = core.y[nn[r]]
-        counts = np.bincount(labs)
-        top = counts.max()
-        tied = np.nonzero(counts == top)[0]
-        if len(tied) == 1:
-            out[r] = tied[0]
-            continue
-        # nearest member of a tied class wins; an exact distance tie
-        # between classes falls through to the lowest tag
-        best_tag, best_key = None, None
-        for t in tied:
-            rank = int(np.nonzero(labs == t)[0][0])
-            key = (nd[r, rank], int(t))
-            if best_key is None or key < best_key:
-                best_key, best_tag = key, int(t)
-        out[r] = best_tag
-    return out
+    return predict_detail(core, X, np.unique(core.y))[0]
 
 
 def _sq_dists(A, B):

@@ -8,10 +8,11 @@ twice yields byte-identical files.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .._atomic import atomic_open
 from ..errors import ParseError, ValidationError
 from ..features import FeatureRanking, StandardizationStats, apply_standardizer, fit_standardizer
 from . import knn as _knn
@@ -19,7 +20,10 @@ from . import svm as _svm
 from . import tree as _tree
 
 _FORMAT_HEADER = "nvmsig-model 1"
-KINDS = ("knn", "tree", "svm")
+# the one place a classifier kind is chosen: each core module offers
+# fit(Z, y, **params), predict(core, Z) and predict_detail(core, Z, tags)
+_CORES = {"knn": _knn, "tree": _tree, "svm": _svm}
+KINDS = tuple(_CORES)
 
 
 @dataclass
@@ -65,40 +69,45 @@ def _prepare(train, ranking):
     return Z, y.astype(np.int64), arity, indices, method, stats, tags, names
 
 
-def train_knn(train, k: int = 5, ranking: FeatureRanking | None = None,
-              selection_time_s: float = 0.0) -> TrainedModel:
+def _train(kind, train, ranking, selection_time_s, params):
     t0 = time.perf_counter()
     Z, y, arity, idx, method, stats, tags, names = _prepare(train, ranking)
-    core = _knn.fit(Z, y, k)
+    core = _CORES[kind].fit(Z, y, **params)
     dt = time.perf_counter() - t0
-    return TrainedModel("knn", arity, idx, method, stats, tags, names, core,
-                        {"k": int(k)}, dt, selection_time_s, len(y))
+    return TrainedModel(kind, arity, idx, method, stats, tags, names, core,
+                        params, dt, selection_time_s, len(y))
+
+
+def train_knn(train, k: int = 5, ranking: FeatureRanking | None = None,
+              selection_time_s: float = 0.0) -> TrainedModel:
+    return _train("knn", train, ranking, selection_time_s, {"k": int(k)})
 
 
 def train_tree(train, max_depth: int = 20, min_leaf: int = 1,
                ranking: FeatureRanking | None = None,
                selection_time_s: float = 0.0) -> TrainedModel:
-    t0 = time.perf_counter()
-    Z, y, arity, idx, method, stats, tags, names = _prepare(train, ranking)
-    core = _tree.fit(Z, y, max_depth, min_leaf)
-    dt = time.perf_counter() - t0
-    return TrainedModel("tree", arity, idx, method, stats, tags, names, core,
-                        {"max_depth": int(max_depth), "min_leaf": int(min_leaf)},
-                        dt, selection_time_s, len(y))
+    return _train("tree", train, ranking, selection_time_s,
+                  {"max_depth": int(max_depth), "min_leaf": int(min_leaf)})
 
 
 def train_svm(train, C: float = 1.0, gamma="auto", tol: float = 1e-3,
               max_passes: int = 10, seed: int = 0,
               ranking: FeatureRanking | None = None,
               selection_time_s: float = 0.0) -> TrainedModel:
-    t0 = time.perf_counter()
-    Z, y, arity, idx, method, stats, tags, names = _prepare(train, ranking)
-    core = _svm.fit(Z, y, C, gamma, tol, max_passes, seed)
-    dt = time.perf_counter() - t0
-    params = {"C": float(C), "gamma": core.gamma, "tol": float(tol),
-              "max_passes": int(max_passes), "seed": int(seed)}
-    return TrainedModel("svm", arity, idx, method, stats, tags, names, core,
-                        params, dt, selection_time_s, len(y))
+    model = _train("svm", train, ranking, selection_time_s,
+                   {"C": float(C), "gamma": gamma, "tol": float(tol),
+                    "max_passes": int(max_passes), "seed": int(seed)})
+    # "auto" resolves on the selected, standardized training features
+    model.params["gamma"] = model.core.gamma
+    return model
+
+
+def train(kind: str, train_set, **kw) -> TrainedModel:
+    """Train a `kind` classifier; `kw` go to train_knn/train_tree/train_svm."""
+    if kind not in _CORES:
+        raise ValidationError(f"unknown classifier kind '{kind}'")
+    # looked up per call so that the module attribute stays the entry point
+    return globals()[f"train_{kind}"](train_set, **kw)
 
 
 def _probe_matrix(model: TrainedModel, X):
@@ -112,12 +121,7 @@ def _probe_matrix(model: TrainedModel, X):
 
 def predict(model: TrainedModel, X) -> np.ndarray:
     """Class tags for raw probes (rows of expected_arity features)."""
-    Z = _probe_matrix(model, X)
-    if model.kind == "knn":
-        return _knn.predict(model.core, Z)
-    if model.kind == "tree":
-        return _tree.predict(model.core, Z)
-    return _svm.predict(model.core, Z)
+    return _CORES[model.kind].predict(model.core, _probe_matrix(model, X))
 
 
 def predict_detail(model: TrainedModel, X):
@@ -126,18 +130,9 @@ def predict_detail(model: TrainedModel, X):
     Scores are neighbor votes for knn, training-sample counts at the
     reached leaf for tree, and pairwise votes for svm.
     """
-    Z = _probe_matrix(model, X)
-    tags = model.tags
-    if model.kind == "knn":
-        scores = _knn.predict_scores(model.core, Z, tags)
-        pred = _knn.predict(model.core, Z)
-    elif model.kind == "tree":
-        scores = _tree.predict_scores(model.core, Z, tags)
-        pred = _tree.predict(model.core, Z)
-    else:
-        scores = _svm.predict_scores(model.core, Z, tags)
-        pred = _svm.predict(model.core, Z)
-    return pred, scores, tags
+    pred, scores = _CORES[model.kind].predict_detail(
+        model.core, _probe_matrix(model, X), model.tags)
+    return pred, scores, model.tags
 
 
 # ---------------------------------------------------------------- persistence
@@ -168,9 +163,8 @@ def save_model(model: TrainedModel, path) -> None:
         lines.append(f"param {key} {_fmt(model.params[key])}")
     lines.extend(_dump_core(model))
     lines.append("end")
-    text = "\n".join(lines) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _dump_core(model: TrainedModel):

@@ -152,13 +152,6 @@ def fit(X, y, C: float = 1.0, gamma="auto", tol: float = 1e-3,
     return SvmCore(tags, machines, g, float(C), float(tol))
 
 
-def decision_value(machine: PairMachine, x, gamma) -> float:
-    if machine.sv.shape[0] == 0:
-        return machine.bias
-    return float(_kernel_rows(machine.sv, x, gamma) @ machine.alpha_y
-                 + machine.bias)
-
-
 def _pair_decisions(machine: PairMachine, X, gamma):
     if machine.sv.shape[0] == 0:
         return np.full(X.shape[0], machine.bias)
@@ -168,8 +161,12 @@ def _pair_decisions(machine: PairMachine, X, gamma):
     return np.exp(-gamma * d2) @ machine.alpha_y + machine.bias
 
 
-def predict_scores(core: SvmCore, X, tags) -> np.ndarray:
-    """One-vs-one vote counts per class, aligned with `tags`."""
+def predict_detail(core: SvmCore, X, tags):
+    """(pred, scores) from one set of pair decisions; `tags` ascending.
+
+    Scores are one-vs-one vote counts per class, aligned with `tags`; a vote
+    tie goes to the lowest tag.
+    """
     X = np.asarray(X, dtype=np.float64)
     pos = {int(t): i for i, t in enumerate(tags)}
     scores = np.zeros((X.shape[0], len(tags)), dtype=np.float64)
@@ -178,12 +175,16 @@ def predict_scores(core: SvmCore, X, tags) -> np.ndarray:
         win_pos = f >= 0  # an exact zero sides with the lower tag
         scores[win_pos, pos[m.tag_pos]] += 1.0
         scores[~win_pos, pos[m.tag_neg]] += 1.0
-    return scores
+    return np.asarray(tags)[np.argmax(scores, axis=1)], scores
+
+
+def predict_scores(core: SvmCore, X, tags) -> np.ndarray:
+    """One-vs-one vote counts per class, aligned with `tags`."""
+    return predict_detail(core, X, tags)[1]
 
 
 def predict(core: SvmCore, X) -> np.ndarray:
-    scores = predict_scores(core, X, core.tags)
-    return core.tags[np.argmax(scores, axis=1)]  # lowest tag on vote ties
+    return predict_detail(core, X, core.tags)[0]
 
 
 def dual_objective(alpha, y, K) -> float:

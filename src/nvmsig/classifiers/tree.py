@@ -120,33 +120,41 @@ def best_split(Xn, yn, n_classes, min_leaf):
 
 def _route(core: TreeCore, X):
     """Yields (leaf, row_indices) pairs covering every probe row once."""
+    cols = np.ascontiguousarray(X.T)  # gathers from a contiguous row are cheaper
     stack = [(core.root, np.arange(X.shape[0]))]
     while stack:
         node, rows = stack.pop()
-        if rows.size == 0:
-            continue
         if node.is_leaf:
             yield node, rows
             continue
-        mask = X[rows, node.feature] <= node.threshold
-        stack.append((node.left, rows[mask]))
-        stack.append((node.right, rows[~mask]))
+        mask = cols[node.feature][rows] <= node.threshold
+        for child, sub in ((node.left, rows[mask]), (node.right, rows[~mask])):
+            if sub.size:
+                stack.append((child, sub))
+
+
+def predict_detail(core: TreeCore, X, tags):
+    """(pred, scores) from one routing pass; scores are the training-sample
+    counts at the reached leaf, aligned with `tags`."""
+    X = np.asarray(X, dtype=np.float64)
+    pos = {int(t): i for i, t in enumerate(tags)}
+    leaves, reached = [], np.empty(X.shape[0], dtype=np.int64)
+    for leaf, rows in _route(core, X):
+        reached[rows] = len(leaves)
+        leaves.append(leaf)
+    # one gather per output after routing: per-leaf writes cost more
+    leaf_tag = np.array([leaf.leaf_tag for leaf in leaves], dtype=np.int64)
+    counts = np.array([leaf.counts for leaf in leaves])
+    counts = counts.reshape(len(leaves), len(core.tags))
+    scores = np.zeros((X.shape[0], len(tags)), dtype=np.float64)
+    scores[:, [pos[int(t)] for t in core.tags]] = counts[reached]
+    return core.tags[leaf_tag][reached], scores
 
 
 def predict(core: TreeCore, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    out = np.empty(X.shape[0], dtype=np.int64)
-    for leaf, rows in _route(core, X):
-        out[rows] = core.tags[leaf.leaf_tag]
-    return out
+    return predict_detail(core, X, core.tags)[0]
 
 
 def predict_scores(core: TreeCore, X, tags) -> np.ndarray:
     """Training-sample counts at the reached leaf, aligned with `tags`."""
-    X = np.asarray(X, dtype=np.float64)
-    pos = {int(t): i for i, t in enumerate(tags)}
-    cols = [pos[int(t)] for t in core.tags]
-    scores = np.zeros((X.shape[0], len(tags)), dtype=np.float64)
-    for leaf, rows in _route(core, X):
-        scores[np.ix_(rows, cols)] = leaf.counts
-    return scores
+    return predict_detail(core, X, tags)[1]

@@ -3,7 +3,10 @@
 Every generation command records a manifest (flat key = value text) next
 to its artifact; running the same command with `--config <manifest>`
 rebuilds the artifact byte for byte.  Wall-clock timings are printed to
-stdout, never written into artifacts, so the byte-identity holds.
+stdout and kept out of datasets, models, maps and manifests, so those
+reproduce byte for byte.  The evaluation reports (`*.confusion.csv` from
+eval and sweep, `*.report.txt` from eval) do carry the train, selection
+and inference times; only those lines differ between reruns.
 """
 
 import argparse
@@ -24,16 +27,8 @@ from .chipsim import (
     load_catalog,
     new_chip,
 )
-from .classifiers import (
-    KINDS,
-    cross_validate,
-    evaluate,
-    load_model,
-    save_model,
-    train_knn,
-    train_svm,
-    train_tree,
-)
+from ._atomic import atomic_open
+from .classifiers import KINDS, cross_validate, evaluate, load_model, save_model, train
 from .detector import (
     baseline_from_catalog,
     diagnose_probe,
@@ -171,6 +166,8 @@ def merge_config(args) -> SimpleNamespace:
         values["out_dir"] = os.environ.get(OUT_DIR_ENV, ".")
     if values["selector"] not in SELECTORS:
         raise ValidationError(f"selector must be one of {SELECTORS}")
+    if values["kind"] not in KINDS:
+        raise ValidationError(f"kind must be one of {KINDS}")
     return SimpleNamespace(**values)
 
 
@@ -193,10 +190,8 @@ def _write_text(path: str, text: str) -> None:
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path) as fh:
         fh.write(text)
-    os.replace(tmp, path)
 
 
 def _format_value(value) -> str:
@@ -258,46 +253,29 @@ def _spec_for(cfg, tag: int):
 
 # ------------------------------------------------------------ training glue
 
-class _XY:
-    def __init__(self, X, y, class_names):
-        self.X = X
-        self.y = y
-        self.class_names = class_names
-
-
-def _compute_ranking(cfg, ds, selector: str):
-    if selector == "mrmr":
-        return mrmr_select(ds, k=cfg.select_k, bins=cfg.mrmr_bins)
-    # nca is distance-based, so rank on standardized features
-    stats = fit_standardizer(np.asarray(ds.X, dtype=np.float64))
-    z = apply_standardizer(stats, ds.X)
-    return nca_select(_XY(z, ds.y, getattr(ds, "class_names", {})),
-                      k=cfg.select_k, iters=cfg.nca_iters,
-                      learning_rate=cfg.nca_lr, subsample=cfg.nca_subsample)
-
-
-def _ranking_fn(cfg, selector: str):
+def _select(cfg, ds, selector: str):
+    """(ranking, seconds): `selector` fitted on `ds`; (None, 0.0) for none."""
     if selector == "none":
-        return None
-    return lambda ds: _compute_ranking(cfg, ds, selector)
+        return None, 0.0
+    t0 = time.perf_counter()
+    if selector == "mrmr":
+        ranking = mrmr_select(ds, k=cfg.select_k, bins=cfg.mrmr_bins)
+    else:
+        # nca is distance-based, so rank on standardized features
+        stats = fit_standardizer(np.asarray(ds.X, dtype=np.float64))
+        z = apply_standardizer(stats, ds.X)
+        ranking = nca_select(SimpleNamespace(X=z, y=ds.y), k=cfg.select_k,
+                             iters=cfg.nca_iters, learning_rate=cfg.nca_lr,
+                             subsample=cfg.nca_subsample)
+    return ranking, time.perf_counter() - t0
 
 
-def _train_model(cfg, ds, kind: str, selector: str):
-    ranking, sel_time = None, 0.0
-    if selector != "none":
-        t0 = time.perf_counter()
-        ranking = _compute_ranking(cfg, ds, selector)
-        sel_time = time.perf_counter() - t0
-    if kind == "knn":
-        return train_knn(ds, k=cfg.k, ranking=ranking, selection_time_s=sel_time)
-    if kind == "tree":
-        return train_tree(ds, max_depth=cfg.max_depth, min_leaf=cfg.min_leaf,
-                          ranking=ranking, selection_time_s=sel_time)
-    if kind == "svm":
-        return train_svm(ds, C=cfg.c, gamma=cfg.gamma, tol=cfg.tol,
-                         max_passes=cfg.max_passes, seed=cfg.seed,
-                         ranking=ranking, selection_time_s=sel_time)
-    raise ValidationError(f"unknown classifier kind '{kind}'")
+def _hyper(cfg, kind: str, seed) -> dict:
+    """Trainer keyword arguments for `kind` from the config fields."""
+    return {"knn": {"k": cfg.k},
+            "tree": {"max_depth": cfg.max_depth, "min_leaf": cfg.min_leaf},
+            "svm": {"C": cfg.c, "gamma": cfg.gamma, "tol": cfg.tol,
+                    "max_passes": cfg.max_passes, "seed": seed}}[kind]
 
 
 def _table_row(kind: str, selector: str, n_features: int, report) -> str:
@@ -386,7 +364,9 @@ def cmd_train(args) -> int:
     if cfg.dataset is None:
         raise ValidationError("train needs --dataset")
     ds = load_dataset(cfg.dataset)
-    model = _train_model(cfg, ds, cfg.kind, cfg.selector)
+    ranking, sel_time = _select(cfg, ds, cfg.selector)
+    model = train(cfg.kind, ds, ranking=ranking, selection_time_s=sel_time,
+                  **_hyper(cfg, cfg.kind, cfg.seed))
     name = cfg.out if cfg.out else "model.txt"
     path = _out_path(cfg, name)
     save_model(model, path)
@@ -404,15 +384,9 @@ def cmd_crossval(args) -> int:
         raise ValidationError("crossval needs --dataset")
     ds = load_dataset(cfg.dataset)
     seed = cfg.seed if cfg.seed is not None else 0
-    hyper = {"knn": {"k": cfg.k},
-             "tree": {"max_depth": cfg.max_depth, "min_leaf": cfg.min_leaf},
-             "svm": {"C": cfg.c, "gamma": cfg.gamma, "tol": cfg.tol,
-                     "max_passes": cfg.max_passes, "seed": seed}}
-    if cfg.kind not in hyper:
-        raise ValidationError(f"unknown classifier kind '{cfg.kind}'")
     result = cross_validate(cfg.kind, ds, folds=cfg.folds, seed=seed,
-                            ranking_fn=_ranking_fn(cfg, cfg.selector),
-                            **hyper[cfg.kind])
+                            ranking_fn=lambda sub: _select(cfg, sub, cfg.selector)[0],
+                            **_hyper(cfg, cfg.kind, seed))
     lines = [f"fold {i},{acc:.6f}" for i, acc in enumerate(result.accuracies)]
     table = "\n".join(lines)
     print(f"kind={cfg.kind} selector={cfg.selector} folds={cfg.folds} seed={seed}")
@@ -447,9 +421,10 @@ def cmd_eval(args) -> int:
 
 
 def _sweep_cell(payload):
-    values, kind, selector, train_ds, test_ds = payload
+    values, kind, (ranking, sel_time), train_ds, test_ds = payload
     cfg = SimpleNamespace(**values)
-    model = _train_model(cfg, train_ds, kind, selector)
+    model = train(kind, train_ds, ranking=ranking, selection_time_s=sel_time,
+                  **_hyper(cfg, kind, cfg.seed))
     return model, evaluate(model, test_ds)
 
 
@@ -464,15 +439,18 @@ def cmd_sweep(args) -> int:
                                   seed=cfg.split_seed)
     else:
         raise ValidationError("sweep needs --dataset or --train/--test")
-    payloads = [(vars(cfg), kind, sel, train_ds, test_ds)
-                for kind in KINDS for sel in SELECTORS]
+    # one selector fit serves all kinds; the `select=` time is that shared fit
+    selected = {sel: _select(cfg, train_ds, sel) for sel in SELECTORS}
+    cells = [(kind, sel) for kind in KINDS for sel in SELECTORS]
+    payloads = [(vars(cfg), kind, selected[sel], train_ds, test_ds)
+                for kind, sel in cells]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             results = list(pool.map(_sweep_cell, payloads))
     else:
         results = [_sweep_cell(p) for p in payloads]
     rows = ["method,selector,n_features,accuracy"]
-    for (_, kind, sel, _, _), (model, report) in zip(payloads, results):
+    for (kind, sel), (model, report) in zip(cells, results):
         print(_table_row(kind, sel, model.indices.size, report))
         rows.append(f"{kind},{sel},{model.indices.size},{report.accuracy:.6f}")
         stem = _out_path(cfg, f"sweep_{kind}_{sel}")
@@ -681,12 +659,6 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             return 1
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -7,13 +7,13 @@ flags spatial-map addresses elevated above the chip-wide median.
 """
 
 import io
-import os
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional
 
 import numpy as np
 
+from ._atomic import atomic_open
 from .chipsim import ChipClassSpec, SpatialLatencyMap
 from .classifiers import TrainedModel, predict_detail
 from .errors import ParseError, ValidationError
@@ -205,12 +205,10 @@ def diagnose_probe(probe, model: TrainedModel, baseline: FreshBaseline,
 # ------------------------------------------------------------------- map I/O
 
 def save_map(latency_map: SpatialLatencyMap, path) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path) as fh:
         fh.write("addr,latency_us\n")
         for addr, lat in enumerate(latency_map.latencies):
             fh.write(f"{addr},{lat:.6f}\n")
-    os.replace(tmp, path)
 
 
 def load_map(path) -> SpatialLatencyMap:

@@ -127,12 +127,6 @@ def _check_labels(labels):
     return labels.astype(np.int64)
 
 
-def _entropy(counts) -> float:
-    p = np.asarray(counts, dtype=np.float64)
-    p = p[p > 0] / p.sum()
-    return float(-np.sum(p * np.log(p)))
-
-
 def mrmr_select(train, k: int = DEFAULT_K, bins: int = DEFAULT_BINS) -> FeatureRanking:
     """Greedy max-relevance min-redundancy filter (difference form).
 

@@ -9,18 +9,18 @@ stratified train/test split.  Plus CSV persistence for datasets.
 from __future__ import annotations
 
 import enum
-import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._atomic import atomic_open
 from ._rng import derive_seed
 from .chipsim import ChipClassSpec, cycle_location, latency_block, new_chip
 from .errors import ParseError, ValidationError
 
 __all__ = [
     "LatencyTrace",
-    "FeatureVector",
     "Dataset",
     "Side",
     "WindowStats",
@@ -73,15 +73,6 @@ class LatencyTrace:
 
 
 @dataclass
-class FeatureVector:
-    features: np.ndarray
-    label: int
-    chip_seed: int
-    addr: int
-    checkpoint: int
-
-
-@dataclass
 class Dataset:
     """Sample matrix plus labels and per-sample provenance.
 
@@ -112,14 +103,6 @@ class Dataset:
     @property
     def arity(self) -> int:
         return self.X.shape[1]
-
-    @property
-    def samples(self) -> list[FeatureVector]:
-        return [
-            FeatureVector(self.X[i], int(self.y[i]), int(self.meta[i, 0]),
-                          int(self.meta[i, 1]), int(self.meta[i, 2]))
-            for i in range(len(self))
-        ]
 
     def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx)
@@ -291,11 +274,19 @@ def _feature_columns(arity):
     return [f"f{i:03d}" for i in range(arity)]
 
 
+# the class_names line splits only at a comma that opens a `<tag>=` entry
+_NAME_SEP = re.compile(r",(?=-?\d+=)")
+
+
 def save_dataset(ds: Dataset, path) -> None:
     """CSV with one row per sample; latencies as fixed 6-decimal µs."""
+    for tag, name in ds.class_names.items():
+        # a line break would end the class_names line early
+        if "".join(name.splitlines()) != name or _NAME_SEP.search(name):
+            raise ValidationError(f"class {tag} name {name!r} cannot be stored: "
+                                  "it holds a line break or ',<int>='")
     cols = ["class", "chip_seed", "addr", "checkpoint"] + _feature_columns(ds.arity)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path) as fh:
         if ds.class_names:
             names = ",".join(f"{t}={ds.class_names[t]}"
                              for t in sorted(ds.class_names))
@@ -306,7 +297,6 @@ def save_dataset(ds: Dataset, path) -> None:
                       f"{ds.meta[i, 2]}")
             feats = ",".join(f"{v:.6f}" for v in ds.X[i])
             fh.write(f"{prefix},{feats}\n")
-    os.replace(tmp, path)
 
 
 def load_dataset(path) -> Dataset:
@@ -315,9 +305,9 @@ def load_dataset(path) -> Dataset:
     class_names: dict[int, str] = {}
     lineno = 0
     if lines and lines[0].startswith("# class_names:"):
-        body = lines[0].split(":", 1)[1].strip()
+        body = lines[0].split(":", 1)[1].lstrip()  # a name may end in a space
         if body:
-            for part in body.split(","):
+            for part in _NAME_SEP.split(body):
                 tag, _, name = part.partition("=")
                 try:
                     class_names[int(tag)] = name

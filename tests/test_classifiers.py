@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nvmsig.classifiers import (
+    KINDS,
     cross_validate,
     evaluate,
     fold_assignments,
@@ -13,6 +14,7 @@ from nvmsig.classifiers import (
     predict,
     predict_detail,
     save_model,
+    train,
     train_knn,
     train_svm,
     train_tree,
@@ -21,6 +23,7 @@ from nvmsig.classifiers import knn as knn_core
 from nvmsig.classifiers import svm as svm_core
 from nvmsig.classifiers import tree as tree_core
 from nvmsig.errors import ParseError, ValidationError
+from nvmsig.features import apply_standardizer
 
 
 def toy(seed, n=20, d=3, classes=3, integer=False, spread=3.0):
@@ -429,3 +432,46 @@ def test_cross_validate_deterministic_and_validated():
         cross_validate("knn", ds, folds=31)
     with pytest.raises(ValidationError):
         cross_validate("forest", ds, folds=5)
+
+
+# ---------------- one dispatch for every kind ----------------
+
+_CORE_OF = {"knn": knn_core, "tree": tree_core, "svm": svm_core}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_predict_detail_matches_predict_and_core_scores(kind):
+    ds = toy(23, n=40, d=4, classes=4)
+    m = train(kind, ds, **({"k": 4} if kind == "knn" else {}))
+    probes = ds.X + np.random.default_rng(1).normal(scale=0.7, size=ds.X.shape)
+    pred, scores, tags = predict_detail(m, probes)
+    assert np.array_equal(tags, m.tags)
+    assert np.array_equal(pred, predict(m, probes))
+    Z = apply_standardizer(m.stats, probes[:, m.indices])
+    assert np.array_equal(scores, _CORE_OF[kind].predict_scores(m.core, Z, tags))
+
+
+def test_predict_detail_knn_vote_tie_goes_to_nearest_member():
+    ds = SimpleNamespace(X=np.array([[0.0], [1.0], [5.0], [5.5]]),
+                         y=np.array([0, 0, 1, 1]), class_names={})
+    pred, scores, _ = predict_detail(train_knn(ds, k=4), np.array([[4.4]]))
+    assert pred.tolist() == [1]
+    assert scores.tolist() == [[2.0, 2.0]]
+
+
+def test_train_dispatches_by_kind_and_rejects_unknown():
+    ds = toy(4, n=20)
+    assert train("tree", ds, max_depth=2).params == {"max_depth": 2, "min_leaf": 1}
+    with pytest.raises(ValidationError, match="forest"):
+        train("forest", ds)
+
+
+def test_save_model_leaves_an_open_reader_the_old_file(tmp_path):
+    path = tmp_path / "m.txt"
+    save_model(train_knn(toy(1), k=1), path)
+    old = path.read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as reader:
+        save_model(train_knn(toy(2), k=3), path)
+        assert reader.read() == old
+    assert path.read_text(encoding="utf-8") != old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.txt"]

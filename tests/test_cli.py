@@ -187,6 +187,32 @@ def test_sweep_parallel_matches_serial(workdir, tmp_path):
                        parallel / "sweep_svm_mrmr.model.txt", shallow=False)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_fits_each_selector_once(workdir, tmp_path, monkeypatch, jobs):
+    calls = {"nca": 0, "mrmr": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "nca_select", counted("nca", cli.nca_select))
+    monkeypatch.setattr(cli, "mrmr_select", counted("mrmr", cli.mrmr_select))
+    assert run("sweep", "--seed", 2, "--train", workdir / "two.train.csv",
+               "--test", workdir / "two.test.csv", "--select-k", 4,
+               "--nca-iters", 10, "--jobs", jobs, "--out-dir", tmp_path) == 0
+    assert calls == {"nca": 1, "mrmr": 1}
+
+
+@pytest.mark.parametrize("command", ["train", "crossval", "sweep"])
+def test_unknown_kind_is_validation_error(workdir, tmp_path, capsys, command):
+    assert run(command, "--seed", 2, "--dataset", workdir / "two.csv",
+               "--kind", "forest", "--out-dir", tmp_path) == 1
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # -------------------------------------------------------- predict / scan
 
 def test_predict_class4_probe(workdir, tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nvmsig._atomic import atomic_open
 from nvmsig.chipsim import (
     BUILTIN_CATALOG,
     ChipClassSpec,
@@ -272,6 +273,36 @@ def test_dataset_round_trip(tmp_path):
     assert np.array_equal(back.y, ds.y)
     assert np.array_equal(back.meta, ds.meta)
     assert back.class_names == ds.class_names
+
+
+def test_dataset_class_names_with_commas_round_trip(tmp_path):
+    ds = small_dataset()
+    ds.class_names = {0: "Microchip Technology, Inc. AT28C64", 1: "a=b, 1 =c,",
+                      2: " spaced "}
+    path = tmp_path / "ds.csv"
+    save_dataset(ds, path)
+    assert load_dataset(path).class_names == ds.class_names
+
+
+@pytest.mark.parametrize("name", ["two\nlines", "carriage\r", "A,3=B", "A,-3=B"])
+def test_dataset_unstorable_class_name_rejected(tmp_path, name):
+    ds = small_dataset()
+    ds.class_names[1] = name
+    path = tmp_path / "ds.csv"
+    with pytest.raises(ValidationError, match="class 1"):
+        save_dataset(ds, path)
+    assert not path.exists()
+
+
+def test_atomic_open_failure_keeps_the_old_file(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text("old\n", encoding="utf-8")
+    with pytest.raises(RuntimeError):
+        with atomic_open(path) as fh:
+            fh.write("new\n")
+            raise RuntimeError("interrupted")
+    assert path.read_text(encoding="utf-8") == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.txt"]
 
 
 def test_dataset_file_shape(tmp_path):
