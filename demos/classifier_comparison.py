@@ -7,7 +7,6 @@ training so the speedup from narrower feature vectors is visible.
 
 The svm rows use the pinned defaults (C=1, gamma=auto); see tuned_svm.py
 for why those defaults underfit this dataset and what tuning recovers.
-Full run takes two to three minutes; --skip-svm cuts it to seconds.
 """
 
 import argparse
@@ -30,7 +29,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--select-k", type=int, default=25)
-    ap.add_argument("--skip-svm", action="store_true")
     args = ap.parse_args()
 
     t0 = time.perf_counter()
@@ -55,8 +53,6 @@ def main():
         "tree": lambda r, t: train_tree(train, ranking=r, selection_time_s=t),
         "svm": lambda r, t: train_svm(train, ranking=r, selection_time_s=t),
     }
-    if args.skip_svm:
-        trainers.pop("svm")
 
     print(f"\n{'method':<7}{'features':<10}{'accuracy':<10}"
           f"{'select_s':<10}{'train_s':<10}{'infer_ms':<10}")

@@ -7,7 +7,7 @@ much wider than the gap between neighboring classes.  At gamma = auto
 that whole spread and the one-vs-one margins collapse toward the
 majority side.  A much more local kernel (high gamma) plus a looser box
 (higher C) turns the machine nearest-neighbor-like and the accuracy
-recovers.  Runs in roughly a minute and a half.
+recovers.  Runs in a few seconds.
 """
 
 import argparse
@@ -44,7 +44,7 @@ def main():
         acc = float((predict(model, test.X) == test.y).mean())
         print(f"{label:<36} accuracy {acc:.4f} "
               f"(gamma={model.params['gamma']:g}, "
-              f"{time.perf_counter() - t0:.0f}s)")
+              f"{time.perf_counter() - t0:.1f}s)")
 
     print("\nthe pinned defaults stay honest in comparisons; pass --c and "
           "--gamma (also exposed on the train and sweep commands) when the "

@@ -15,11 +15,13 @@ import numpy as np
 from .._atomic import atomic_open
 from ..errors import ParseError, ValidationError
 from ..features import FeatureRanking, StandardizationStats, apply_standardizer, fit_standardizer
+from ..protocol import has_line_break
 from . import knn as _knn
 from . import svm as _svm
 from . import tree as _tree
 
 _FORMAT_HEADER = "nvmsig-model 1"
+_INT_PARAMS = ("k", "max_depth", "min_leaf")
 # the one place a classifier kind is chosen: each core module offers
 # fit(Z, y, **params), predict(core, Z) and predict_detail(core, Z, tags)
 _CORES = {"knn": _knn, "tree": _tree, "svm": _svm}
@@ -91,12 +93,12 @@ def train_tree(train, max_depth: int = 20, min_leaf: int = 1,
 
 
 def train_svm(train, C: float = 1.0, gamma="auto", tol: float = 1e-3,
-              max_passes: int = 10, seed: int = 0,
               ranking: FeatureRanking | None = None,
-              selection_time_s: float = 0.0) -> TrainedModel:
+              selection_time_s: float = 0.0, seed=None) -> TrainedModel:
+    """`seed` is accepted for old callers and ignored: the solver draws
+    nothing at random, and no seed is stored in the model."""
     model = _train("svm", train, ranking, selection_time_s,
-                   {"C": float(C), "gamma": gamma, "tol": float(tol),
-                    "max_passes": int(max_passes), "seed": int(seed)})
+                   {"C": float(C), "gamma": gamma, "tol": float(tol)})
     # "auto" resolves on the selected, standardized training features
     model.params["gamma"] = model.core.gamma
     return model
@@ -146,6 +148,11 @@ def _fmt_vec(v) -> str:
 
 
 def save_model(model: TrainedModel, path) -> None:
+    for t in model.tags:
+        name = model.label_of(t)
+        if has_line_break(name):
+            raise ValidationError(f"class {int(t)} name {name!r} cannot be "
+                                  "stored: it holds a line break")
     lines = [_FORMAT_HEADER,
              f"kind {model.kind}",
              f"arity {model.expected_arity}",
@@ -225,18 +232,31 @@ class _Reader:
     def fail(self, msg):
         raise ParseError(msg, line=self.pos)
 
+    def count(self, text) -> int:
+        """A count of lines still to come, checked before it sizes an array."""
+        n = int(text)
+        if not 0 <= n <= len(self.lines) - self.pos:
+            self.fail(f"count {n} does not fit the {len(self.lines) - self.pos} "
+                      "lines left")
+        return n
+
 
 def _floats(reader, parts, n, what):
     if len(parts) != n:
         reader.fail(f"{what}: expected {n} values, got {len(parts)}")
-    try:
-        return np.array([float(p) for p in parts])
-    except ValueError:
-        reader.fail(f"{what}: bad real number")
+    return np.array([float(p) for p in parts])
 
 
 def load_model(path) -> TrainedModel:
     r = _Reader(path)
+    try:
+        return _read_model(r)
+    except (ValueError, IndexError, OverflowError) as exc:
+        # a missing field or a bad number on the line just read
+        raise ParseError(f"malformed field: {exc}", line=r.pos) from None
+
+
+def _read_model(r: _Reader) -> TrainedModel:
     if r.next() != _FORMAT_HEADER:
         raise ParseError("not a model file", line=1)
     kind = r.next("kind").split()[1]
@@ -247,7 +267,8 @@ def load_model(path) -> TrainedModel:
     n_classes = int(r.next("classes").split()[1])
     names = {}
     for _ in range(n_classes):
-        parts = r.next("class").split(maxsplit=2)
+        # single spaces, so a name keeps its leading and doubled spaces
+        parts = r.next("class").split(" ", 2)
         names[int(parts[1])] = parts[2] if len(parts) > 2 else ""
     sel_parts = r.next("selection").split()
     method, n_idx = sel_parts[1], int(sel_parts[2])
@@ -261,15 +282,12 @@ def load_model(path) -> TrainedModel:
     line = r.next()
     while line.startswith("param "):
         _, key, val = line.split()
-        params[key] = float(val)
+        params[key] = int(float(val)) if key in _INT_PARAMS else float(val)
         line = r.next()
     r.pos -= 1  # hand the non-param line to the core reader
     core, tags = _load_core(r, kind, n_idx, params)
     if r.next() != "end":
         r.fail("expected 'end'")
-    for key in ("k", "max_depth", "min_leaf", "max_passes", "seed"):
-        if key in params:
-            params[key] = int(params[key])
     return TrainedModel(kind, arity, indices, method,
                         StandardizationStats(mean, std), tags, names, core,
                         params, 0.0, 0.0, n_train)
@@ -280,7 +298,7 @@ def _load_core(r: _Reader, kind, n_idx, params):
     if head[1] != kind:
         r.fail(f"core block is '{head[1]}', header says '{kind}'")
     if kind == "knn":
-        n, d = int(head[2]), int(head[3])
+        n, d = r.count(head[2]), int(head[3])
         if d != n_idx:
             r.fail("core width disagrees with selection width")
         X = np.empty((n, d))
@@ -289,7 +307,7 @@ def _load_core(r: _Reader, kind, n_idx, params):
             parts = r.next("row").split()
             y[i] = int(parts[1])
             X[i] = _floats(r, parts[2:], d, "row")
-        core = _knn.fit(X, y, int(params.get("k", 5)))
+        core = _knn.fit(X, y, params.get("k", 5))
         return core, np.unique(y)
     if kind == "tree":
         n_nodes, n_tags = int(head[2]), int(head[3])
@@ -297,23 +315,27 @@ def _load_core(r: _Reader, kind, n_idx, params):
                         dtype=np.int64)
         if len(tags) != n_tags:
             r.fail(f"expected {n_tags} tags")
-        raw = []
-        for _ in range(n_nodes):
-            parts = r.next("node").split()
-            if len(parts) != 7 + n_tags:
+        nodes, children = [], []
+        for nid in range(n_nodes):
+            p = r.next("node").split()
+            if len(p) != 7 + n_tags:
                 r.fail("node: wrong field count")
-            raw.append(parts)
-        nodes = [_tree.TreeNode(
-            counts=np.array([int(c) for c in p[7:]], dtype=np.int64),
-            feature=int(p[2]), threshold=float(p[3]),
-            leaf_tag=int(p[6])) for p in raw]
-        for node, p in zip(nodes, raw):
-            left, right = int(p[4]), int(p[5])
-            if left >= 0:
+            node = _tree.TreeNode(
+                counts=np.array([int(c) for c in p[7:]], dtype=np.int64),
+                feature=int(p[2]), threshold=float(p[3]), leaf_tag=int(p[6]))
+            kids = (int(p[4]), int(p[5]))
+            # preorder ids: a split's children come later in the file
+            if node.feature >= n_idx or (node.is_leaf and kids != (-1, -1)) or (
+                    not node.is_leaf and not all(nid < c < n_nodes for c in kids)):
+                r.fail(f"node {nid}: feature {node.feature} or children "
+                       f"{kids} out of range")
+            nodes.append(node)
+            children.append(kids)
+        for node, (left, right) in zip(nodes, children):
+            if not node.is_leaf:
                 node.left, node.right = nodes[left], nodes[right]
-        core = _tree.TreeCore(nodes[0], tags,
-                              int(params.get("max_depth", 20)),
-                              int(params.get("min_leaf", 1)))
+        core = _tree.TreeCore(nodes[0], tags, params.get("max_depth", 20),
+                              params.get("min_leaf", 1))
         core.node_count = n_nodes
         return core, tags
     n_machines, n_tags = int(head[2]), int(head[3])
@@ -324,7 +346,7 @@ def _load_core(r: _Reader, kind, n_idx, params):
     machines = []
     for _ in range(n_machines):
         parts = r.next("machine").split()
-        a, b, n_sv, bias = int(parts[1]), int(parts[2]), int(parts[3]), float(parts[4])
+        a, b, n_sv, bias = int(parts[1]), int(parts[2]), r.count(parts[3]), float(parts[4])
         coeffs = np.empty(n_sv)
         sv = np.empty((n_sv, n_idx))
         for i in range(n_sv):
@@ -334,7 +356,5 @@ def _load_core(r: _Reader, kind, n_idx, params):
         machines.append(_svm.PairMachine(a, b, coeffs, sv, bias))
     if "gamma" not in params:
         r.fail("svm model file lacks a gamma param")
-    core = _svm.SvmCore(tags, machines, float(params["gamma"]),
-                        float(params.get("C", 1.0)),
-                        float(params.get("tol", 1e-3)))
+    core = _svm.SvmCore(tags, machines, params["gamma"])
     return core, tags

@@ -97,8 +97,7 @@ _SCHEMA = {
     "min_leaf": _Field(int, 1, "minimum samples per tree leaf"),
     "c": _Field(float, 1.0, "svm box constraint C"),
     "gamma": _Field(_parse_gamma, "auto", "svm RBF gamma, or 'auto'"),
-    "tol": _Field(float, 1e-3, "svm KKT tolerance"),
-    "max_passes": _Field(int, 10, "svm quiet sweeps before stopping"),
+    "tol": _Field(float, 1e-3, "svm KKT gap tolerance"),
     "selector": _Field(str, "none", "feature selector: none, mrmr, or nca"),
     "select_k": _Field(int, 25, "features kept by the selector"),
     "mrmr_bins": _Field(int, 16, "histogram bins for mutual information"),
@@ -127,6 +126,8 @@ _SCHEMA = {
 
 # config-file spelling -> schema key
 _KEY_ALIASES = {"class": "class_tag"}
+# keys that older manifests carry and that no longer change anything
+_RETIRED_KEYS = {"max_passes"}
 
 
 def read_config(path) -> dict:
@@ -142,6 +143,8 @@ def read_config(path) -> dict:
             raise ParseError("expected 'key = value'", line=ln)
         key = key.strip()
         key = _KEY_ALIASES.get(key, key)
+        if key in _RETIRED_KEYS:
+            continue
         if key not in _SCHEMA:
             raise ParseError(f"unknown key '{key}'", line=ln)
         try:
@@ -270,12 +273,11 @@ def _select(cfg, ds, selector: str):
     return ranking, time.perf_counter() - t0
 
 
-def _hyper(cfg, kind: str, seed) -> dict:
+def _hyper(cfg, kind: str) -> dict:
     """Trainer keyword arguments for `kind` from the config fields."""
     return {"knn": {"k": cfg.k},
             "tree": {"max_depth": cfg.max_depth, "min_leaf": cfg.min_leaf},
-            "svm": {"C": cfg.c, "gamma": cfg.gamma, "tol": cfg.tol,
-                    "max_passes": cfg.max_passes, "seed": seed}}[kind]
+            "svm": {"C": cfg.c, "gamma": cfg.gamma, "tol": cfg.tol}}[kind]
 
 
 def _table_row(kind: str, selector: str, n_features: int, report) -> str:
@@ -354,19 +356,18 @@ def cmd_dataset(args) -> int:
 
 
 _TRAIN_KEYS = ["seed", "dataset", "kind", "k", "max_depth", "min_leaf", "c",
-               "gamma", "tol", "max_passes", "selector", "select_k",
-               "mrmr_bins", "nca_iters", "nca_lr", "nca_subsample", "out"]
+               "gamma", "tol", "selector", "select_k", "mrmr_bins",
+               "nca_iters", "nca_lr", "nca_subsample", "out"]
 
 
 def cmd_train(args) -> int:
     cfg = merge_config(args)
-    _require_seed(cfg, "train")
     if cfg.dataset is None:
         raise ValidationError("train needs --dataset")
     ds = load_dataset(cfg.dataset)
     ranking, sel_time = _select(cfg, ds, cfg.selector)
     model = train(cfg.kind, ds, ranking=ranking, selection_time_s=sel_time,
-                  **_hyper(cfg, cfg.kind, cfg.seed))
+                  **_hyper(cfg, cfg.kind))
     name = cfg.out if cfg.out else "model.txt"
     path = _out_path(cfg, name)
     save_model(model, path)
@@ -386,7 +387,7 @@ def cmd_crossval(args) -> int:
     seed = cfg.seed if cfg.seed is not None else 0
     result = cross_validate(cfg.kind, ds, folds=cfg.folds, seed=seed,
                             ranking_fn=lambda sub: _select(cfg, sub, cfg.selector)[0],
-                            **_hyper(cfg, cfg.kind, seed))
+                            **_hyper(cfg, cfg.kind))
     lines = [f"fold {i},{acc:.6f}" for i, acc in enumerate(result.accuracies)]
     table = "\n".join(lines)
     print(f"kind={cfg.kind} selector={cfg.selector} folds={cfg.folds} seed={seed}")
@@ -424,7 +425,7 @@ def _sweep_cell(payload):
     values, kind, (ranking, sel_time), train_ds, test_ds = payload
     cfg = SimpleNamespace(**values)
     model = train(kind, train_ds, ranking=ranking, selection_time_s=sel_time,
-                  **_hyper(cfg, kind, cfg.seed))
+                  **_hyper(cfg, kind))
     return model, evaluate(model, test_ds)
 
 
@@ -547,8 +548,8 @@ def _add_bool(parser, key: str):
 
 _EPILOG = f"""\
 config files are flat `key = value` lines; '#' starts a comment; CLI flags
-override config values.  all randomness flows from --seed: chips, the
-train/test split, and the SMO order draw fixed independent substreams.
+override config values.  all randomness flows from --seed: chips and the
+train/test split draw fixed independent substreams.
 relative output paths land in --out-dir, else ${OUT_DIR_ENV}, else '.'.
 exit codes: 0 success, 1 validation error, 2 I/O error, 3 numeric failure.
 """
@@ -590,8 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dataset)
 
     model_keys = ("kind", "k", "max_depth", "min_leaf", "c", "gamma", "tol",
-                  "max_passes", "selector", "select_k", "mrmr_bins",
-                  "nca_iters", "nca_lr")
+                  "selector", "select_k", "mrmr_bins", "nca_iters", "nca_lr")
 
     p = sub.add_parser("train", parents=[common],
                        help="train a classifier and save the model file")

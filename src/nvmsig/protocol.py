@@ -278,11 +278,15 @@ def _feature_columns(arity):
 _NAME_SEP = re.compile(r",(?=-?\d+=)")
 
 
+def has_line_break(name: str) -> bool:
+    """True if `name` would end a line early in a line-based text file."""
+    return "".join(name.splitlines()) != name
+
+
 def save_dataset(ds: Dataset, path) -> None:
     """CSV with one row per sample; latencies as fixed 6-decimal µs."""
     for tag, name in ds.class_names.items():
-        # a line break would end the class_names line early
-        if "".join(name.splitlines()) != name or _NAME_SEP.search(name):
+        if has_line_break(name) or _NAME_SEP.search(name):
             raise ValidationError(f"class {tag} name {name!r} cannot be stored: "
                                   "it holds a line break or ',<int>='")
     cols = ["class", "chip_seed", "addr", "checkpoint"] + _feature_columns(ds.arity)

@@ -8,6 +8,7 @@ import pytest
 
 from nvmsig import cli
 from nvmsig.chipsim import SpatialLatencyMap, load_catalog
+from nvmsig.classifiers import svm as svm_core
 from nvmsig.detector import save_map
 from nvmsig.protocol import load_dataset
 
@@ -133,6 +134,41 @@ def test_train_manifest_rerun_model_byte_identical(workdir, tmp_path):
                "--out-dir", second) == 0
     assert filecmp.cmp(first / "svm.model.txt", second / "svm.model.txt",
                        shallow=False)
+
+
+def test_manifest_with_retired_max_passes_reruns_byte_identical(workdir,
+                                                                 tmp_path):
+    """A knn train manifest in the format written while `max_passes` was a
+    key; the workdir model was trained from the same settings."""
+    manifest = tmp_path / "knn.model.txt.manifest"
+    manifest.write_text(
+        "# nvmsig 0.1.0 train manifest; rerun with --config\n"
+        "seed = 2\n"
+        f"dataset = {workdir / 'two.train.csv'}\n"
+        "kind = knn\nk = 5\nmax_depth = 20\nmin_leaf = 1\nc = 1.0\n"
+        "gamma = auto\ntol = 0.001\nmax_passes = 10\nselector = none\n"
+        "select_k = 25\nmrmr_bins = 16\nnca_iters = 200\nnca_lr = 0.01\n"
+        "nca_subsample = false\nout = knn.model.txt\n")
+    assert run("train", "--config", manifest, "--out-dir", tmp_path / "rerun") == 0
+    assert filecmp.cmp(workdir / "knn.model.txt",
+                       tmp_path / "rerun" / "knn.model.txt", shallow=False)
+
+
+def test_train_needs_no_seed(workdir, tmp_path):
+    assert run("train", "--dataset", workdir / "two.train.csv", "--kind", "svm",
+               "--out-dir", tmp_path, "--out", "svm.model.txt") == 0
+    text = (tmp_path / "svm.model.txt").read_text()
+    assert "\nparam seed " not in text and "\nparam max_passes " not in text
+    assert "seed = " not in (tmp_path / "svm.model.txt.manifest").read_text()
+
+
+def test_unconverged_svm_is_numeric_error(workdir, tmp_path, monkeypatch,
+                                          capsys):
+    monkeypatch.setattr(svm_core, "_MAX_ITER_PER_ROW", 0)
+    assert run("train", "--dataset", workdir / "two.train.csv", "--kind", "svm",
+               "--out-dir", tmp_path, "--out", "svm.model.txt") == 3
+    assert "KKT gap" in capsys.readouterr().err
+    assert not (tmp_path / "svm.model.txt").exists()
 
 
 def test_eval_arity_mismatch_is_validation_error(workdir, tmp_path, capsys):
