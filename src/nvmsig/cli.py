@@ -13,7 +13,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -38,7 +37,8 @@ from .detector import (
 )
 from .errors import NumericError, NvmsigError, ParseError, ValidationError
 from .features import apply_standardizer, fit_standardizer, mrmr_select, nca_select
-from .protocol import DEFAULT_CHECKPOINTS, build_dataset, load_dataset, save_dataset, split
+from .protocol import (DEFAULT_CHECKPOINTS, build_dataset, load_dataset,
+                       parse_int64, save_dataset, split)
 
 OUT_DIR_ENV = "NVMSIG_OUT"
 SELECTORS = ("none", "mrmr", "nca")
@@ -80,7 +80,7 @@ class _Field(SimpleNamespace):
 
 
 _SCHEMA = {
-    "seed": _Field(int, None, "root seed; all randomness derives from it"),
+    "seed": _Field(parse_int64, None, "root seed; all randomness derives from it"),
     "catalog": _Field(str, "builtin", "catalog CSV path, or 'builtin'"),
     "classes": _Field(_parse_ints, None, "class tags to include (default all)"),
     "chips_per_class": _Field(int, 3, "simulated chips per class"),
@@ -90,7 +90,7 @@ _SCHEMA = {
     "locations_per_chip": _Field(int, 12, "probed addresses per chip"),
     "split": _Field(_parse_bool, False, "also write .train/.test files"),
     "train_fraction": _Field(float, 0.8, "train share of the split"),
-    "split_seed": _Field(int, None, "split stream seed (default: seed)"),
+    "split_seed": _Field(parse_int64, None, "split stream seed (default: seed)"),
     "kind": _Field(str, "knn", "classifier: knn, tree, or svm"),
     "k": _Field(int, 5, "knn neighbor count"),
     "max_depth": _Field(int, 20, "tree depth limit"),
@@ -103,7 +103,6 @@ _SCHEMA = {
     "mrmr_bins": _Field(int, 16, "histogram bins for mutual information"),
     "nca_iters": _Field(int, 200, "nca gradient steps"),
     "nca_lr": _Field(float, 0.01, "nca learning rate"),
-    "nca_subsample": _Field(_parse_bool, False, "cap nca fit to 1000 samples"),
     "folds": _Field(int, 8, "cross-validation folds"),
     "class_tag": _Field(int, 0, "chip class tag"),
     "addr": _Field(int, 0, "location address"),
@@ -112,7 +111,6 @@ _SCHEMA = {
     "flag_ratio": _Field(float, 1.5, "elevation ratio that flags an address"),
     "used_threshold": _Field(float, 1.3, "elevation ratio called USED"),
     "fresh_threshold": _Field(float, 1.1, "elevation ratio called FRESH"),
-    "jobs": _Field(int, 1, "worker processes for sweep cells"),
     "out_dir": _Field(str, None, f"output directory (default ${OUT_DIR_ENV} or '.')"),
     "out": _Field(str, None, "output file (or prefix) inside out_dir"),
     "dataset": _Field(str, None, "dataset CSV path"),
@@ -126,8 +124,16 @@ _SCHEMA = {
 
 # config-file spelling -> schema key
 _KEY_ALIASES = {"class": "class_tag"}
-# keys that older manifests carry and that no longer change anything
-_RETIRED_KEYS = {"max_passes"}
+
+
+def _only_false(text: str) -> None:
+    if _parse_bool(text):
+        raise ValueError("no longer supported; only 'false' reruns")
+
+
+# keys that older manifests carry and that no longer change anything, each
+# with a check of its value: a value whose run cannot be rebuilt is an error
+_RETIRED_KEYS = {"max_passes": str, "jobs": str, "nca_subsample": _only_false}
 
 
 def read_config(path) -> dict:
@@ -144,13 +150,17 @@ def read_config(path) -> dict:
         key = key.strip()
         key = _KEY_ALIASES.get(key, key)
         if key in _RETIRED_KEYS:
-            continue
-        if key not in _SCHEMA:
+            parse = _RETIRED_KEYS[key]
+        elif key in _SCHEMA:
+            parse = _SCHEMA[key].parse
+        else:
             raise ParseError(f"unknown key '{key}'", line=ln)
         try:
-            values[key] = _SCHEMA[key].parse(val.strip())
+            value = parse(val.strip())
         except ValueError as exc:
-            raise ParseError(str(exc), line=ln) from None
+            raise ParseError(f"{key}: {exc}", line=ln) from None
+        if key in _SCHEMA:
+            values[key] = value
     return values
 
 
@@ -190,9 +200,7 @@ def _out_path(cfg, name: str) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+    """Write `text` to a path from `_out_path`, which made its directory."""
     with atomic_open(path) as fh:
         fh.write(text)
 
@@ -268,8 +276,7 @@ def _select(cfg, ds, selector: str):
         stats = fit_standardizer(np.asarray(ds.X, dtype=np.float64))
         z = apply_standardizer(stats, ds.X)
         ranking = nca_select(SimpleNamespace(X=z, y=ds.y), k=cfg.select_k,
-                             iters=cfg.nca_iters, learning_rate=cfg.nca_lr,
-                             subsample=cfg.nca_subsample)
+                             iters=cfg.nca_iters, learning_rate=cfg.nca_lr)
     return ranking, time.perf_counter() - t0
 
 
@@ -336,19 +343,21 @@ def cmd_dataset(args) -> int:
                        checkpoints=cfg.checkpoints, group=cfg.group,
                        locations_per_chip=cfg.locations_per_chip,
                        seed=cfg.seed)
+    keys = ["seed", "catalog", "classes", "chips_per_class", "checkpoints",
+            "group", "locations_per_chip", "out"]
+    if cfg.split:
+        # split before any file is written, so a bad split leaves none behind
+        train_ds, test_ds = split(ds, train_fraction=cfg.train_fraction,
+                                  seed=cfg.split_seed)
+        keys += ["split", "train_fraction", "split_seed"]
     name = cfg.out if cfg.out else "dataset.csv"
     path = _out_path(cfg, name)
     save_dataset(ds, path)
-    keys = ["seed", "catalog", "classes", "chips_per_class", "checkpoints",
-            "group", "locations_per_chip", "out"]
     print(f"wrote {path} ({ds.y.size} samples, {len(ds.class_counts())} classes)")
     if cfg.split:
-        train_ds, test_ds = split(ds, train_fraction=cfg.train_fraction,
-                                  seed=cfg.split_seed)
         stem = path[:-4] if path.endswith(".csv") else path
         save_dataset(train_ds, stem + ".train.csv")
         save_dataset(test_ds, stem + ".test.csv")
-        keys += ["split", "train_fraction", "split_seed"]
         print(f"wrote {stem}.train.csv ({train_ds.y.size} samples)")
         print(f"wrote {stem}.test.csv ({test_ds.y.size} samples)")
     _write_manifest(path + ".manifest", "dataset", cfg, keys)
@@ -357,7 +366,7 @@ def cmd_dataset(args) -> int:
 
 _TRAIN_KEYS = ["seed", "dataset", "kind", "k", "max_depth", "min_leaf", "c",
                "gamma", "tol", "selector", "select_k", "mrmr_bins",
-               "nca_iters", "nca_lr", "nca_subsample", "out"]
+               "nca_iters", "nca_lr", "out"]
 
 
 def cmd_train(args) -> int:
@@ -421,14 +430,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _sweep_cell(payload):
-    values, kind, (ranking, sel_time), train_ds, test_ds = payload
-    cfg = SimpleNamespace(**values)
-    model = train(kind, train_ds, ranking=ranking, selection_time_s=sel_time,
-                  **_hyper(cfg, kind))
-    return model, evaluate(model, test_ds)
-
-
 def cmd_sweep(args) -> int:
     cfg = merge_config(args)
     _require_seed(cfg, "sweep")
@@ -442,16 +443,17 @@ def cmd_sweep(args) -> int:
         raise ValidationError("sweep needs --dataset or --train/--test")
     # one selector fit serves all kinds; the `select=` time is that shared fit
     selected = {sel: _select(cfg, train_ds, sel) for sel in SELECTORS}
-    cells = [(kind, sel) for kind in KINDS for sel in SELECTORS]
-    payloads = [(vars(cfg), kind, selected[sel], train_ds, test_ds)
-                for kind, sel in cells]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(_sweep_cell, payloads))
-    else:
-        results = [_sweep_cell(p) for p in payloads]
+    # every cell is fitted before any file is written, so a cell that fails
+    # leaves no partial sweep behind
+    cells = []
+    for kind in KINDS:
+        for sel in SELECTORS:
+            ranking, sel_time = selected[sel]
+            model = train(kind, train_ds, ranking=ranking,
+                          selection_time_s=sel_time, **_hyper(cfg, kind))
+            cells.append((kind, sel, model, evaluate(model, test_ds)))
     rows = ["method,selector,n_features,accuracy"]
-    for (kind, sel), (model, report) in zip(cells, results):
+    for kind, sel, model, report in cells:
         print(_table_row(kind, sel, model.indices.size, report))
         rows.append(f"{kind},{sel},{model.indices.size},{report.accuracy:.6f}")
         stem = _out_path(cfg, f"sweep_{kind}_{sel}")
@@ -566,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = _Parser(add_help=False)
     common.add_argument("--config", help="flat key = value config file")
-    for key in ("seed", "catalog", "out_dir", "jobs"):
+    for key in ("seed", "catalog", "out_dir"):
         _add(common, key)
 
     p = sub.add_parser("catalog", parents=[common],
@@ -598,7 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, "dataset")
     for key in model_keys:
         _add(p, key)
-    _add_bool(p, "nca_subsample")
     _add(p, "out")
     p.set_defaults(func=cmd_train)
 
@@ -608,7 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, "folds")
     for key in model_keys:
         _add(p, key)
-    _add_bool(p, "nca_subsample")
     _add(p, "out")
     p.set_defaults(func=cmd_crossval)
 
@@ -626,7 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
     for key in model_keys:
         if key not in ("kind", "selector"):
             _add(p, key)
-    _add_bool(p, "nca_subsample")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("predict", parents=[common],

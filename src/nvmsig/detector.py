@@ -231,8 +231,9 @@ def load_map(path) -> SpatialLatencyMap:
         pairs[addr] = lat
     if not pairs:
         raise ParseError("map file has no data rows", line=1)
+    # distinct addresses with min 0 and max len - 1 leave no holes
     n = max(pairs) + 1
-    if sorted(pairs) != list(range(n)):
+    if min(pairs) != 0 or n != len(pairs):
         raise ValidationError(f"map must cover addresses 0..{n - 1} "
                               "with no holes")
     return SpatialLatencyMap(np.array([pairs[a] for a in range(n)]))

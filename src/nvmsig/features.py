@@ -17,13 +17,6 @@ from .errors import NumericError, ValidationError
 DEFAULT_BINS = 16
 DEFAULT_K = 25
 
-# optional cap for the neighborhood scorer on big training sets: when enabled
-# and n > SUBSAMPLE_THRESHOLD, a seeded stratified-ish draw of SUBSAMPLE_SIZE
-# rows is used for the weight fit (ranking only; no model sees the subsample)
-SUBSAMPLE_THRESHOLD = 1500
-SUBSAMPLE_SIZE = 1000
-_SUBSAMPLE_SEED = 0x5EED
-
 
 @dataclass(frozen=True)
 class StandardizationStats:
@@ -207,13 +200,11 @@ def _nca_forward(w, X, y):
 
 
 def nca_select(train, k: int = DEFAULT_K, iters: int = 200,
-               learning_rate: float = 0.01, subsample: bool = False) -> FeatureRanking:
+               learning_rate: float = 0.01) -> FeatureRanking:
     """Per-feature weights by gradient ascent on LOO neighbor agreement.
 
     Weights start at 1, features are ranked by final |w| (descending, ties
-    toward the lowest index).  Expects standardized features.  With
-    `subsample`, training sets above SUBSAMPLE_THRESHOLD rows are cut to a
-    seeded draw of SUBSAMPLE_SIZE rows for the fit.
+    toward the lowest index).  Expects standardized features.
     """
     X, y = _train_xy(train)
     d = X.shape[1]
@@ -221,10 +212,6 @@ def nca_select(train, k: int = DEFAULT_K, iters: int = 200,
         raise ValidationError(f"k must be in [1, {d}]")
     if iters < 1 or learning_rate <= 0:
         raise ValidationError("iters must be >= 1 and learning_rate > 0")
-    if subsample and X.shape[0] > SUBSAMPLE_THRESHOLD:
-        rng = np.random.default_rng(_SUBSAMPLE_SEED)
-        keep = np.sort(rng.choice(X.shape[0], size=SUBSAMPLE_SIZE, replace=False))
-        X, y = X[keep], y[keep]
 
     w = np.ones(d)
     for it in range(iters):

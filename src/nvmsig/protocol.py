@@ -278,6 +278,14 @@ def _feature_columns(arity):
 _NAME_SEP = re.compile(r",(?=-?\d+=)")
 
 
+def parse_int64(text: str) -> int:
+    """int(text), rejected with ValueError when it does not fit in int64."""
+    value = int(text)
+    if not -(1 << 63) <= value < 1 << 63:
+        raise ValueError(f"{text.strip()!r} does not fit in int64")
+    return value
+
+
 def has_line_break(name: str) -> bool:
     """True if `name` would end a line early in a line-based text file."""
     return "".join(name.splitlines()) != name
@@ -336,8 +344,8 @@ def load_dataset(path) -> Dataset:
             raise ParseError(
                 f"expected {len(header)} columns, got {len(parts)}", line=off)
         try:
-            labels.append(int(parts[0]))
-            meta.append(tuple(int(v) for v in parts[1:4]))
+            labels.append(parse_int64(parts[0]))
+            meta.append(tuple(parse_int64(v) for v in parts[1:4]))
             rows.append(np.array(parts[4:], dtype=np.float64))
         except ValueError as exc:
             raise ParseError(str(exc), line=off) from exc

@@ -10,6 +10,7 @@ from nvmsig import cli
 from nvmsig.chipsim import SpatialLatencyMap, load_catalog
 from nvmsig.classifiers import svm as svm_core
 from nvmsig.detector import save_map
+from nvmsig.errors import ParseError
 from nvmsig.protocol import load_dataset
 
 
@@ -112,6 +113,15 @@ def test_generation_commands_require_seed(capsys):
     assert "--seed is required" in capsys.readouterr().err
 
 
+def test_dataset_bad_train_fraction_writes_nothing(tmp_path, capsys):
+    assert run("dataset", "--seed", 2, "--classes", "4,6",
+               "--chips-per-class", 2, "--locations-per-chip", 2,
+               "--checkpoints", "0,10000", "--split", "--train-fraction", 2,
+               "--out-dir", tmp_path) == 1
+    assert "train_fraction" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------- train / eval
 
 def test_eval_on_train_set_is_perfect(workdir, tmp_path, capsys):
@@ -152,6 +162,27 @@ def test_manifest_with_retired_max_passes_reruns_byte_identical(workdir,
     assert run("train", "--config", manifest, "--out-dir", tmp_path / "rerun") == 0
     assert filecmp.cmp(workdir / "knn.model.txt",
                        tmp_path / "rerun" / "knn.model.txt", shallow=False)
+
+
+def test_retired_jobs_and_nca_subsample_keys(workdir, tmp_path, capsys):
+    """`jobs` never changed an output and is ignored; `nca_subsample = true`
+    ranked on a subsample that can no longer be drawn, so it is refused."""
+    base = (f"seed = 2\ndataset = {workdir / 'two.train.csv'}\n"
+            "kind = knn\nout = knn.model.txt\n")
+    config = tmp_path / "old.cfg"
+    config.write_text(base + "jobs = 2\n")
+    assert run("train", "--config", config, "--out-dir", tmp_path / "rerun") == 0
+    assert filecmp.cmp(workdir / "knn.model.txt",
+                       tmp_path / "rerun" / "knn.model.txt", shallow=False)
+    config.write_text(base + "nca_subsample = true\n")
+    with pytest.raises(ParseError, match="line 5: nca_subsample"):
+        cli.read_config(config)
+    assert run("train", "--config", config, "--out-dir", tmp_path / "no") == 1
+    assert "line 5" in capsys.readouterr().err
+    assert not (tmp_path / "no").exists()
+    assert run("sweep", "--seed", 2, "--dataset", workdir / "two.csv",
+               "--jobs", 2, "--out-dir", tmp_path / "no") == 1
+    assert not (tmp_path / "no").exists()
 
 
 def test_train_needs_no_seed(workdir, tmp_path):
@@ -211,20 +242,7 @@ def test_sweep_emits_all_nine_cells(workdir, tmp_path, capsys):
         assert (out / f"sweep_{kind}_{sel}.confusion.csv").exists()
 
 
-def test_sweep_parallel_matches_serial(workdir, tmp_path):
-    serial, parallel = tmp_path / "s", tmp_path / "p"
-    for jobs, out in ((1, serial), (2, parallel)):
-        assert run("sweep", "--seed", 2, "--train", workdir / "two.train.csv",
-                   "--test", workdir / "two.test.csv", "--select-k", 4,
-                   "--nca-iters", 30, "--jobs", jobs, "--out-dir", out) == 0
-    assert filecmp.cmp(serial / "sweep.csv", parallel / "sweep.csv",
-                       shallow=False)
-    assert filecmp.cmp(serial / "sweep_svm_mrmr.model.txt",
-                       parallel / "sweep_svm_mrmr.model.txt", shallow=False)
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_sweep_fits_each_selector_once(workdir, tmp_path, monkeypatch, jobs):
+def test_sweep_fits_each_selector_once(workdir, tmp_path, monkeypatch):
     calls = {"nca": 0, "mrmr": 0}
 
     def counted(name, func):
@@ -237,7 +255,7 @@ def test_sweep_fits_each_selector_once(workdir, tmp_path, monkeypatch, jobs):
     monkeypatch.setattr(cli, "mrmr_select", counted("mrmr", cli.mrmr_select))
     assert run("sweep", "--seed", 2, "--train", workdir / "two.train.csv",
                "--test", workdir / "two.test.csv", "--select-k", 4,
-               "--nca-iters", 10, "--jobs", jobs, "--out-dir", tmp_path) == 0
+               "--nca-iters", 10, "--out-dir", tmp_path) == 0
     assert calls == {"nca": 1, "mrmr": 1}
 
 
@@ -303,6 +321,38 @@ def test_scan_needs_map_or_seed(capsys):
 def test_missing_input_file_is_io_error(tmp_path, capsys):
     assert run("train", "--seed", 1, "--dataset", tmp_path / "ghost.csv") == 2
     assert "error" in capsys.readouterr().err
+
+
+_BEYOND_INT64 = "99999999999999999999"
+
+
+@pytest.mark.parametrize("case", ["class", "chip_seed", "config_seed",
+                                  "seed_flag", "split_seed_flag"])
+def test_integer_beyond_int64_is_validation_error(workdir, tmp_path, capsys,
+                                                  case):
+    if case in ("class", "chip_seed"):
+        lines = (workdir / "two.train.csv").read_text().splitlines(keepends=True)
+        row = 1 + next(i for i, line in enumerate(lines)
+                       if line.startswith("class,"))
+        parts = lines[row].split(",")
+        parts[0 if case == "class" else 1] = _BEYOND_INT64
+        lines[row] = ",".join(parts)
+        bad = tmp_path / "big.csv"
+        bad.write_text("".join(lines))
+        with pytest.raises(ParseError, match=f"line {row + 1}:"):
+            load_dataset(bad)
+        argv = ["train", "--dataset", bad]
+    elif case == "config_seed":
+        config = tmp_path / "big.cfg"
+        config.write_text(f"seed = {_BEYOND_INT64}\n")
+        argv = ["dataset", "--config", config]
+    elif case == "seed_flag":
+        argv = ["dataset", "--seed", _BEYOND_INT64]
+    else:
+        argv = ["dataset", "--seed", 1, "--split", "--split-seed", _BEYOND_INT64]
+    assert run(*argv, "--out-dir", tmp_path / "out") == 1
+    assert "int64" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_unknown_key_rejected(tmp_path, capsys):

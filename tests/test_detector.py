@@ -332,9 +332,12 @@ def test_map_csv_parse_errors(tmp_path):
     path.write_text("addr,latency_us\n0,1.0\n0,2.0\n")
     with pytest.raises(ParseError, match="line 3"):
         load_map(path)
-    path.write_text("addr,latency_us\n0,1.0\n2,2.0\n")
-    with pytest.raises(ValidationError):
-        load_map(path)
+    for rows in ("0,1.0\n2,2.0\n", "-1,1.0\n1,1.0\n",
+                 # checked before the address range is built
+                 "1000000000000000000,1.0\n"):
+        path.write_text("addr,latency_us\n" + rows)
+        with pytest.raises(ValidationError, match="no holes"):
+            load_map(path)
     path.write_text("addr,latency_us\n")
     with pytest.raises(ParseError):
         load_map(path)

@@ -235,13 +235,3 @@ def test_nca_nonfinite_gradient_aborts():
     with pytest.raises(NumericError, match="iteration"):
         nca_select(ds, k=2, iters=5, learning_rate=1e200)
 
-
-def test_nca_subsample_caps_fit_size():
-    rng = np.random.default_rng(9)
-    X = rng.normal(size=(1600, 3))
-    y = rng.integers(0, 2, size=1600)
-    X[:, 1] += 3.0 * y
-    ranking = nca_select(SimpleNamespace(X=X, y=y), k=3, iters=5,
-                         learning_rate=0.01, subsample=True)
-    assert ranking.indices[0] == 1
-    assert len(ranking) == 3
