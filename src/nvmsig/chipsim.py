@@ -41,6 +41,7 @@ __all__ = [
     "load_catalog",
     "dump_catalog",
     "new_chip",
+    "latency_at",
     "latency_sample",
     "latency_block",
     "cycle_location",
@@ -58,6 +59,7 @@ _TAG_LOC = 0x22
 _TAG_NOISE = 0x33
 
 _FACTOR_FLOOR = 0.05  # keeps multiplicative factors positive for any sigma
+_WEAR_MAX = (1 << 63) - 1  # wear counters are int64
 
 
 class Technology(enum.Enum):
@@ -276,8 +278,12 @@ def _drift(spec: ChipClassSpec, wear):
     return d
 
 
-def _latency_at(chip: ChipInstance, addr, wear) -> np.ndarray:
-    """Quantized latencies for (addr, wear) arrays; pure, no state change."""
+def latency_at(chip: ChipInstance, addr, wear) -> np.ndarray:
+    """Quantized latencies for (addr, wear) arrays; pure, no state change.
+
+    `addr` and `wear` broadcast against each other, so one call can cover
+    many locations at many wear counts.
+    """
     spec = chip.spec
     noiseless = (spec.base_latency_us * chip.chip_factor
                  * chip.loc_factor[addr] * _drift(spec, wear))
@@ -292,7 +298,7 @@ def _latency_at(chip: ChipInstance, addr, wear) -> np.ndarray:
 def latency_sample(chip: ChipInstance, addr: int, advance: bool = True) -> float:
     """One latency measurement at `addr`; increments wear when `advance`."""
     _check_addr(chip, addr)
-    lat = float(_latency_at(chip, addr, chip.wear[addr]))
+    lat = float(latency_at(chip, addr, chip.wear[addr]))
     if advance:
         chip.wear[addr] += 1
     return lat
@@ -308,7 +314,7 @@ def latency_block(chip: ChipInstance, addr: int, n: int, advance: bool = True) -
     if n < 1:
         raise ValidationError("n must be >= 1")
     wears = chip.wear[addr] + np.arange(n, dtype=np.int64)
-    lat = _latency_at(chip, addr, wears)
+    lat = latency_at(chip, addr, wears)
     if advance:
         chip.wear[addr] += n
     return lat
@@ -319,6 +325,9 @@ def cycle_location(chip: ChipInstance, addr: int, n: int) -> None:
     _check_addr(chip, addr)
     if n < 0:
         raise ValidationError("cycle count must be >= 0")
+    if n > _WEAR_MAX - int(chip.wear[addr]):
+        raise ValidationError(f"{n} more cycles at address {addr} would pass "
+                              "the int64 wear counter")
     chip.wear[addr] += n
 
 
@@ -336,7 +345,7 @@ class SpatialLatencyMap:
 def full_chip_scan(chip: ChipInstance) -> SpatialLatencyMap:
     """One advancing operation on every location, in address order."""
     addrs = np.arange(chip.spec.num_locations)
-    lat = _latency_at(chip, addrs, chip.wear)
+    lat = latency_at(chip, addrs, chip.wear)
     chip.wear += 1
     return SpatialLatencyMap(latencies=lat, class_tag=chip.class_tag)
 

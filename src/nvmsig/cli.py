@@ -56,7 +56,13 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_ints(text: str):
-    return [int(p) for p in text.split(",") if p.strip() != ""]
+    return [parse_int64(p) for p in text.split(",") if p.strip() != ""]
+
+
+def _parse_path(text: str) -> str:
+    if "\x00" in text:
+        raise ValueError(f"path {text!r} holds a NUL byte")
+    return text
 
 
 def _parse_gamma(text: str):
@@ -70,7 +76,7 @@ def _parse_spots(text: str):
         addr, sep, cycles = part.partition(":")
         if not sep:
             raise ValueError(f"expected addr:cycles, got {part!r}")
-        spots.append((int(addr), int(cycles)))
+        spots.append((parse_int64(addr), parse_int64(cycles)))
     return spots
 
 
@@ -81,7 +87,7 @@ class _Field(SimpleNamespace):
 
 _SCHEMA = {
     "seed": _Field(parse_int64, None, "root seed; all randomness derives from it"),
-    "catalog": _Field(str, "builtin", "catalog CSV path, or 'builtin'"),
+    "catalog": _Field(_parse_path, "builtin", "catalog CSV path, or 'builtin'"),
     "classes": _Field(_parse_ints, None, "class tags to include (default all)"),
     "chips_per_class": _Field(int, 3, "simulated chips per class"),
     "checkpoints": _Field(_parse_ints, list(DEFAULT_CHECKPOINTS),
@@ -111,15 +117,15 @@ _SCHEMA = {
     "flag_ratio": _Field(float, 1.5, "elevation ratio that flags an address"),
     "used_threshold": _Field(float, 1.3, "elevation ratio called USED"),
     "fresh_threshold": _Field(float, 1.1, "elevation ratio called FRESH"),
-    "out_dir": _Field(str, None, f"output directory (default ${OUT_DIR_ENV} or '.')"),
-    "out": _Field(str, None, "output file (or prefix) inside out_dir"),
-    "dataset": _Field(str, None, "dataset CSV path"),
-    "train": _Field(str, None, "training dataset CSV path"),
-    "test": _Field(str, None, "test dataset CSV path"),
-    "model": _Field(str, None, "model file path"),
-    "probe": _Field(str, None, "probe CSV path (last column latency_us)"),
-    "map": _Field(str, None, "spatial map CSV path"),
-    "map_out": _Field(str, None, "write the scanned map CSV here"),
+    "out_dir": _Field(_parse_path, None, f"output directory (default ${OUT_DIR_ENV} or '.')"),
+    "out": _Field(_parse_path, None, "output file (or prefix) inside out_dir"),
+    "dataset": _Field(_parse_path, None, "dataset CSV path"),
+    "train": _Field(_parse_path, None, "training dataset CSV path"),
+    "test": _Field(_parse_path, None, "test dataset CSV path"),
+    "model": _Field(_parse_path, None, "model file path"),
+    "probe": _Field(_parse_path, None, "probe CSV path (last column latency_us)"),
+    "map": _Field(_parse_path, None, "spatial map CSV path"),
+    "map_out": _Field(_parse_path, None, "write the scanned map CSV here"),
 }
 
 # config-file spelling -> schema key

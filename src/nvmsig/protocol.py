@@ -16,7 +16,8 @@ import numpy as np
 
 from ._atomic import atomic_open
 from ._rng import derive_seed
-from .chipsim import ChipClassSpec, cycle_location, latency_block, new_chip
+from .chipsim import (ChipClassSpec, cycle_location, latency_at, latency_block,
+                      new_chip)
 from .errors import ParseError, ValidationError
 
 __all__ = [
@@ -48,6 +49,10 @@ _STREAM_SPLIT = 0x5B
 
 # chip seeds ride in an int64 metadata column, so keep them to 63 bits
 _SEED_MASK = (1 << 63) - 1
+
+# rows per write in save_dataset: enough to amortise the call, few enough
+# that one block of text (about 70 kB at 100 features) adds no peak memory
+_SAVE_BLOCK = 64
 
 
 @dataclass
@@ -163,6 +168,12 @@ def build_dataset(catalog, chips_per_class: int = 3,
     checkpoint must be at least `group` cycles past the previous one (wear
     only moves forward).  Sample count is exactly
     len(catalog) * chips_per_class * locations_per_chip * len(checkpoints).
+
+    Latency depends only on (chip, addr, wear), so the row of checkpoint
+    `ck` holds the latencies at wears ck .. ck + group - 1.  Each chip takes
+    one `latency_at` call over all its locations and checkpoints, which
+    gives the same values as sampling each probe in turn.  Rows run in
+    catalog order, then chip, address and checkpoint.
     """
     catalog = list(catalog)
     if not catalog:
@@ -181,7 +192,14 @@ def build_dataset(catalog, chips_per_class: int = 3,
     if any(b - a < group for a, b in zip(ckpts, ckpts[1:])):
         raise ValidationError(
             f"checkpoint spacing must be >= group ({group}) cycles")
+    if ckpts[-1] + group > 1 << 63:
+        raise ValidationError(
+            f"checkpoint {ckpts[-1]} plus group {group} passes the int64 "
+            "wear counter")
 
+    ckpts = np.array(ckpts, dtype=np.int64)
+    wears = ckpts[:, None] + np.arange(group, dtype=np.int64)
+    n_rows = locations_per_chip * len(ckpts)
     rows, labels, meta = [], [], []
     for spec in catalog:
         for ci in range(chips_per_class):
@@ -189,15 +207,16 @@ def build_dataset(catalog, chips_per_class: int = 3,
             chip = new_chip(spec, chip_seed)
             addrs = _chip_locations(spec, chip_seed, locations_per_chip,
                                     _STREAM_DATASET_LOCS)
-            for addr in addrs:
-                addr = int(addr)
-                for ck in ckpts:
-                    cycle_location(chip, addr, ck - int(chip.wear[addr]))
-                    rows.append(latency_block(chip, addr, group))
-                    labels.append(spec.class_tag)
-                    meta.append((chip_seed, addr, ck))
+            lat = latency_at(chip, addrs[:, None, None], wears)
+            rows.append(lat.reshape(n_rows, group))
+            labels.append(np.full(n_rows, spec.class_tag, dtype=np.int64))
+            meta.append(np.column_stack((
+                np.full(n_rows, chip_seed, dtype=np.int64),
+                np.repeat(addrs, len(ckpts)),
+                np.tile(ckpts, locations_per_chip))))
     names = {s.class_tag: s.label for s in catalog}
-    return Dataset(np.array(rows), np.array(labels), np.array(meta), names)
+    return Dataset(np.concatenate(rows), np.concatenate(labels),
+                   np.concatenate(meta), names)
 
 
 def split(ds: Dataset, train_fraction: float = 0.8, seed: int = 1):
@@ -292,23 +311,30 @@ def has_line_break(name: str) -> bool:
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    """CSV with one row per sample; latencies as fixed 6-decimal µs."""
+    """CSV with one row per sample; latencies as fixed 6-decimal µs.
+
+    Rows are formatted with one `%`-template per row and written in blocks
+    of `_SAVE_BLOCK` rows; `%d` and `%.6f` give the same text as `str` of
+    an int64 and `f"{v:.6f}"` of a float64.
+    """
     for tag, name in ds.class_names.items():
         if has_line_break(name) or _NAME_SEP.search(name):
             raise ValidationError(f"class {tag} name {name!r} cannot be stored: "
                                   "it holds a line break or ',<int>='")
     cols = ["class", "chip_seed", "addr", "checkpoint"] + _feature_columns(ds.arity)
+    template = "%d,%d,%d,%d" + ",%.6f" * ds.arity + "\n"
+    head = np.column_stack((ds.y, ds.meta))
     with atomic_open(path) as fh:
         if ds.class_names:
             names = ",".join(f"{t}={ds.class_names[t]}"
                              for t in sorted(ds.class_names))
             fh.write(f"# class_names: {names}\n")
         fh.write(",".join(cols) + "\n")
-        for i in range(len(ds)):
-            prefix = (f"{ds.y[i]},{ds.meta[i, 0]},{ds.meta[i, 1]},"
-                      f"{ds.meta[i, 2]}")
-            feats = ",".join(f"{v:.6f}" for v in ds.X[i])
-            fh.write(f"{prefix},{feats}\n")
+        for start in range(0, len(ds), _SAVE_BLOCK):
+            stop = start + _SAVE_BLOCK
+            fh.write("".join(
+                template % (*h, *x) for h, x in
+                zip(head[start:stop].tolist(), ds.X[start:stop].tolist())))
 
 
 def load_dataset(path) -> Dataset:

@@ -1,10 +1,14 @@
 """End-to-end command-line flows, exit codes, and manifest reproducibility."""
 
+import contextlib
 import filecmp
+import io
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nvmsig import cli
 from nvmsig.chipsim import SpatialLatencyMap, load_catalog
@@ -355,6 +359,43 @@ def test_integer_beyond_int64_is_validation_error(workdir, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("case", ["spots_flag", "checkpoints_flag",
+                                  "checkpoints_config"])
+def test_list_field_beyond_int64_is_validation_error(tmp_path, capsys, case):
+    if case == "spots_flag":
+        argv = ["scan", "--seed", 1, "--spots", f"3:{_BEYOND_INT64}"]
+    elif case == "checkpoints_flag":
+        argv = ["dataset", "--seed", 1, "--checkpoints", f"0,{_BEYOND_INT64}"]
+    else:
+        config = tmp_path / "big.cfg"
+        config.write_text(f"seed = 1\ncheckpoints = 0,{_BEYOND_INT64}\n")
+        argv = ["dataset", "--config", config]
+    assert run(*argv, "--out-dir", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert any(line.startswith("error:") for line in err.splitlines())
+    if case == "checkpoints_config":
+        assert "line 2: checkpoints:" in err and "int64" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,key", [("dataset", "catalog"),
+                                         ("train", "dataset")])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_nul_byte_in_path_is_validation_error(tmp_path, capsys, command, key,
+                                              via):
+    if via == "flag":
+        argv = [command, "--seed", 1, f"--{key}", "a\x00b.csv"]
+    else:
+        config = tmp_path / "nul.cfg"
+        config.write_text(f"seed = 1\n{key} = a\x00b.csv\n")
+        argv = [command, "--config", config]
+    assert run(*argv, "--out-dir", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert (f"argument --{key}:" if via == "flag" else "NUL byte") in err
+    assert any(line.startswith("error:") for line in err.splitlines())
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_unknown_key_rejected(tmp_path, capsys):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("seed = 1\nwibble = 2\n")
@@ -383,3 +424,61 @@ def test_catalog_dump(tmp_path):
     specs = load_catalog(out)
     assert [s.class_tag for s in specs] == [s.class_tag
                                             for s in load_catalog()]
+
+
+# ----------------------------------------------- mutated dataset files
+
+_ODD_FIELDS = ["", " ", "x", "nan", "-inf", "1e999", "0x10", "1_0",
+               _BEYOND_INT64, "-" + _BEYOND_INT64]
+
+
+@pytest.fixture(scope="module")
+def tiny_dataset_lines(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny")
+    assert run("dataset", "--seed", 4, "--chips-per-class", 1,
+               "--locations-per-chip", 1, "--out-dir", root) == 0
+    return (root / "dataset.csv").read_text().splitlines()
+
+
+@st.composite
+def _mutated(draw, lines):
+    lines = list(lines)
+    i = draw(st.integers(0, len(lines) - 1))
+    how = draw(st.sampled_from(["drop", "duplicate", "replace", "insert",
+                                "field"]))
+    if how == "drop":
+        del lines[i]
+    elif how == "duplicate":
+        lines.insert(i, lines[i])
+    elif how == "replace":
+        lines[i] = draw(st.text(max_size=30))
+    else:
+        parts = lines[i].split(",")
+        j = draw(st.integers(0, len(parts) - (how == "field")))
+        value = draw(st.sampled_from(_ODD_FIELDS) | st.text(max_size=8))
+        if how == "insert":
+            parts.insert(j, value)
+        else:
+            parts[j] = value
+        lines[i] = ",".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_mutated_dataset_through_train_exits_cleanly(tiny_dataset_lines,
+                                                     tmp_path_factory, data):
+    """A dataset CSV with one bad line trains or fails with exit 1-3 and an
+    error line; no exception escapes main."""
+    root = tmp_path_factory.mktemp("mutant")
+    path = root / "mutant.csv"
+    path.write_text(data.draw(_mutated(tiny_dataset_lines)), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = run("train", "--dataset", path, "--kind", "knn",
+                   "--out-dir", root / "out")
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert any(line.startswith("error:")
+                   for line in err.getvalue().splitlines())

@@ -4,17 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvmsig._atomic import atomic_open
+from nvmsig._rng import derive_seed
 from nvmsig.chipsim import (
     BUILTIN_CATALOG,
     ChipClassSpec,
     OpKind,
     Technology,
     cycle_location,
+    latency_at,
     latency_block,
     new_chip,
 )
 from nvmsig.errors import ParseError, ValidationError
 from nvmsig.protocol import (
+    DEFAULT_CHECKPOINTS,
     Dataset,
     Side,
     build_dataset,
@@ -129,6 +132,44 @@ def test_build_dataset_groups_are_consecutive_cycles_of_one_location():
         assert np.array_equal(latency_block(chip, int(addr), ds.arity), ds.X[i])
 
 
+def _reference_dataset(catalog, chips_per_class, checkpoints, group,
+                       locations_per_chip, seed):
+    """build_dataset as a probe-by-probe loop: fast-forward, then sample."""
+    rows, labels, meta = [], [], []
+    for spec in catalog:
+        for ci in range(chips_per_class):
+            chip_seed = derive_seed(seed, spec.class_tag, ci) & ((1 << 63) - 1)
+            chip = new_chip(spec, chip_seed)
+            rng = np.random.default_rng(derive_seed(0xD5, chip_seed))
+            addrs = np.sort(rng.choice(spec.num_locations,
+                                       size=locations_per_chip, replace=False))
+            for addr in addrs.tolist():
+                for ck in checkpoints:
+                    cycle_location(chip, addr, ck - int(chip.wear[addr]))
+                    rows.append(latency_block(chip, addr, group))
+                    labels.append(spec.class_tag)
+                    meta.append((chip_seed, addr, ck))
+    return np.array(rows), np.array(labels), np.array(meta)
+
+
+@pytest.mark.parametrize("classes,chips,locations,checkpoints,group,seed", [
+    (range(9), 2, 2, DEFAULT_CHECKPOINTS, 100, 1),
+    ((3, 0, 8), 1, 12, DEFAULT_CHECKPOINTS, 100, 12345),
+    ((5,), 3, 1, (0, 150, 400), 150, 7),
+    ((2, 6), 2, 5, (250, 1000, 20000), 37, 2**40 + 3),
+])
+def test_build_dataset_equals_probe_by_probe_sampling(classes, chips, locations,
+                                                      checkpoints, group, seed):
+    catalog = [BUILTIN_CATALOG[t] for t in classes]
+    ds = build_dataset(catalog, chips_per_class=chips, checkpoints=checkpoints,
+                       group=group, locations_per_chip=locations, seed=seed)
+    X, y, meta = _reference_dataset(catalog, chips, checkpoints, group,
+                                    locations, seed)
+    assert ds.X.tobytes() == X.tobytes()
+    assert ds.y.dtype == y.dtype and np.array_equal(ds.y, y)
+    assert ds.meta.dtype == meta.dtype and np.array_equal(ds.meta, meta)
+
+
 def test_build_dataset_validations():
     with pytest.raises(ValidationError):
         build_dataset([])
@@ -140,6 +181,8 @@ def test_build_dataset_validations():
         build_dataset([toy_spec()], checkpoints=[-5, 1000])
     with pytest.raises(ValidationError):
         build_dataset([toy_spec()], locations_per_chip=65)
+    with pytest.raises(ValidationError, match="int64"):
+        build_dataset([toy_spec()], checkpoints=[0, (1 << 63) - 99])
 
 
 # ---------------- split ----------------
@@ -236,13 +279,12 @@ def test_latency_stats_window_ranges_disjoint():
     chip_seed = derive_seed(5, 0, 0, 0x57) & ((1 << 63) - 1)
     chip = new_chip(spec, chip_seed)
     import numpy as _np
-    from nvmsig.chipsim import _latency_at
     for w in out:
         lo = w.checkpoint - 50 if w.side is Side.BEFORE else w.checkpoint
         wears = _np.arange(lo, lo + 50)
         # the one sampled location is deterministic given the seed
         addr = int(_chip_addr(spec, chip_seed))
-        vals = _latency_at(chip, _np.full(50, addr), wears)
+        vals = latency_at(chip, _np.full(50, addr), wears)
         assert w.mean == pytest.approx(vals.mean(), rel=1e-12)
 
 
@@ -336,3 +378,66 @@ def test_dataset_header_must_match(tmp_path):
     path.write_text("class,chip_seed,addr\n1,2,3\n", encoding="utf-8")
     with pytest.raises(ParseError):
         load_dataset(path)
+
+
+def _reference_save(ds, path):
+    """save_dataset's format written one value at a time."""
+    lines = []
+    if ds.class_names:
+        lines.append("# class_names: " + ",".join(
+            f"{t}={ds.class_names[t]}" for t in sorted(ds.class_names)))
+    lines.append(",".join(["class", "chip_seed", "addr", "checkpoint"]
+                          + [f"f{i:03d}" for i in range(ds.arity)]))
+    for i in range(len(ds)):
+        lines.append(",".join([str(ds.y[i])] + [str(v) for v in ds.meta[i]]
+                              + [f"{v:.6f}" for v in ds.X[i]]))
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+
+
+# exact ties at the sixth decimal (k / 128) among them
+_EDGE_FLOATS = [0.0, -0.0, 5e-7, -5e-7, 1e300, -1e300, 0.0078125, -0.0234375,
+                1.0078125, 123.4564995, np.nan, np.inf, -np.inf]
+
+
+@st.composite
+def _datasets(draw, finite):
+    """Random int64 y/meta and float64 X: every bit pattern (NaN, ±inf and
+    subnormals included), latency-scale values and the edge values above."""
+    n = draw(st.integers(1, 200))
+    arity = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sources = np.stack([
+        rng.integers(0, 2**64, (n, arity), dtype=np.uint64).view(np.float64),
+        np.round(rng.uniform(-1000, 1000, (n, arity)), 7),
+        rng.choice(_EDGE_FLOATS, (n, arity)),
+    ])
+    X = np.take_along_axis(sources, rng.integers(0, 3, (1, n, arity)), 0)[0]
+    if finite:
+        X[~np.isfinite(X)] = 1.5
+    y = rng.integers(-2**63, 2**63 - 1, n, dtype=np.int64, endpoint=True)
+    meta = rng.integers(-2**63, 2**63 - 1, (n, 3), dtype=np.int64,
+                        endpoint=True)
+    names = draw(st.sampled_from([{}, {0: "a", -3: "b c"}]))
+    return Dataset(X, y, meta, names)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ds=_datasets(finite=False))
+def test_save_dataset_bytes_equal_per_value_formatting(tmp_path_factory, ds):
+    root = tmp_path_factory.mktemp("save")
+    save_dataset(ds, root / "fast.csv")
+    _reference_save(ds, root / "ref.csv")
+    assert (root / "fast.csv").read_bytes() == (root / "ref.csv").read_bytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(ds=_datasets(finite=True))
+def test_save_load_round_trip_of_rounded_values(tmp_path_factory, ds):
+    path = tmp_path_factory.mktemp("trip") / "ds.csv"
+    save_dataset(ds, path)
+    back = load_dataset(path)
+    want = np.array([[float(f"{v:.6f}") for v in row] for row in ds.X])
+    assert np.array_equal(back.X, want)
+    assert np.array_equal(back.y, ds.y)
+    assert np.array_equal(back.meta, ds.meta)
+    assert back.class_names == ds.class_names
