@@ -313,6 +313,7 @@ def latency_block(chip: ChipInstance, addr: int, n: int, advance: bool = True) -
     _check_addr(chip, addr)
     if n < 1:
         raise ValidationError("n must be >= 1")
+    _check_wear_room(chip, addr, n)
     wears = chip.wear[addr] + np.arange(n, dtype=np.int64)
     lat = latency_at(chip, addr, wears)
     if advance:
@@ -325,10 +326,14 @@ def cycle_location(chip: ChipInstance, addr: int, n: int) -> None:
     _check_addr(chip, addr)
     if n < 0:
         raise ValidationError("cycle count must be >= 0")
+    _check_wear_room(chip, addr, n)
+    chip.wear[addr] += n
+
+
+def _check_wear_room(chip: ChipInstance, addr: int, n: int) -> None:
     if n > _WEAR_MAX - int(chip.wear[addr]):
         raise ValidationError(f"{n} more cycles at address {addr} would pass "
                               "the int64 wear counter")
-    chip.wear[addr] += n
 
 
 @dataclass

@@ -334,10 +334,7 @@ def _load_core(r: _Reader, kind, n_idx, params):
         for node, (left, right) in zip(nodes, children):
             if not node.is_leaf:
                 node.left, node.right = nodes[left], nodes[right]
-        core = _tree.TreeCore(nodes[0], tags, params.get("max_depth", 20),
-                              params.get("min_leaf", 1))
-        core.node_count = n_nodes
-        return core, tags
+        return _tree.TreeCore(nodes[0], tags, n_nodes), tags
     n_machines, n_tags = int(head[2]), int(head[3])
     tags = np.array([int(t) for t in r.next("tags").split()[1:]],
                     dtype=np.int64)

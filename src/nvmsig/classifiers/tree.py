@@ -6,7 +6,7 @@ ties prefer the lowest feature index, then the lowest threshold.  Splits
 send x[feature] <= threshold to the left child.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -32,9 +32,7 @@ class TreeNode:
 class TreeCore:
     root: TreeNode
     tags: np.ndarray
-    max_depth: int
-    min_leaf: int
-    node_count: int = field(default=0)
+    node_count: int
 
 
 def fit(X, y, max_depth: int = 20, min_leaf: int = 1) -> TreeCore:
@@ -48,9 +46,7 @@ def fit(X, y, max_depth: int = 20, min_leaf: int = 1) -> TreeCore:
     counter = [0]
     root = _grow(X, dense, np.arange(X.shape[0]), len(tags), 0,
                  max_depth, min_leaf, counter)
-    core = TreeCore(root, tags, max_depth, min_leaf)
-    core.node_count = counter[0]
-    return core
+    return TreeCore(root, tags, counter[0])
 
 
 def _grow(X, dense, idx, n_classes, depth, max_depth, min_leaf, counter):

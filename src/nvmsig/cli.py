@@ -42,6 +42,7 @@ from .protocol import (DEFAULT_CHECKPOINTS, build_dataset, load_dataset,
 
 OUT_DIR_ENV = "NVMSIG_OUT"
 SELECTORS = ("none", "mrmr", "nca")
+_TRACE_BLOCK = 4096  # rows per latency_block call in `nvmsig simulate`
 
 
 # ------------------------------------------------------------ config values
@@ -80,39 +81,54 @@ def _parse_spots(text: str):
     return spots
 
 
+def _flag_type(parse):
+    """`parse` as an argparse type: a ValueError becomes an
+    ArgumentTypeError, so a bad flag shows the parser's reason, as a bad
+    config line does, rather than "invalid <function name> value"."""
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
 class _Field(SimpleNamespace):
+    # flag_type is made once per field, not per parser: every cli.main call
+    # builds a parser, and the extra objects cost garbage-collector passes
     def __init__(self, parse, default, help):
-        super().__init__(parse=parse, default=default, help=help)
+        super().__init__(parse=parse, flag_type=_flag_type(parse),
+                         default=default, help=help)
 
 
 _SCHEMA = {
     "seed": _Field(parse_int64, None, "root seed; all randomness derives from it"),
     "catalog": _Field(_parse_path, "builtin", "catalog CSV path, or 'builtin'"),
     "classes": _Field(_parse_ints, None, "class tags to include (default all)"),
-    "chips_per_class": _Field(int, 3, "simulated chips per class"),
+    "chips_per_class": _Field(parse_int64, 3, "simulated chips per class"),
     "checkpoints": _Field(_parse_ints, list(DEFAULT_CHECKPOINTS),
                           "wear counts where probes are captured"),
-    "group": _Field(int, 100, "consecutive cycles captured per probe"),
-    "locations_per_chip": _Field(int, 12, "probed addresses per chip"),
+    "group": _Field(parse_int64, 100, "consecutive cycles captured per probe"),
+    "locations_per_chip": _Field(parse_int64, 12, "probed addresses per chip"),
     "split": _Field(_parse_bool, False, "also write .train/.test files"),
     "train_fraction": _Field(float, 0.8, "train share of the split"),
     "split_seed": _Field(parse_int64, None, "split stream seed (default: seed)"),
     "kind": _Field(str, "knn", "classifier: knn, tree, or svm"),
-    "k": _Field(int, 5, "knn neighbor count"),
-    "max_depth": _Field(int, 20, "tree depth limit"),
-    "min_leaf": _Field(int, 1, "minimum samples per tree leaf"),
+    "k": _Field(parse_int64, 5, "knn neighbor count"),
+    "max_depth": _Field(parse_int64, 20, "tree depth limit"),
+    "min_leaf": _Field(parse_int64, 1, "minimum samples per tree leaf"),
     "c": _Field(float, 1.0, "svm box constraint C"),
     "gamma": _Field(_parse_gamma, "auto", "svm RBF gamma, or 'auto'"),
     "tol": _Field(float, 1e-3, "svm KKT gap tolerance"),
     "selector": _Field(str, "none", "feature selector: none, mrmr, or nca"),
-    "select_k": _Field(int, 25, "features kept by the selector"),
-    "mrmr_bins": _Field(int, 16, "histogram bins for mutual information"),
-    "nca_iters": _Field(int, 200, "nca gradient steps"),
+    "select_k": _Field(parse_int64, 25, "features kept by the selector"),
+    "mrmr_bins": _Field(parse_int64, 16, "histogram bins for mutual information"),
+    "nca_iters": _Field(parse_int64, 200, "nca gradient steps"),
     "nca_lr": _Field(float, 0.01, "nca learning rate"),
-    "folds": _Field(int, 8, "cross-validation folds"),
-    "class_tag": _Field(int, 0, "chip class tag"),
-    "addr": _Field(int, 0, "location address"),
-    "cycles": _Field(int, 1000, "operations to simulate"),
+    "folds": _Field(parse_int64, 8, "cross-validation folds"),
+    "class_tag": _Field(parse_int64, 0, "chip class tag"),
+    "addr": _Field(parse_int64, 0, "location address"),
+    "cycles": _Field(parse_int64, 1000, "operations to simulate"),
     "spots": _Field(_parse_spots, [], "addr:cycles pairs to pre-cycle"),
     "flag_ratio": _Field(float, 1.5, "elevation ratio that flags an address"),
     "used_threshold": _Field(float, 1.3, "elevation ratio called USED"),
@@ -300,6 +316,14 @@ def _table_row(kind: str, selector: str, n_features: int, report) -> str:
             f"per_sample={report.infer_time_per_sample_s:.6f}s")
 
 
+def _trace_blocks(chip, addr: int, cycles: int):
+    """`cycle,latency_us` rows of a trace, `_TRACE_BLOCK` rows at a time,
+    so a trace of any length is written in flat memory."""
+    for start in range(0, cycles, _TRACE_BLOCK):
+        lat = latency_block(chip, addr, min(_TRACE_BLOCK, cycles - start))
+        yield "".join(f"{i},{v:.6f}\n" for i, v in enumerate(lat.tolist(), start))
+
+
 # ---------------------------------------------------------------- commands
 
 def cmd_catalog(args) -> int:
@@ -320,18 +344,20 @@ def cmd_simulate(args) -> int:
     if cfg.cycles < 1:
         raise ValidationError("cycles must be >= 1")
     spec = _spec_for(cfg, cfg.class_tag)
-    chip = new_chip(spec, cfg.seed)
-    lat = latency_block(chip, cfg.addr, cfg.cycles)
-    text = "cycle,latency_us\n" + "".join(
-        f"{i},{v:.6f}\n" for i, v in enumerate(lat))
+    blocks = _trace_blocks(new_chip(spec, cfg.seed), cfg.addr, cfg.cycles)
+    # the first block checks the address before anything is written
+    head = "cycle,latency_us\n" + next(blocks)
     if cfg.out:
         path = _out_path(cfg, cfg.out)
-        _write_text(path, text)
+        with atomic_open(path) as fh:
+            fh.write(head)
+            fh.writelines(blocks)
         _write_manifest(path + ".manifest", "simulate", cfg,
                         ["seed", "catalog", "class_tag", "addr", "cycles", "out"])
         print(f"wrote {path} ({cfg.cycles} rows)")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(head)
+        sys.stdout.writelines(blocks)
     return 0
 
 
@@ -542,7 +568,7 @@ class _Parser(argparse.ArgumentParser):
 def _add(parser, key: str, flag: str = None, **extra):
     f = _SCHEMA[key]
     parser.add_argument(flag or f"--{key.replace('_', '-')}", dest=key,
-                        type=f.parse, default=None,
+                        type=f.flag_type, default=None,
                         help=f"{f.help} (default: {_format_value(f.default)})",
                         **extra)
 

@@ -155,48 +155,44 @@ def mrmr_select(train, k: int = DEFAULT_K, bins: int = DEFAULT_BINS) -> FeatureR
 
 def nca_objective(w, X, y) -> float:
     """Mean leave-one-out soft neighbor probability under weights w."""
-    p_i, _ = _nca_forward(np.asarray(w, dtype=np.float64), X, y)
-    return float(p_i.mean())
+    return _nca(w, X, y)[0]
 
 
 def nca_gradient(w, X, y) -> np.ndarray:
+    """Gradient of `nca_objective` with respect to the weights w.
+
+    d/dw_m = (2 w_m / n) sum_ij M_ij (x_im - x_jm)^2 with
+    M_ij = p_ij (p_i - [y_i == y_j]).  Expanding the square gives row sums,
+    column sums and one matrix product, so no n x n x d tensor is built.
+    """
+    return _nca(w, X, y)[1]
+
+
+def _nca(w, X, y):
+    """(objective, gradient) from one n x n buffer: logits, then p, then M.
+
+    Two terms are dropped, both exactly: the row constant |z_i|^2 of the
+    squared distance, which the row softmax cancels, and the row sums of M,
+    which are p_i - p_i = 0 because every row of p sums to 1.
+    """
     w = np.asarray(w, dtype=np.float64)
-    p_i, p = _nca_forward(w, X, y)
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
-    n = X.shape[0]
-    same = (y[:, None] == y[None, :]).astype(np.float64)
-    # d objective / d w_m = (2 w_m / n) sum_ij M_ij (x_im - x_jm)^2
-    # with M_ij = p_i p_ij - p_ij [y_i == y_j]; the quadratic expands into
-    # row/column sums plus one matrix product, no n x n x d tensor needed
-    with np.errstate(over="ignore", invalid="ignore"):
-        M = p_i[:, None] * p - same * p
-        r = M.sum(axis=1)
-        c = M.sum(axis=0)
-        sq = X * X
-        cross = (X * (M @ X)).sum(axis=0)
-        s = sq.T @ r + sq.T @ c - 2.0 * cross
-        return (2.0 * w / n) * s
-
-
-def _nca_forward(w, X, y):
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     # overflow here shows up as non-finite output and is caught by the
     # gradient check in nca_select, so keep numpy quiet about it
     with np.errstate(over="ignore", invalid="ignore"):
         Z = X * w
-        g = Z @ Z.T
-        sq = np.diag(g)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * g
-        np.fill_diagonal(d2, np.inf)
-        logits = -d2
-        shift = logits.max(axis=1, keepdims=True)
-        ex = np.exp(logits - shift)
-        p = ex / ex.sum(axis=1, keepdims=True)
-    same = y[:, None] == y[None, :]
-    p_i = np.where(same, p, 0.0).sum(axis=1)
-    return p_i, p
+        P = (2.0 * Z) @ Z.T
+        P -= (Z * Z).sum(axis=1)  # -|z_i - z_j|^2 + |z_i|^2
+        np.fill_diagonal(P, -np.inf)
+        P -= P.max(axis=1, keepdims=True)
+        np.exp(P, out=P)
+        P /= P.sum(axis=1, keepdims=True)
+        same = y[:, None] == y[None, :]
+        p_i = np.add.reduce(P, axis=1, where=same)
+        P *= p_i[:, None] - same
+        s = (X * X).T @ P.sum(axis=0) - 2.0 * (X * (P @ X)).sum(axis=0)
+        return float(p_i.mean()), (2.0 * w / X.shape[0]) * s
 
 
 def nca_select(train, k: int = DEFAULT_K, iters: int = 200,

@@ -245,6 +245,18 @@ def test_wear_counter_cannot_pass_int64():
     assert chip.wear[3] == (1 << 63) - 2 and chip.wear[4] == 0
 
 
+def test_latency_block_cannot_pass_int64():
+    chip = new_chip(BUILTIN_CATALOG[5], 1)
+    cycle_location(chip, 3, (1 << 63) - 2)
+    with pytest.raises(ValidationError, match="int64"):
+        latency_block(chip, 3, 2)
+    with pytest.raises(ValidationError, match="int64"):
+        latency_block(chip, 4, 1 << 64)
+    assert chip.wear[3] == (1 << 63) - 2 and chip.wear[4] == 0
+    assert latency_block(chip, 3, 1).shape == (1,)
+    assert chip.wear[3] == (1 << 63) - 1
+
+
 def test_mean_curve_monotone_for_all_builtin_classes():
     wears = np.arange(0, 60000, 250)
     for spec in BUILTIN_CATALOG:

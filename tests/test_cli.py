@@ -2,6 +2,7 @@
 
 import contextlib
 import filecmp
+import hashlib
 import io
 import os
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvmsig import cli
-from nvmsig.chipsim import SpatialLatencyMap, load_catalog
+from nvmsig.chipsim import SpatialLatencyMap, load_catalog, new_chip
 from nvmsig.classifiers import svm as svm_core
 from nvmsig.detector import save_map
 from nvmsig.errors import ParseError
@@ -61,6 +62,49 @@ def test_simulate_stdout_when_no_out(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "cycle,latency_us"
     assert len(lines) == 4
+
+
+# sha256 of each trace as written in one piece, before traces were written
+# in blocks; 8195 rows straddle block boundaries
+_TRACE_SHA256 = {
+    (3, 0, 1, 4): "79b419f5a9dbb668ff513e9c4ae2e3fa22d2f37520a2f762a3e206f495d5dace",
+    (0, 0, 200, 9): "60fcf16a9dcb227814f3c2997e31d910b8c0b9d4db937c5e9ff087dc509a54d6",
+    (2, 5, 8195, 1): "93cf7894062bb390566517c3c0d8105d0126ae77d1a03fd52b81aeae8713f613",
+}
+
+
+@pytest.mark.parametrize("tag,addr,cycles,seed", sorted(_TRACE_SHA256))
+@pytest.mark.parametrize("to_file", [False, True])
+def test_simulate_trace_bytes_unchanged_by_blocks(tmp_path, capsys, tag, addr,
+                                                  cycles, seed, to_file):
+    argv = ["simulate", "--class", tag, "--addr", addr, "--cycles", cycles,
+            "--seed", seed]
+    if to_file:
+        assert run(*argv, "--out", tmp_path / "t.csv") == 0
+        text = (tmp_path / "t.csv").read_bytes()
+    else:
+        assert run(*argv) == 0
+        text = capsys.readouterr().out.encode()
+    assert hashlib.sha256(text).hexdigest() == _TRACE_SHA256[tag, addr, cycles, seed]
+
+
+def test_simulate_trace_is_formatted_one_block_at_a_time():
+    assert cli._TRACE_BLOCK < 8195 and 8195 % cli._TRACE_BLOCK != 0
+    chip = new_chip(load_catalog("builtin")[0], 1)
+    # a trace longer than memory could hold yields its first block at once
+    first = next(cli._trace_blocks(chip, 0, 10 ** 12))
+    assert first.count("\n") == cli._TRACE_BLOCK
+    assert chip.wear[0] == cli._TRACE_BLOCK
+
+
+def test_simulate_bad_address_writes_nothing(tmp_path, capsys):
+    assert run("simulate", "--seed", 1, "--class", 0, "--addr", 10 ** 9,
+               "--out-dir", tmp_path / "out", "--out", "t.csv") == 1
+    captured = capsys.readouterr()
+    assert "out of range" in captured.err and captured.out == ""
+    assert not (tmp_path / "out").exists()
+    assert run("simulate", "--seed", 1, "--class", 0, "--addr", -1) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_simulate_bad_class_tag_is_validation_error(capsys):
@@ -331,7 +375,8 @@ _BEYOND_INT64 = "99999999999999999999"
 
 
 @pytest.mark.parametrize("case", ["class", "chip_seed", "config_seed",
-                                  "seed_flag", "split_seed_flag"])
+                                  "seed_flag", "split_seed_flag", "cycles_flag",
+                                  "chips_per_class_flag"])
 def test_integer_beyond_int64_is_validation_error(workdir, tmp_path, capsys,
                                                   case):
     if case in ("class", "chip_seed"):
@@ -352,6 +397,10 @@ def test_integer_beyond_int64_is_validation_error(workdir, tmp_path, capsys,
         argv = ["dataset", "--config", config]
     elif case == "seed_flag":
         argv = ["dataset", "--seed", _BEYOND_INT64]
+    elif case == "cycles_flag":
+        argv = ["simulate", "--seed", 1, "--class", 0, "--cycles", _BEYOND_INT64]
+    elif case == "chips_per_class_flag":
+        argv = ["dataset", "--seed", 1, "--chips-per-class", _BEYOND_INT64]
     else:
         argv = ["dataset", "--seed", 1, "--split", "--split-seed", _BEYOND_INT64]
     assert run(*argv, "--out-dir", tmp_path / "out") == 1
@@ -375,6 +424,8 @@ def test_list_field_beyond_int64_is_validation_error(tmp_path, capsys, case):
     assert any(line.startswith("error:") for line in err.splitlines())
     if case == "checkpoints_config":
         assert "line 2: checkpoints:" in err and "int64" in err
+    else:
+        assert "does not fit in int64" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -391,7 +442,9 @@ def test_nul_byte_in_path_is_validation_error(tmp_path, capsys, command, key,
         argv = [command, "--config", config]
     assert run(*argv, "--out-dir", tmp_path / "out") == 1
     err = capsys.readouterr().err
-    assert (f"argument --{key}:" if via == "flag" else "NUL byte") in err
+    assert "NUL byte" in err
+    if via == "flag":
+        assert f"argument --{key}:" in err
     assert any(line.startswith("error:") for line in err.splitlines())
     assert not (tmp_path / "out").exists()
 

@@ -200,6 +200,41 @@ def test_nca_gradient_matches_central_differences(seed):
     assert np.allclose(g, fd, rtol=1e-5, atol=1e-8)
 
 
+def nca_oracle(w, X, y):
+    """(objective, gradient) with p_ij built row by row and the gradient
+    summed over an explicit n x n x d array of squared differences."""
+    n = len(y)
+    diff2 = (X[:, None, :] - X[None, :, :]) ** 2
+    d2 = (diff2 * w ** 2).sum(axis=2)
+    p = np.zeros((n, n))
+    for i in range(n):
+        others = np.arange(n) != i
+        e = np.exp(d2[i, others].min() - d2[i, others])
+        p[i, others] = e / e.sum()
+    same = y[:, None] == y[None, :]
+    p_i = (p * same).sum(axis=1)
+    M = p_i[:, None] * p - same * p
+    grad = (2.0 * w / n) * (M[:, :, None] * diff2).sum(axis=(0, 1))
+    return p_i.mean(), grad
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_nca_matches_brute_force_reference(seed):
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(7, 16)), int(rng.integers(2, 5))
+    tags = rng.choice([2, 5, 9, 40, 77], size=int(rng.integers(3, 5)),
+                      replace=False)
+    # the first tag labels a single row; the rest cover the others, shuffled
+    y = np.concatenate([tags[:1], tags[1:], rng.choice(tags[1:], n - len(tags))])
+    y = rng.permutation(y)
+    X = rng.normal(size=(n, d))
+    w = rng.uniform(0.3, 1.7, size=d)
+    objective, grad = nca_oracle(w, X, y)
+    assert abs(nca_objective(w, X, y) - objective) <= 1e-12 * abs(objective)
+    assert (np.max(np.abs(nca_gradient(w, X, y) - grad))
+            <= 1e-12 * np.max(np.abs(grad)))
+
+
 def test_nca_objective_nondecreasing_small_lr():
     for seed in range(4):
         ds = toy(seed, n=30, d=3)
