@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._atomic import atomic_open, read_lines
 from ._rng import hashed_normal
 from .errors import ParseError, ValidationError
 
@@ -182,7 +183,7 @@ def dump_catalog(specs, path=None) -> str:
         ])
     text = buf.getvalue()
     if path is not None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with atomic_open(path) as fh:
             fh.write(text)
     return text
 
@@ -191,8 +192,8 @@ def load_catalog(path="builtin") -> list[ChipClassSpec]:
     """Load a chip-class catalog from a CSV file, or the builtin one."""
     if path == "builtin":
         return list(BUILTIN_CATALOG)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
+    from .protocol import parse_int64  # protocol imports this module
+    lines = read_lines(path)
     if not lines:
         raise ParseError("empty catalog file", line=1)
     header = next(csv.reader([lines[0]]))
@@ -209,20 +210,20 @@ def load_catalog(path="builtin") -> list[ChipClassSpec]:
         rec = dict(zip(_CATALOG_FIELDS, row))
         try:
             spec = ChipClassSpec(
-                class_tag=int(rec["class_tag"]),
+                class_tag=parse_int64(rec["class_tag"]),
                 manufacturer=rec["manufacturer"],
                 capacity_label=rec["capacity_label"],
                 technology=Technology(rec["technology"]),
                 op_kind=OpKind(rec["op_kind"]),
-                num_locations=int(rec["num_locations"]),
+                num_locations=parse_int64(rec["num_locations"]),
                 base_latency_us=float(rec["base_latency_us"]),
                 drift_amplitude=float(rec["drift_amplitude"]),
                 drift_exponent=float(rec["drift_exponent"]),
-                drift_ref_cycles=int(rec["drift_ref_cycles"]),
+                drift_ref_cycles=parse_int64(rec["drift_ref_cycles"]),
                 noise_sigma=float(rec["noise_sigma"]),
                 chip_sigma=float(rec["chip_sigma"]),
                 loc_sigma=float(rec["loc_sigma"]),
-                step_cycles=int(rec["step_cycles"]) if rec["step_cycles"] else None,
+                step_cycles=parse_int64(rec["step_cycles"]) if rec["step_cycles"] else None,
                 step_factor=float(rec["step_factor"]) if rec["step_factor"] else None,
             )
         except (ValueError, ValidationError) as exc:
@@ -257,9 +258,13 @@ def new_chip(spec: ChipClassSpec, chip_seed: int) -> ChipInstance:
     """Instantiate a fresh chip; deterministic in (spec, chip_seed)."""
     chip_z = float(hashed_normal(_TAG_CHIP, chip_seed))
     chip_factor = max(1.0 + spec.chip_sigma * chip_z, _FACTOR_FLOOR)
-    loc_z = hashed_normal(_TAG_LOC, chip_seed, np.arange(spec.num_locations))
-    loc_factor = np.maximum(1.0 + spec.loc_sigma * loc_z, _FACTOR_FLOOR)
-    wear = np.zeros(spec.num_locations, dtype=np.int64)
+    try:
+        loc_z = hashed_normal(_TAG_LOC, chip_seed, np.arange(spec.num_locations))
+        loc_factor = np.maximum(1.0 + spec.loc_sigma * loc_z, _FACTOR_FLOOR)
+        wear = np.zeros(spec.num_locations, dtype=np.int64)
+    except (ValueError, MemoryError):
+        raise ValidationError(f"class{spec.class_tag}: cannot allocate "
+                              f"{spec.num_locations} locations") from None
     return ChipInstance(spec=spec, chip_seed=chip_seed,
                         chip_factor=chip_factor, loc_factor=loc_factor, wear=wear)
 

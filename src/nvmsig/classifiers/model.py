@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._atomic import atomic_open
+from .._atomic import atomic_open, read_lines
 from ..errors import ParseError, ValidationError
 from ..features import FeatureRanking, StandardizationStats, apply_standardizer, fit_standardizer
 from ..protocol import has_line_break
@@ -214,8 +214,7 @@ def _flatten_tree(root, nodes):
 
 class _Reader:
     def __init__(self, path):
-        with open(path, encoding="utf-8") as fh:
-            self.lines = fh.read().splitlines()
+        self.lines = read_lines(path)
         self.pos = 0
 
     def next(self, expect: str | None = None):

@@ -7,13 +7,20 @@ stdout and kept out of datasets, models, maps and manifests, so those
 reproduce byte for byte.  The evaluation reports (`*.confusion.csv` from
 eval and sweep, `*.report.txt` from eval) do carry the train, selection
 and inference times; only those lines differ between reruns.
+
+The whole surface is one table, `_COMMANDS`: each command's help line and
+the `_SCHEMA` keys it takes as flags.  `build_parser` builds the parser
+from it once per process; `main` merges defaults, config file and flags
+once and hands the result to the command's `cmd_<name>` function.
 """
 
 import argparse
+import functools
 import os
 import sys
 import time
 from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,7 +33,7 @@ from .chipsim import (
     load_catalog,
     new_chip,
 )
-from ._atomic import atomic_open
+from ._atomic import atomic_open, read_lines
 from .classifiers import KINDS, cross_validate, evaluate, load_model, save_model, train
 from .detector import (
     baseline_from_catalog,
@@ -93,12 +100,11 @@ def _flag_type(parse):
     return convert
 
 
-class _Field(SimpleNamespace):
-    # flag_type is made once per field, not per parser: every cli.main call
-    # builds a parser, and the extra objects cost garbage-collector passes
-    def __init__(self, parse, default, help):
-        super().__init__(parse=parse, flag_type=_flag_type(parse),
-                         default=default, help=help)
+class _Field(NamedTuple):
+    """One config key: its text parser, default and help line."""
+    parse: Callable
+    default: object
+    help: str
 
 
 _SCHEMA = {
@@ -159,10 +165,8 @@ _RETIRED_KEYS = {"max_passes": str, "jobs": str, "nca_subsample": _only_false}
 
 
 def read_config(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
     values = {}
-    for ln, raw in enumerate(lines, start=1):
+    for ln, raw in enumerate(read_lines(path), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -189,7 +193,7 @@ def read_config(path) -> dict:
 def merge_config(args) -> SimpleNamespace:
     """Defaults, then config-file keys, then explicit CLI flags."""
     values = {k: f.default for k, f in _SCHEMA.items()}
-    if getattr(args, "config", None):
+    if args.config:
         values.update(read_config(args.config))
     for key in _SCHEMA:
         flag = getattr(args, key, None)
@@ -251,8 +255,7 @@ def _write_manifest(path: str, command: str, cfg, keys) -> None:
 
 def _load_probe(path) -> np.ndarray:
     """Latency vector from a CSV whose last column is latency_us."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines:
         raise ParseError("empty probe file", line=1)
     header = lines[0].split(",")
@@ -272,12 +275,8 @@ def _load_probe(path) -> np.ndarray:
     return np.array(values)
 
 
-def _catalog_by_tag(cfg) -> dict:
-    return {s.class_tag: s for s in load_catalog(cfg.catalog)}
-
-
 def _spec_for(cfg, tag: int):
-    specs = _catalog_by_tag(cfg)
+    specs = {s.class_tag: s for s in load_catalog(cfg.catalog)}
     if tag not in specs:
         raise ValidationError(f"class tag {tag} not in catalog "
                               f"(have {sorted(specs)})")
@@ -326,8 +325,7 @@ def _trace_blocks(chip, addr: int, cycles: int):
 
 # ---------------------------------------------------------------- commands
 
-def cmd_catalog(args) -> int:
-    cfg = merge_config(args)
+def cmd_catalog(cfg) -> int:
     text = dump_catalog(load_catalog(cfg.catalog))
     if cfg.out:
         path = _out_path(cfg, cfg.out)
@@ -338,8 +336,7 @@ def cmd_catalog(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    cfg = merge_config(args)
+def cmd_simulate(cfg) -> int:
     _require_seed(cfg, "simulate")
     if cfg.cycles < 1:
         raise ValidationError("cycles must be >= 1")
@@ -361,8 +358,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_dataset(args) -> int:
-    cfg = merge_config(args)
+def cmd_dataset(cfg) -> int:
     _require_seed(cfg, "dataset")
     catalog = load_catalog(cfg.catalog)
     if cfg.classes is not None:
@@ -396,13 +392,7 @@ def cmd_dataset(args) -> int:
     return 0
 
 
-_TRAIN_KEYS = ["seed", "dataset", "kind", "k", "max_depth", "min_leaf", "c",
-               "gamma", "tol", "selector", "select_k", "mrmr_bins",
-               "nca_iters", "nca_lr", "out"]
-
-
-def cmd_train(args) -> int:
-    cfg = merge_config(args)
+def cmd_train(cfg) -> int:
     if cfg.dataset is None:
         raise ValidationError("train needs --dataset")
     ds = load_dataset(cfg.dataset)
@@ -412,7 +402,8 @@ def cmd_train(args) -> int:
     name = cfg.out if cfg.out else "model.txt"
     path = _out_path(cfg, name)
     save_model(model, path)
-    _write_manifest(path + ".manifest", "train", cfg, _TRAIN_KEYS)
+    _write_manifest(path + ".manifest", "train", cfg,
+                    ("seed",) + _COMMANDS["train"][1])
     print(f"wrote {path}")
     print(f"kind={model.kind} selector={model.selection_method} "
           f"features={model.indices.size} samples={model.n_train} "
@@ -420,8 +411,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_crossval(args) -> int:
-    cfg = merge_config(args)
+def cmd_crossval(cfg) -> int:
     if cfg.dataset is None:
         raise ValidationError("crossval needs --dataset")
     ds = load_dataset(cfg.dataset)
@@ -444,8 +434,7 @@ def cmd_crossval(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    cfg = merge_config(args)
+def cmd_eval(cfg) -> int:
     if cfg.model is None or cfg.dataset is None:
         raise ValidationError("eval needs --model and --dataset")
     model = load_model(cfg.model)
@@ -462,8 +451,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = merge_config(args)
+def cmd_sweep(cfg) -> int:
     _require_seed(cfg, "sweep")
     if cfg.train is not None and cfg.test is not None:
         train_ds, test_ds = load_dataset(cfg.train), load_dataset(cfg.test)
@@ -494,16 +482,12 @@ def cmd_sweep(args) -> int:
     path = _out_path(cfg, "sweep.csv")
     _write_text(path, "\n".join(rows) + "\n")
     _write_manifest(path + ".manifest", "sweep", cfg,
-                    ["seed", "dataset", "train", "test", "train_fraction",
-                     "split_seed"] + [k for k in _TRAIN_KEYS
-                                      if k not in ("seed", "dataset", "kind",
-                                                   "selector", "out")])
+                    ("seed",) + _COMMANDS["sweep"][1])
     print(f"wrote {path}")
     return 0
 
 
-def cmd_predict(args) -> int:
-    cfg = merge_config(args)
+def cmd_predict(cfg) -> int:
     if cfg.model is None or cfg.probe is None:
         raise ValidationError("predict needs --model and --probe")
     model = load_model(cfg.model)
@@ -521,8 +505,7 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def cmd_scan(args) -> int:
-    cfg = merge_config(args)
+def cmd_scan(cfg) -> int:
     if cfg.map is not None:
         latency_map = load_map(cfg.map)
     else:
@@ -565,19 +548,20 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _add(parser, key: str, flag: str = None, **extra):
+# schema key -> flag name where the flag keeps its config-file spelling
+_FLAG_NAMES = {key: name for name, key in _KEY_ALIASES.items()}
+
+
+def _add(parser, key: str):
     f = _SCHEMA[key]
-    parser.add_argument(flag or f"--{key.replace('_', '-')}", dest=key,
-                        type=f.flag_type, default=None,
+    if f.parse is _parse_bool:
+        kind = {"action": argparse.BooleanOptionalAction}
+    else:
+        kind = {"type": _flag_type(f.parse)}
+    parser.add_argument(f"--{_FLAG_NAMES.get(key, key).replace('_', '-')}",
+                        dest=key, default=None,
                         help=f"{f.help} (default: {_format_value(f.default)})",
-                        **extra)
-
-
-def _add_bool(parser, key: str):
-    f = _SCHEMA[key]
-    parser.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                        action=argparse.BooleanOptionalAction, default=None,
-                        help=f"{f.help} (default: {_format_value(f.default)})")
+                        **kind)
 
 
 _EPILOG = f"""\
@@ -589,7 +573,40 @@ exit codes: 0 success, 1 validation error, 2 I/O error, 3 numeric failure.
 """
 
 
+_MODEL_KEYS = ("kind", "k", "max_depth", "min_leaf", "c", "gamma", "tol",
+               "selector", "select_k", "mrmr_bins", "nca_iters", "nca_lr")
+
+# command -> (help line, the _SCHEMA keys it takes besides --config and the
+# _COMMON ones); each runs as cmd_<command>(cfg)
+_COMMON = ("seed", "catalog", "out_dir")
+_COMMANDS = {
+    "catalog": ("dump the chip-class catalog as CSV", ("out",)),
+    "simulate": ("per-cycle latency trace for one location",
+                 ("class_tag", "addr", "cycles", "out")),
+    "dataset": ("build a labeled latency-signature dataset",
+                ("classes", "chips_per_class", "checkpoints", "group",
+                 "locations_per_chip", "train_fraction", "split_seed", "out",
+                 "split")),
+    "train": ("train a classifier and save the model file",
+              ("dataset",) + _MODEL_KEYS + ("out",)),
+    "crossval": ("k-fold cross-validation accuracy table",
+                 ("dataset", "folds") + _MODEL_KEYS + ("out",)),
+    "eval": ("score a saved model on a labeled dataset",
+             ("model", "dataset", "out")),
+    "sweep": ("all classifier x selector cells in one run",
+              ("dataset", "train", "test", "train_fraction", "split_seed")
+              + tuple(k for k in _MODEL_KEYS if k not in ("kind", "selector"))),
+    "predict": ("identify a probe and judge fresh vs used",
+                ("model", "probe", "used_threshold", "fresh_threshold", "out")),
+    "scan": ("locate used regions on a map or simulated chip",
+             ("map", "class_tag", "spots", "flag_ratio", "map_out", "out")),
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for every command in `_COMMANDS`, built once per process.
+    It holds no handler: `main` looks `cmd_<command>` up at call time."""
     root = _Parser(prog="nvmsig", epilog=_EPILOG,
                    formatter_class=argparse.RawDescriptionHelpFormatter,
                    description="chip-origin and usage forensics from "
@@ -597,88 +614,14 @@ def build_parser() -> argparse.ArgumentParser:
     root.add_argument("--version", action="version",
                       version=f"nvmsig {__version__}")
     sub = root.add_subparsers(dest="command", metavar="command")
-
     common = _Parser(add_help=False)
     common.add_argument("--config", help="flat key = value config file")
-    for key in ("seed", "catalog", "out_dir"):
+    for key in _COMMON:
         _add(common, key)
-
-    p = sub.add_parser("catalog", parents=[common],
-                       help="dump the chip-class catalog as CSV")
-    _add(p, "out")
-    p.set_defaults(func=cmd_catalog)
-
-    p = sub.add_parser("simulate", parents=[common],
-                       help="per-cycle latency trace for one location")
-    _add(p, "class_tag", "--class", metavar="TAG")
-    _add(p, "addr")
-    _add(p, "cycles")
-    _add(p, "out")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("dataset", parents=[common],
-                       help="build a labeled latency-signature dataset")
-    for key in ("classes", "chips_per_class", "checkpoints", "group",
-                "locations_per_chip", "train_fraction", "split_seed", "out"):
-        _add(p, key)
-    _add_bool(p, "split")
-    p.set_defaults(func=cmd_dataset)
-
-    model_keys = ("kind", "k", "max_depth", "min_leaf", "c", "gamma", "tol",
-                  "selector", "select_k", "mrmr_bins", "nca_iters", "nca_lr")
-
-    p = sub.add_parser("train", parents=[common],
-                       help="train a classifier and save the model file")
-    _add(p, "dataset")
-    for key in model_keys:
-        _add(p, key)
-    _add(p, "out")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("crossval", parents=[common],
-                       help="k-fold cross-validation accuracy table")
-    _add(p, "dataset")
-    _add(p, "folds")
-    for key in model_keys:
-        _add(p, key)
-    _add(p, "out")
-    p.set_defaults(func=cmd_crossval)
-
-    p = sub.add_parser("eval", parents=[common],
-                       help="score a saved model on a labeled dataset")
-    _add(p, "model")
-    _add(p, "dataset")
-    _add(p, "out")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("sweep", parents=[common],
-                       help="all classifier x selector cells in one run")
-    for key in ("dataset", "train", "test", "train_fraction", "split_seed"):
-        _add(p, key)
-    for key in model_keys:
-        if key not in ("kind", "selector"):
+    for command, (summary, keys) in _COMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=summary)
+        for key in keys:
             _add(p, key)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("predict", parents=[common],
-                       help="identify a probe and judge fresh vs used")
-    _add(p, "model")
-    _add(p, "probe")
-    _add(p, "used_threshold")
-    _add(p, "fresh_threshold")
-    _add(p, "out")
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("scan", parents=[common],
-                       help="locate used regions on a map or simulated chip")
-    _add(p, "map")
-    _add(p, "class_tag", "--class", metavar="TAG")
-    _add(p, "spots")
-    _add(p, "flag_ratio")
-    _add(p, "map_out")
-    _add(p, "out")
-    p.set_defaults(func=cmd_scan)
-
     return root
 
 
@@ -686,10 +629,10 @@ def main(argv=None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
-        if not hasattr(args, "func"):
+        if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](merge_config(args))
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ._atomic import atomic_open
+from ._atomic import atomic_open, read_lines
 from .chipsim import ChipClassSpec, SpatialLatencyMap
 from .classifiers import TrainedModel, predict_detail
 from .errors import ParseError, ValidationError
@@ -213,8 +213,7 @@ def save_map(latency_map: SpatialLatencyMap, path) -> None:
 
 def load_map(path) -> SpatialLatencyMap:
     """Two-column CSV (addr, latency_us) covering every address exactly once."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines or lines[0] != "addr,latency_us":
         raise ParseError("expected header 'addr,latency_us'", line=1)
     pairs = {}

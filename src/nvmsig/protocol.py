@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._atomic import atomic_open
+from ._atomic import atomic_open, read_lines
 from ._rng import derive_seed
 from .chipsim import (ChipClassSpec, cycle_location, latency_at, latency_block,
                       new_chip)
@@ -167,7 +167,9 @@ def build_dataset(catalog, chips_per_class: int = 3,
     order and then sampled `group` consecutive advancing cycles, so a
     checkpoint must be at least `group` cycles past the previous one (wear
     only moves forward).  Sample count is exactly
-    len(catalog) * chips_per_class * locations_per_chip * len(checkpoints).
+    len(catalog) * chips_per_class * locations_per_chip * len(checkpoints),
+    and the arrays are allocated for it up front, so a count that cannot be
+    held fails at once with a ValidationError.
 
     Latency depends only on (chip, addr, wear), so the row of checkpoint
     `ck` holds the latencies at wears ck .. ck + group - 1.  Each chip takes
@@ -197,26 +199,34 @@ def build_dataset(catalog, chips_per_class: int = 3,
             f"checkpoint {ckpts[-1]} plus group {group} passes the int64 "
             "wear counter")
 
+    n_rows = locations_per_chip * len(ckpts)  # per chip
+    total = len(catalog) * chips_per_class * n_rows
+    try:
+        X = np.empty((total, group))
+        y = np.empty(total, dtype=np.int64)
+        meta = np.empty((total, 3), dtype=np.int64)
+    except (ValueError, MemoryError):
+        raise ValidationError(f"cannot allocate a dataset of {total} rows "
+                              f"x {group} latencies") from None
     ckpts = np.array(ckpts, dtype=np.int64)
     wears = ckpts[:, None] + np.arange(group, dtype=np.int64)
-    n_rows = locations_per_chip * len(ckpts)
-    rows, labels, meta = [], [], []
+    start = 0
     for spec in catalog:
         for ci in range(chips_per_class):
             chip_seed = derive_seed(seed, spec.class_tag, ci) & _SEED_MASK
             chip = new_chip(spec, chip_seed)
             addrs = _chip_locations(spec, chip_seed, locations_per_chip,
                                     _STREAM_DATASET_LOCS)
-            lat = latency_at(chip, addrs[:, None, None], wears)
-            rows.append(lat.reshape(n_rows, group))
-            labels.append(np.full(n_rows, spec.class_tag, dtype=np.int64))
-            meta.append(np.column_stack((
-                np.full(n_rows, chip_seed, dtype=np.int64),
-                np.repeat(addrs, len(ckpts)),
-                np.tile(ckpts, locations_per_chip))))
+            rows = slice(start, start + n_rows)
+            X[rows] = latency_at(chip, addrs[:, None, None], wears).reshape(
+                n_rows, group)
+            y[rows] = spec.class_tag
+            meta[rows, 0] = chip_seed
+            meta[rows, 1] = np.repeat(addrs, len(ckpts))
+            meta[rows, 2] = np.tile(ckpts, locations_per_chip)
+            start += n_rows
     names = {s.class_tag: s.label for s in catalog}
-    return Dataset(np.concatenate(rows), np.concatenate(labels),
-                   np.concatenate(meta), names)
+    return Dataset(X, y, meta, names)
 
 
 def split(ds: Dataset, train_fraction: float = 0.8, seed: int = 1):
@@ -338,8 +348,7 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     class_names: dict[int, str] = {}
     lineno = 0
     if lines and lines[0].startswith("# class_names:"):

@@ -88,6 +88,23 @@ def test_catalog_parse_error_carries_line_number(tmp_path):
         load_catalog(path)
 
 
+def test_catalog_integer_beyond_int64_is_parse_error(tmp_path):
+    path = tmp_path / "cat.csv"
+    lines = dump_catalog(BUILTIN_CATALOG).splitlines()
+    row = lines[2].split(",")
+    row[5] = "99999999999999999999"  # num_locations column
+    lines[2] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="line 3: .*int64"):
+        load_catalog(path)
+
+
+def test_new_chip_too_large_to_allocate_is_validation_error():
+    with pytest.raises(ValidationError,
+                       match="class3: cannot allocate 4611686018427387904 locations"):
+        new_chip(toy_spec(class_tag=3, num_locations=1 << 62), 1)
+
+
 def test_catalog_duplicate_tag_rejected(tmp_path):
     path = tmp_path / "cat.csv"
     spec = toy_spec()

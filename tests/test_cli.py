@@ -1,5 +1,6 @@
 """End-to-end command-line flows, exit codes, and manifest reproducibility."""
 
+import argparse
 import contextlib
 import filecmp
 import hashlib
@@ -12,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvmsig import cli
-from nvmsig.chipsim import SpatialLatencyMap, load_catalog, new_chip
+from nvmsig.chipsim import (SpatialLatencyMap, dump_catalog, full_chip_scan,
+                            load_catalog, new_chip)
 from nvmsig.classifiers import svm as svm_core
 from nvmsig.detector import save_map
 from nvmsig.errors import ParseError
@@ -479,32 +481,161 @@ def test_catalog_dump(tmp_path):
                                             for s in load_catalog()]
 
 
-# ----------------------------------------------- mutated dataset files
+# ------------------------------------------------------- command surface
+
+_COMMON_FLAGS = {"-h", "--help", "--config", "--seed", "--catalog", "--out-dir"}
+_MODEL_FLAGS = {"--k", "--max-depth", "--min-leaf", "--c", "--gamma", "--tol",
+                "--select-k", "--mrmr-bins", "--nca-iters", "--nca-lr"}
+# every flag each command took when each was declared by hand
+_SURFACE = {
+    "catalog": {"--out"},
+    "simulate": {"--class", "--addr", "--cycles", "--out"},
+    "dataset": {"--classes", "--chips-per-class", "--checkpoints", "--group",
+                "--locations-per-chip", "--split", "--no-split",
+                "--train-fraction", "--split-seed", "--out"},
+    "train": {"--dataset", "--kind", "--selector", "--out"} | _MODEL_FLAGS,
+    "crossval": {"--dataset", "--folds", "--kind", "--selector",
+                 "--out"} | _MODEL_FLAGS,
+    "eval": {"--model", "--dataset", "--out"},
+    "sweep": {"--dataset", "--train", "--test", "--train-fraction",
+              "--split-seed"} | _MODEL_FLAGS,
+    "predict": {"--model", "--probe", "--used-threshold", "--fresh-threshold",
+                "--out"},
+    "scan": {"--map", "--class", "--spots", "--flag-ratio", "--map-out", "--out"},
+}
+
+
+def test_command_surface_is_unchanged():
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    accepted = {name: {s for a in p._actions for s in a.option_strings}
+                for name, p in sub.choices.items()}
+    assert accepted == {name: _COMMON_FLAGS | flags
+                        for name, flags in _SURFACE.items()}
+
+
+def test_dispatch_finds_the_handler_at_call_time(tmp_path, monkeypatch):
+    path = tmp_path / "flat.csv"
+    save_map(SpatialLatencyMap(np.full(64, 5.0)), path)
+    cli.build_parser()  # a parser that held handlers would hold the old one
+    calls = []
+
+    def counted(cfg):
+        calls.append(cfg.map)
+        return real(cfg)
+
+    real = cli.cmd_scan
+    monkeypatch.setattr(cli, "cmd_scan", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run("scan", "--map", path) == 0
+        assert run("scan", "--map", path) == 0
+    assert calls == [str(path)] * 2
+
+
+# ----------------------------------------------- undecodable and oversized
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--dataset", "{bad}"],
+    ["eval", "--model", "{bad}", "--dataset", "{bad}"],
+    ["predict", "--model", "{model}", "--probe", "{bad}"],
+    ["scan", "--map", "{bad}"],
+    ["dataset", "--seed", 1, "--catalog", "{bad}"],
+    ["simulate", "--config", "{bad}"],
+], ids=["dataset", "model", "probe", "map", "catalog", "config"])
+def test_undecodable_input_is_validation_error(workdir, tmp_path, capsys, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe1,2\n")
+    argv = [str(a).format(bad=bad, model=workdir / "knn.model.txt") for a in argv]
+    assert run(*argv, "--out-dir", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert "error: line 1: not UTF-8 text" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("num_locations", [_BEYOND_INT64, str(1 << 62)])
+@pytest.mark.parametrize("command", ["dataset", "scan"])
+def test_oversized_catalog_is_validation_error(tmp_path, capsys, num_locations,
+                                               command):
+    lines = dump_catalog(load_catalog()).splitlines()
+    row = lines[1].split(",")
+    row[5] = num_locations  # class 0's num_locations
+    lines[1] = ",".join(row)
+    catalog = tmp_path / "cat.csv"
+    catalog.write_text("\n".join(lines) + "\n")
+    assert run(command, "--seed", 1, "--catalog", catalog,
+               "--out-dir", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    if num_locations == _BEYOND_INT64:
+        assert "error: line 2: " in err and "int64" in err
+    else:
+        assert f"error: class0: cannot allocate {num_locations} locations" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_dataset_too_large_to_allocate_fails_at_once(tmp_path, capsys):
+    assert run("dataset", "--seed", 1, "--chips-per-class", (1 << 63) - 1,
+               "--out-dir", tmp_path / "out") == 1
+    rows = 9 * ((1 << 63) - 1) * 12 * 7
+    assert f"error: cannot allocate a dataset of {rows} rows" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# ------------------------------------------------------ mutated input files
 
 _ODD_FIELDS = ["", " ", "x", "nan", "-inf", "1e999", "0x10", "1_0",
                _BEYOND_INT64, "-" + _BEYOND_INT64]
 
 
 @pytest.fixture(scope="module")
-def tiny_dataset_lines(tmp_path_factory):
+def tiny_inputs(tmp_path_factory):
+    """One small valid file of each text format, with the argv that reads
+    it through the CLI; `{path}` stands for the (mutated) file."""
     root = tmp_path_factory.mktemp("tiny")
     assert run("dataset", "--seed", 4, "--chips-per-class", 1,
                "--locations-per-chip", 1, "--out-dir", root) == 0
-    return (root / "dataset.csv").read_text().splitlines()
+    assert run("train", "--dataset", root / "dataset.csv",
+               "--out-dir", root, "--out", "knn.model.txt") == 0
+    assert run("simulate", "--seed", 5, "--class", 4, "--cycles", 100,
+               "--out", root / "probe.csv") == 0
+    chip = new_chip(load_catalog()[0], 3)
+    save_map(full_chip_scan(chip), root / "map.csv")
+    (root / "catalog.csv").write_text(dump_catalog(load_catalog()))
+    (root / "sim.cfg").write_text(
+        "# simulate config\nseed = 9\ncatalog = builtin\nclass = 5\n"
+        "addr = 3\ncycles = 3\n")
+    model, probe = root / "knn.model.txt", root / "probe.csv"
+    argv = {
+        "dataset": ("dataset.csv", ["train", "--dataset", "{path}", "--kind", "knn"]),
+        "map": ("map.csv", ["scan", "--map", "{path}"]),
+        "catalog": ("catalog.csv", ["dataset", "--seed", 1, "--catalog", "{path}",
+                                    "--chips-per-class", 1,
+                                    "--locations-per-chip", 1, "--checkpoints", 0]),
+        "probe": ("probe.csv", ["predict", "--model", model, "--probe", "{path}"]),
+        "config": ("sim.cfg", ["simulate", "--config", "{path}", "--cycles", 5]),
+        "model": ("knn.model.txt", ["predict", "--model", "{path}", "--probe", probe]),
+    }
+    return {fmt: ((root / name).read_text().splitlines(), command)
+            for fmt, (name, command) in argv.items()}
 
 
 @st.composite
 def _mutated(draw, lines):
+    """`lines` with one line changed, as the bytes of a file."""
     lines = list(lines)
     i = draw(st.integers(0, len(lines) - 1))
     how = draw(st.sampled_from(["drop", "duplicate", "replace", "insert",
-                                "field"]))
+                                "field", "byte"]))
     if how == "drop":
         del lines[i]
     elif how == "duplicate":
         lines.insert(i, lines[i])
     elif how == "replace":
         lines[i] = draw(st.text(max_size=30))
+    elif how == "byte":
+        j = draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:j] + "\udcff" + lines[i][j:]  # encodes as 0xff
     else:
         parts = lines[i].split(",")
         j = draw(st.integers(0, len(parts) - (how == "field")))
@@ -514,22 +645,25 @@ def _mutated(draw, lines):
         else:
             parts[j] = value
         lines[i] = ",".join(parts)
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n").encode("utf-8", "surrogateescape")
 
 
+@pytest.mark.parametrize("fmt", ["dataset", "map", "catalog", "probe", "config",
+                                 "model"])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_mutated_dataset_through_train_exits_cleanly(tiny_dataset_lines,
-                                                     tmp_path_factory, data):
-    """A dataset CSV with one bad line trains or fails with exit 1-3 and an
-    error line; no exception escapes main."""
+def test_mutated_file_through_cli_exits_cleanly(tiny_inputs, tmp_path_factory,
+                                                fmt, data):
+    """A file with one bad line runs or fails with exit 1-3 and an error
+    line; no exception escapes main."""
+    lines, command = tiny_inputs[fmt]
     root = tmp_path_factory.mktemp("mutant")
-    path = root / "mutant.csv"
-    path.write_text(data.draw(_mutated(tiny_dataset_lines)), encoding="utf-8")
+    path = root / "mutant"
+    path.write_bytes(data.draw(_mutated(lines)))
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
-        code = run("train", "--dataset", path, "--kind", "knn",
+        code = run(*[str(a).format(path=path) for a in command],
                    "--out-dir", root / "out")
     assert code in (0, 1, 2, 3)
     if code:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvmsig._atomic import atomic_open
+from nvmsig._atomic import atomic_open, read_lines
 from nvmsig._rng import derive_seed
 from nvmsig.chipsim import (
     BUILTIN_CATALOG,
@@ -179,10 +179,14 @@ def test_build_dataset_validations():
         build_dataset([toy_spec()], checkpoints=[1000, 1000])
     with pytest.raises(ValidationError):
         build_dataset([toy_spec()], checkpoints=[-5, 1000])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="65 locations requested, chip has 64"):
         build_dataset([toy_spec()], locations_per_chip=65)
     with pytest.raises(ValidationError, match="int64"):
         build_dataset([toy_spec()], checkpoints=[0, (1 << 63) - 99])
+    # a size no array can hold fails at once instead of filling chip by chip
+    rows = ((1 << 63) - 1) * 12 * len(DEFAULT_CHECKPOINTS)
+    with pytest.raises(ValidationError, match=f"dataset of {rows} rows"):
+        build_dataset([toy_spec()], chips_per_class=(1 << 63) - 1)
 
 
 # ---------------- split ----------------
@@ -345,6 +349,21 @@ def test_atomic_open_failure_keeps_the_old_file(tmp_path):
             raise RuntimeError("interrupted")
     assert path.read_text(encoding="utf-8") == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f.txt"]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_read_lines_matches_text_mode_reading(tmp_path, newline):
+    path = tmp_path / "f.txt"
+    path.write_bytes(newline.join(["a", "", "b,c ", "\u00e9"]).encode() + b"\n")
+    with open(path, encoding="utf-8") as fh:
+        assert read_lines(path) == fh.read().splitlines() == ["a", "", "b,c ", "\u00e9"]
+
+
+def test_read_lines_names_the_line_of_a_bad_byte(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"a\r\nb\n\xe9t\xe9\n")
+    with pytest.raises(ParseError, match="line 3: not UTF-8"):
+        read_lines(path)
 
 
 def test_dataset_file_shape(tmp_path):
