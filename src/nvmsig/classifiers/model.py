@@ -182,15 +182,13 @@ def _dump_core(model: TrainedModel):
             out.append(f"row {int(lab)} {_fmt_vec(row)}")
         return out
     if model.kind == "tree":
-        nodes = []
-        _flatten_tree(core.root, nodes)
-        out = [f"core tree {len(nodes)} {len(core.tags)}",
+        out = [f"core tree {core.feature.size} {len(core.tags)}",
                "tags " + " ".join(str(int(t)) for t in core.tags)]
-        for nid, (node, left_id, right_id) in enumerate(nodes):
-            out.append(
-                f"node {nid} {node.feature} {_fmt(node.threshold)} "
-                f"{left_id} {right_id} {node.leaf_tag} "
-                + " ".join(str(int(c)) for c in node.counts))
+        cols = (core.feature, core.threshold, core.left, core.right, core.leaf)
+        for nid, (f, thr, left, right, leaf, counts) in enumerate(zip(
+                *(c.tolist() for c in cols), core.counts.tolist())):
+            out.append(f"node {nid} {f} {_fmt(thr)} {left} {right} {leaf} "
+                       + " ".join(map(str, counts)))
         return out
     out = [f"core svm {len(core.machines)} {len(core.tags)}",
            "tags " + " ".join(str(int(t)) for t in core.tags)]
@@ -200,16 +198,6 @@ def _dump_core(model: TrainedModel):
         for coeff, row in zip(m.alpha_y, m.sv):
             out.append(f"sv {_fmt(coeff)} {_fmt_vec(row)}")
     return out
-
-
-def _flatten_tree(root, nodes):
-    """Preorder flatten; returns this subtree's node id."""
-    nid = len(nodes)
-    nodes.append([root, -1, -1])
-    if not root.is_leaf:
-        nodes[nid][1] = _flatten_tree(root.left, nodes)
-        nodes[nid][2] = _flatten_tree(root.right, nodes)
-    return nid
 
 
 class _Reader:
@@ -244,6 +232,14 @@ def _floats(reader, parts, n, what):
     if len(parts) != n:
         reader.fail(f"{what}: expected {n} values, got {len(parts)}")
     return np.array([float(p) for p in parts])
+
+
+def _tags(r: _Reader, n_tags):
+    tags = np.array([int(t) for t in r.next("tags").split()[1:]],
+                    dtype=np.int64)
+    if len(tags) != n_tags:
+        r.fail(f"expected {n_tags} tags")
+    return tags
 
 
 def load_model(path) -> TrainedModel:
@@ -310,39 +306,35 @@ def _load_core(r: _Reader, kind, n_idx, params):
         return core, np.unique(y)
     if kind == "tree":
         n_nodes, n_tags = int(head[2]), int(head[3])
-        tags = np.array([int(t) for t in r.next("tags").split()[1:]],
-                        dtype=np.int64)
-        if len(tags) != n_tags:
-            r.fail(f"expected {n_tags} tags")
-        nodes, children = [], []
+        if n_nodes < 1:
+            r.fail("a tree needs at least one node")
+        tags = _tags(r, n_tags)
+        rows = []
         for nid in range(n_nodes):
             p = r.next("node").split()
             if len(p) != 7 + n_tags:
                 r.fail("node: wrong field count")
-            node = _tree.TreeNode(
-                counts=np.array([int(c) for c in p[7:]], dtype=np.int64),
-                feature=int(p[2]), threshold=float(p[3]), leaf_tag=int(p[6]))
-            kids = (int(p[4]), int(p[5]))
+            f, kids, leaf = int(p[2]), (int(p[4]), int(p[5])), int(p[6])
+            counts = np.array([int(c) for c in p[7:]], dtype=np.int64)
             # preorder ids: a split's children come later in the file
-            if node.feature >= n_idx or (node.is_leaf and kids != (-1, -1)) or (
-                    not node.is_leaf and not all(nid < c < n_nodes for c in kids)):
-                r.fail(f"node {nid}: feature {node.feature} or children "
-                       f"{kids} out of range")
-            nodes.append(node)
-            children.append(kids)
-        for node, (left, right) in zip(nodes, children):
-            if not node.is_leaf:
-                node.left, node.right = nodes[left], nodes[right]
-        return _tree.TreeCore(nodes[0], tags, n_nodes), tags
+            if f == -1:
+                ok = kids == (-1, -1) and 0 <= leaf < n_tags
+            else:
+                ok = (0 <= f < n_idx and leaf == -1
+                      and all(nid < c < n_nodes for c in kids))
+            if not ok or (counts < 0).any():
+                r.fail(f"node {nid}: feature {f}, children {kids}, leaf "
+                       f"{leaf} or counts out of range")
+            rows.append((f, float(p[3]), *kids, leaf, counts))
+        return _tree.table(tags, rows), tags
     n_machines, n_tags = int(head[2]), int(head[3])
-    tags = np.array([int(t) for t in r.next("tags").split()[1:]],
-                    dtype=np.int64)
-    if len(tags) != n_tags:
-        r.fail(f"expected {n_tags} tags")
+    tags = _tags(r, n_tags)
     machines = []
     for _ in range(n_machines):
         parts = r.next("machine").split()
         a, b, n_sv, bias = int(parts[1]), int(parts[2]), r.count(parts[3]), float(parts[4])
+        if a == b or a not in tags or b not in tags:
+            r.fail(f"machine tags {a} and {b} are not two distinct model tags")
         coeffs = np.empty(n_sv)
         sv = np.empty((n_sv, n_idx))
         for i in range(n_sv):

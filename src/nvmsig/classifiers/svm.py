@@ -103,8 +103,8 @@ def smo_train(X, y, C, gamma, tol):
 def fit(X, y, C: float = 1.0, gamma="auto", tol: float = 1e-3) -> SvmCore:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    if C <= 0 or tol <= 0:
-        raise ValidationError("need C > 0 and tol > 0")
+    if not (0 < C < np.inf and 0 < tol < np.inf):
+        raise ValidationError("need finite C > 0 and tol > 0")
     tags = np.unique(y)
     if len(tags) < 2:
         raise ValidationError("need at least 2 classes")

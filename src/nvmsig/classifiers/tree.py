@@ -4,10 +4,17 @@ Candidate thresholds are midpoints between consecutive distinct values of a
 feature at the node.  The split that maximizes impurity decrease wins; exact
 ties prefer the lowest feature index, then the lowest threshold.  Splits
 send x[feature] <= threshold to the left child.
+
+A fitted tree is the node table that its model file stores, one row per
+node in preorder, so node 0 is the root and a split's children come after
+it.  At a split `feature` and `threshold` pick the child, `left`/`right`
+hold the child ids and `leaf` is -1; at a leaf `feature`, `left` and
+`right` are -1 and `leaf` is the position in `tags` that the leaf calls.
+`counts` holds the training samples of each tag that reached the node.
+The node count is `feature.size`.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -15,24 +22,20 @@ from ..errors import ValidationError
 
 
 @dataclass
-class TreeNode:
-    counts: np.ndarray
-    feature: int = -1
-    threshold: float = 0.0
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
-    leaf_tag: int = -1
-
-    @property
-    def is_leaf(self):
-        return self.feature < 0
-
-
-@dataclass
 class TreeCore:
-    root: TreeNode
     tags: np.ndarray
-    node_count: int
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    leaf: np.ndarray
+    counts: np.ndarray  # n_nodes x n_tags
+
+
+def table(tags, rows) -> TreeCore:
+    """TreeCore from its preorder rows (feature, threshold, left, right,
+    leaf, counts)."""
+    return TreeCore(tags, *map(np.array, zip(*rows)))
 
 
 def fit(X, y, max_depth: int = 20, min_leaf: int = 1) -> TreeCore:
@@ -43,33 +46,29 @@ def fit(X, y, max_depth: int = 20, min_leaf: int = 1) -> TreeCore:
     tags = np.unique(y)
     # remap tags to dense 0..L-1 for counting; leaves map back
     dense = np.searchsorted(tags, y)
-    counter = [0]
-    root = _grow(X, dense, np.arange(X.shape[0]), len(tags), 0,
-                 max_depth, min_leaf, counter)
-    return TreeCore(root, tags, counter[0])
+    rows = []
+    _grow(X, dense, np.arange(X.shape[0]), len(tags), 0, max_depth, min_leaf,
+          rows)
+    return table(tags, rows)
 
 
-def _grow(X, dense, idx, n_classes, depth, max_depth, min_leaf, counter):
-    counter[0] += 1
-    counts = np.bincount(dense[idx], minlength=n_classes)
-    node = TreeNode(counts=counts)
-    if (depth >= max_depth or counts.max() == idx.size
-            or idx.size < 2 * min_leaf):
-        node.leaf_tag = int(np.argmax(counts))
-        return node
-    split = best_split(X[idx], dense[idx], n_classes, min_leaf)
+def _grow(X, dense, idx, n_classes, depth, max_depth, min_leaf, rows):
+    """Appends the rows of the subtree over samples `idx` in preorder."""
+    counts = np.bincount(dense[idx], minlength=n_classes).tolist()
+    split = None
+    if depth < max_depth and max(counts) < idx.size and idx.size >= 2 * min_leaf:
+        split = best_split(X[idx], dense[idx], n_classes, min_leaf)
     if split is None:
-        node.leaf_tag = int(np.argmax(counts))
-        return node
+        rows.append((-1, 0.0, -1, -1, int(np.argmax(counts)), counts))
+        return
     feature, threshold = split
-    node.feature = feature
-    node.threshold = threshold
+    row = [feature, threshold, len(rows) + 1, -1, -1, counts]
+    rows.append(row)
     mask = X[idx, feature] <= threshold
-    node.left = _grow(X, dense, idx[mask], n_classes, depth + 1,
-                      max_depth, min_leaf, counter)
-    node.right = _grow(X, dense, idx[~mask], n_classes, depth + 1,
-                       max_depth, min_leaf, counter)
-    return node
+    _grow(X, dense, idx[mask], n_classes, depth + 1, max_depth, min_leaf, rows)
+    row[3] = len(rows)  # the right subtree starts after the whole left one
+    _grow(X, dense, idx[~mask], n_classes, depth + 1, max_depth, min_leaf,
+          rows)
 
 
 def best_split(Xn, yn, n_classes, min_leaf):
@@ -114,37 +113,27 @@ def best_split(Xn, yn, n_classes, min_leaf):
     return best[1], best[2]
 
 
-def _route(core: TreeCore, X):
-    """Yields (leaf, row_indices) pairs covering every probe row once."""
-    cols = np.ascontiguousarray(X.T)  # gathers from a contiguous row are cheaper
-    stack = [(core.root, np.arange(X.shape[0]))]
-    while stack:
-        node, rows = stack.pop()
-        if node.is_leaf:
-            yield node, rows
-            continue
-        mask = cols[node.feature][rows] <= node.threshold
-        for child, sub in ((node.left, rows[mask]), (node.right, rows[~mask])):
-            if sub.size:
-                stack.append((child, sub))
-
-
 def predict_detail(core: TreeCore, X, tags):
-    """(pred, scores) from one routing pass; scores are the training-sample
-    counts at the reached leaf, aligned with `tags`."""
+    """(pred, scores); scores are the training-sample counts at the reached
+    leaf, aligned with `tags`.
+
+    All probes walk down the table together, one level per step: the rows
+    still at a split gather their feature, threshold and child ids at once.
+    """
     X = np.asarray(X, dtype=np.float64)
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    rows = np.arange(X.shape[0])
+    while rows.size:
+        at = node[rows]
+        f = core.feature[at]
+        down = f >= 0
+        rows, at, f = rows[down], at[down], f[down]
+        node[rows] = np.where(X[rows, f] <= core.threshold[at],
+                              core.left[at], core.right[at])
     pos = {int(t): i for i, t in enumerate(tags)}
-    leaves, reached = [], np.empty(X.shape[0], dtype=np.int64)
-    for leaf, rows in _route(core, X):
-        reached[rows] = len(leaves)
-        leaves.append(leaf)
-    # one gather per output after routing: per-leaf writes cost more
-    leaf_tag = np.array([leaf.leaf_tag for leaf in leaves], dtype=np.int64)
-    counts = np.array([leaf.counts for leaf in leaves])
-    counts = counts.reshape(len(leaves), len(core.tags))
     scores = np.zeros((X.shape[0], len(tags)), dtype=np.float64)
-    scores[:, [pos[int(t)] for t in core.tags]] = counts[reached]
-    return core.tags[leaf_tag][reached], scores
+    scores[:, [pos[int(t)] for t in core.tags]] = core.counts[node]
+    return core.tags[core.leaf[node]], scores
 
 
 def predict(core: TreeCore, X) -> np.ndarray:

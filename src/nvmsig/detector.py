@@ -106,8 +106,9 @@ def detect_recycled(probe, predicted_class: int, baseline: FreshBaseline,
     `fresh_threshold`, INDETERMINATE in the band between.
     """
     probe = _check_probe(probe)
-    if not 0 < fresh_threshold < used_threshold:
-        raise ValidationError("need 0 < fresh_threshold < used_threshold")
+    if not (0 < fresh_threshold < used_threshold < np.inf):
+        raise ValidationError("need finite thresholds with "
+                              "0 < fresh_threshold < used_threshold")
     fresh_mean, _ = baseline.for_tag(predicted_class)
     if fresh_mean <= 0:
         raise ValidationError(f"baseline mean for tag {predicted_class} "
@@ -134,8 +135,8 @@ def locate_used_regions(latency_map: SpatialLatencyMap,
         raise ValidationError("latency map is empty")
     if not np.all(np.isfinite(lat)) or np.any(lat <= 0):
         raise ValidationError("map latencies must be positive and finite")
-    if flag_ratio <= 1.0:
-        raise ValidationError("flag_ratio must be > 1")
+    if not 1.0 < flag_ratio < np.inf:
+        raise ValidationError("flag_ratio must be a finite real > 1")
     base = float(np.median(lat))
     flagged = np.nonzero(lat >= flag_ratio * base)[0]
     regions = []

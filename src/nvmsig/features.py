@@ -101,7 +101,11 @@ def mutual_information(feature, labels, bins: int = DEFAULT_BINS) -> float:
     if bf.size != labels.size:
         raise ValidationError("feature and labels lengths differ")
     _, li = np.unique(labels, return_inverse=True)
-    n_l = li.max() + 1
+    n_l = int(li.max()) + 1
+    if bins * n_l > bf.size:
+        # a row per bin would outgrow the data: give occupied bins a row only
+        _, bf = np.unique(bf, return_inverse=True)
+        bins = int(bf.max()) + 1
     joint = np.bincount(bf * n_l + li, minlength=bins * n_l).astype(np.float64)
     joint = joint.reshape(bins, n_l) / bf.size
     px = joint.sum(axis=1)

@@ -16,8 +16,7 @@ import numpy as np
 
 from ._atomic import atomic_open, read_lines
 from ._rng import derive_seed
-from .chipsim import (ChipClassSpec, cycle_location, latency_at, latency_block,
-                      new_chip)
+from .chipsim import ChipClassSpec, latency_at, latency_block, new_chip
 from .errors import ParseError, ValidationError
 
 __all__ = [
@@ -257,6 +256,8 @@ def latency_stats(specs, chips: int = 2, locations: int = 5,
     For every checkpoint c the BEFORE window covers cycles (c-span, c] and
     AFTER covers (c, c+span], pooled over `chips` chips with `locations`
     random locations each, so n = span * chips * locations per window.
+    Each chip takes one `latency_at` call over its locations x checkpoints
+    x 2*span wears.
     """
     if span < 1:
         raise ValidationError("span must be >= 1")
@@ -270,27 +271,30 @@ def latency_stats(specs, chips: int = 2, locations: int = 5,
     if any(b - span < a + span for a, b in zip(ckpts, ckpts[1:])):
         raise ValidationError("windows overlap: need checkpoint gaps >= 2*span")
 
+    if ckpts and ckpts[-1] + span > 1 << 63:
+        raise ValidationError(
+            f"checkpoint {ckpts[-1]} plus span {span} passes the int64 wear "
+            "counter")
+
     if isinstance(specs, ChipClassSpec):
         specs = [specs]
+    # the windows of checkpoint ck cover wears ck-span .. ck+span-1
+    wears = np.array(ckpts, dtype=np.int64)[:, None] + np.arange(-span, span)
     out = []
     for spec in specs:
-        pools = {(c, side): [] for c in ckpts for side in Side}
+        lat = np.empty((chips, locations) + wears.shape)
         for ci in range(chips):
             chip_seed = derive_seed(seed, spec.class_tag, ci,
                                     _STREAM_STATS_LOCS) & _SEED_MASK
-            chip = new_chip(spec, chip_seed)
             addrs = _chip_locations(spec, chip_seed, locations,
                                     _STREAM_STATS_LOCS)
-            for addr in addrs:
-                addr = int(addr)
-                for ck in ckpts:
-                    cycle_location(chip, addr, ck - span - int(chip.wear[addr]))
-                    block = latency_block(chip, addr, 2 * span)
-                    pools[(ck, Side.BEFORE)].append(block[:span])
-                    pools[(ck, Side.AFTER)].append(block[span:])
-        for ck in ckpts:
-            for side in (Side.BEFORE, Side.AFTER):
-                vals = np.concatenate(pools[(ck, side)])
+            lat[ci] = latency_at(new_chip(spec, chip_seed), addrs[:, None, None],
+                                 wears)
+        for k, ck in enumerate(ckpts):
+            for side, half in ((Side.BEFORE, slice(None, span)),
+                               (Side.AFTER, slice(span, None))):
+                # pooled in (chip, location, wear) order
+                vals = lat[:, :, k, half].reshape(-1)
                 out.append(WindowStats(
                     class_tag=spec.class_tag, checkpoint=ck, side=side,
                     mean=float(vals.mean()), stdev=float(vals.std()),

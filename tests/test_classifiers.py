@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -172,22 +173,50 @@ def test_tree_depth_one_is_a_stump():
     ds = toy(8, n=30, classes=3)
     m = train_tree(ds, max_depth=1)
     core = m.core
-    assert core.root.left.is_leaf and core.root.right.is_leaf
+    assert core.feature[0] >= 0
+    assert core.feature[[core.left[0], core.right[0]]].tolist() == [-1, -1]
 
 
 def test_tree_min_leaf_respected():
     ds = toy(12, n=25, classes=3)
-    m = train_tree(ds, min_leaf=5)
-    leaves = []
+    core = train_tree(ds, min_leaf=5).core
+    assert np.all(core.counts[core.feature == -1].sum(axis=1) >= 5)
 
-    def walk(node):
-        if node.is_leaf:
-            leaves.append(int(node.counts.sum()))
-        else:
-            walk(node.left)
-            walk(node.right)
-    walk(m.core.root)
-    assert all(c >= 5 for c in leaves)
+
+def _walk_oracle(core, x):
+    """One probe down the node table, one node at a time."""
+    nid = 0
+    while core.feature[nid] >= 0:
+        go_left = x[core.feature[nid]] <= core.threshold[nid]
+        nid = core.left[nid] if go_left else core.right[nid]
+    return nid
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tree_table_is_preorder_and_walks_like_one_probe_at_a_time(seed):
+    rng = np.random.default_rng(seed)
+    ds = toy(seed, n=int(rng.integers(10, 80)), d=int(rng.integers(1, 6)),
+             classes=int(rng.integers(2, 5)), integer=seed % 2 == 1)
+    core = train_tree(ds, max_depth=int(rng.integers(1, 8))).core
+    split = np.nonzero(core.feature >= 0)[0]
+    # preorder: a split's left child follows it, and every row but the
+    # root is the child of exactly one split
+    assert np.array_equal(core.left[split], split + 1)
+    assert np.all(core.right[split] > core.left[split])
+    assert sorted(np.r_[0, core.left[split], core.right[split]]) == list(
+        range(core.feature.size))
+    assert np.array_equal(core.counts[split],
+                          core.counts[core.left[split]]
+                          + core.counts[core.right[split]])
+    leaves = core.feature == -1
+    assert np.all(core.leaf[~leaves] == -1)
+    assert np.array_equal(core.leaf[leaves],
+                          core.counts[leaves].argmax(axis=1))
+    probes = np.vstack([ds.X, rng.normal(size=(30, ds.X.shape[1])) * 3])
+    reached = [_walk_oracle(core, x) for x in probes]
+    pred, scores = tree_core.predict_detail(core, probes, core.tags)
+    assert np.array_equal(pred, core.tags[core.leaf[reached]])
+    assert np.array_equal(scores, core.counts[reached])
 
 
 def test_tree_scores_are_leaf_counts():
@@ -387,10 +416,21 @@ def _set_field(line, pos, value):
     ("svm", "machine ", lambda ln, n: "machine 0 1 x 0.1"),
     ("svm", "sv ", lambda ln, n: _set_field(ln, 1, "zz")),
     ("svm", "machine ", lambda ln, n: _set_field(ln, 3, str(10 ** 12))),
+    ("svm", "machine ", lambda ln, n: _set_field(ln, 1, "99")),
+    ("svm", "machine ", lambda ln, n: _set_field(ln, 2, ln.split()[1])),
     ("tree", "node 0 ", lambda ln, n: _set_field(ln, 5, str(n))),
     ("tree", "node 0 ", lambda ln, n: _set_field(ln, 4, "0")),
+    ("tree", r"node \d+ -1 ", lambda ln, n: _set_field(ln, 6, "99")),
+    ("tree", r"node \d+ -1 ", lambda ln, n: _set_field(ln, 6, "-1")),
+    ("tree", "node 0 ", lambda ln, n: _set_field(ln, 7, "-1")),
+    ("tree", "node 0 ", lambda ln, n: _set_field(ln, 2, "4")),  # width 4
+    ("tree", "node 0 ", lambda ln, n: _set_field(ln, 6, "0")),
+    ("tree", "core tree ", lambda ln, n: _set_field(ln, 2, "0")),
 ], ids=["arity", "bare-kind", "param-no-value", "machine-count", "sv-coeff",
-        "sv-count-beyond-file", "child-out-of-range", "child-not-after-parent"])
+        "sv-count-beyond-file", "machine-tag-not-in-model",
+        "machine-tags-equal", "child-out-of-range", "child-not-after-parent",
+        "leaf-tag-beyond-tags", "leaf-tag-negative", "count-negative",
+        "feature-beyond-width", "split-with-leaf-tag", "no-nodes"])
 def test_malformed_model_field_is_parse_error_at_its_line(tmp_path, kind,
                                                           prefix, mutate):
     ds = toy(19, n=30, d=4, classes=3)
@@ -398,7 +438,7 @@ def test_malformed_model_field_is_parse_error_at_its_line(tmp_path, kind,
                tmp_path / "m.txt")
     lines = (tmp_path / "m.txt").read_text().splitlines()
     n_nodes = len([ln for ln in lines if ln.startswith("node ")])
-    i = next(k for k, ln in enumerate(lines) if ln.startswith(prefix))
+    i = next(k for k, ln in enumerate(lines) if re.match(prefix, ln))
     lines[i] = mutate(lines[i], n_nodes)
     (tmp_path / "bad.txt").write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match=f"^line {i + 1}: "):

@@ -361,6 +361,63 @@ def test_scan_seeded_spots_match_ground_truth(tmp_path, capsys):
     assert "used regions" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--kind", "svm", "--c", "nan"],
+    ["train", "--kind", "svm", "--c", "inf"],
+    ["train", "--kind", "svm", "--tol", "nan"],
+    ["train", "--kind", "svm", "--tol", "inf"],
+    ["predict", "--used-threshold", "inf"],
+    ["predict", "--used-threshold", "nan"],
+    ["predict", "--fresh-threshold", "nan"],
+    ["scan", "--flag-ratio", "nan"],
+    ["scan", "--flag-ratio", "inf"],
+], ids=lambda argv: "-".join(argv[-2:]).strip("-"))
+def test_non_finite_real_is_refused(workdir, tmp_path, capsys, argv):
+    """NaN and infinity would silently change the result: a NaN flag ratio
+    flags nothing, an infinite USED threshold never calls USED."""
+    probe, map_path = tmp_path / "probe.csv", tmp_path / "map.csv"
+    assert run("simulate", "--class", 4, "--cycles", 100, "--seed", 314,
+               "--out", probe) == 0
+    assert run("scan", "--class", 2, "--seed", 5, "--spots",
+               "40:20000,900:50000", "--out-dir", tmp_path,
+               "--map-out", "map.csv") == 0
+    context = {"train": ["--dataset", workdir / "two.train.csv"],
+               "predict": ["--model", workdir / "knn.model.txt",
+                           "--probe", probe],
+               "scan": ["--map", map_path]}[argv[0]]
+    capsys.readouterr()
+    assert run(*argv, *context, "--out-dir", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_mrmr_bins_beyond_row_count_train(workdir, tmp_path):
+    assert run("train", "--dataset", workdir / "two.train.csv",
+               "--selector", "mrmr", "--select-k", 4,
+               "--mrmr-bins", 10 ** 12, "--out-dir", tmp_path) == 0
+
+
+# sha256 of the knn and tree model files trained on the lab-seed-1 dataset,
+# as the linked-node tree code wrote them
+_LAB1_MODEL_SHA256 = {
+    "knn": "24f362f211f98a15ec985e2d182bc7bb72ef023a0a2d8afca7e5db68a51c7805",
+    "tree": "f09d08dcfc8a5632907d0d9eb462210892f4fc285f64aa639aa346e6a988011e",
+}
+
+
+def test_lab_seed_1_model_file_bytes_are_pinned(tmp_path):
+    assert run("dataset", "--seed", 1, "--chips-per-class", 2,
+               "--locations-per-chip", 2, "--split", "--out-dir", tmp_path) == 0
+    for kind, digest in _LAB1_MODEL_SHA256.items():
+        out = f"{kind}.model.txt"
+        assert run("train", "--kind", kind, "--dataset",
+                   tmp_path / "dataset.train.csv", "--out-dir", tmp_path,
+                   "--out", out) == 0
+        assert hashlib.sha256((tmp_path / out).read_bytes()).hexdigest() \
+            == digest, kind
+
+
 def test_scan_needs_map_or_seed(capsys):
     assert run("scan") == 1
     assert "--seed is required" in capsys.readouterr().err

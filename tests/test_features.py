@@ -122,6 +122,26 @@ def test_mi_deterministic_relation_equals_entropy():
         mi_oracle(y.tolist(), y.tolist()), abs=1e-12)
 
 
+def test_mi_counts_only_occupied_bins():
+    """10**12 bins would be a joint table of 10**12 rows per label."""
+    rng = np.random.default_rng(12)
+    f = rng.normal(size=300)
+    y = rng.integers(0, 4, size=300)
+    bf = bin_feature(f, 10 ** 12)
+    assert np.unique(bf).size == 300
+    n = f.size
+    pairs, c_joint = np.unique(np.column_stack([bf, y]), axis=0,
+                               return_counts=True)
+    c_f = dict(zip(*(a.tolist() for a in np.unique(bf, return_counts=True))))
+    c_y = dict(zip(*(a.tolist() for a in np.unique(y, return_counts=True))))
+    want = sum(c / n * math.log(c * n / (c_f[a] * c_y[b]))
+               for (a, b), c in zip(pairs.tolist(), c_joint.tolist()))
+    assert mutual_information(f, y, bins=10 ** 12) == pytest.approx(
+        want, abs=1e-12)
+    ranking = mrmr_select(toy(5, n=60, d=4), k=2, bins=10 ** 12)
+    assert ranking.indices.size == 2
+
+
 def test_mi_constant_feature_is_zero():
     assert mutual_information(np.full(40, 3.3), np.arange(40) % 2) == 0.0
 

@@ -305,6 +305,8 @@ def test_latency_stats_validations():
         latency_stats(toy_spec(), checkpoints=[100, 150], span=50)
     with pytest.raises(ValidationError):
         latency_stats(toy_spec(), checkpoints=[10], span=50)
+    with pytest.raises(ValidationError, match="int64"):
+        latency_stats(toy_spec(), checkpoints=[(1 << 63) - 10], span=50)
 
 
 # ---------------- persistence ----------------
