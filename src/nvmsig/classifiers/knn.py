@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ValidationError
+from ._text import fmt_vec
 
 
 @dataclass
@@ -49,7 +50,8 @@ def _neighbors(core: KnnCore, X):
     nd = np.take_along_axis(pd, order, axis=1)
     if k < n:
         dk = nd[:, -1]
-        for r in np.nonzero((d2 <= dk[:, None]).sum(axis=1) > k)[0]:
+        ties = np.count_nonzero(d2 <= dk[:, None], axis=1) > k
+        for r in np.nonzero(ties)[0]:
             cand = np.nonzero(d2[r] <= dk[r])[0]  # already index-ascending
             sub = cand[np.argsort(d2[r, cand], kind="stable")][:k]
             nn[r] = sub
@@ -85,5 +87,29 @@ def predict(core: KnnCore, X) -> np.ndarray:
 def _sq_dists(A, B):
     aa = (A * A).sum(axis=1)[:, None]
     bb = (B * B).sum(axis=1)[None, :]
-    d2 = aa + bb - 2.0 * (A @ B.T)
-    return np.maximum(d2, 0.0)
+    ab2 = A @ B.T
+    ab2 *= 2.0
+    d2 = aa + bb  # aa + bb - 2 A.B, in place on two n x m buffers
+    d2 -= ab2
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def dump(core: KnnCore):
+    return [f"core knn {core.X.shape[0]} {core.X.shape[1]}"] + [
+        f"row {int(lab)} {fmt_vec(row)}" for row, lab in zip(core.X, core.y)]
+
+
+def load(r, head, width, params):
+    """(core, tags) from the rows after `core knn <n> <d>`."""
+    if "k" not in params:
+        r.fail("knn model file lacks a k param")
+    n, d = r.count(head[0]), int(head[1])
+    if d != width:
+        r.fail("core width disagrees with selection width")
+    X = np.empty((n, d))
+    y = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        parts = r.next("row").split()
+        y[i] = int(parts[1])
+        X[i] = r.floats(parts[2:], d, "row")
+    return fit(X, y, params["k"]), np.unique(y)

@@ -2,14 +2,17 @@
 optimization, combined one-vs-one for multiclass.
 
 Each pair machine is solved on its precomputed RBF kernel (a pair of
-default-dataset classes has about 410 rows, so about 1.4 MB).  The solver
-keeps v = -y * grad of the dual and picks its working set by the second-order
-rule of Fan, Chen & Lin (JMLR 2005, the LIBSVM scheme): i is the row of I_up
-with the largest v, and j the row of I_low with v_j < v_i that maximizes
-(v_i - v_j)^2 / a_ij with a_ij = max(2 - 2 K_ij, 1e-12).  It stops once
-max_{I_up} v - min_{I_low} v is at most `tol`; with the bias at the mean v of
-the free rows, every row then meets its KKT condition within `tol`.  The
-solver draws nothing at random, so equal inputs give equal machines.
+default-dataset classes has about 410 rows, so about 1.4 MB).  The pairs are
+solved together as one array program over the stack of their kernels, in
+batches whose stack stays under 64 MB; the 36 pairs of the default dataset
+(about 48 MB) are one batch.  The solver keeps v = -y * grad of the dual and
+picks its working set by the second-order rule of Fan, Chen & Lin (JMLR 2005,
+the LIBSVM scheme): i is the row of I_up with the largest v, and j the row of
+I_low with v_j < v_i that maximizes (v_i - v_j)^2 / a_ij with
+a_ij = max(2 - 2 K_ij, 1e-12).  It stops once max_{I_up} v - min_{I_low} v is
+at most `tol`; with the bias at the mean v of the free rows, every row then
+meets its KKT condition within `tol`.  The solver draws nothing at random, so
+equal inputs give equal machines.
 """
 
 from dataclasses import dataclass
@@ -17,10 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NumericError, ValidationError
+from ._text import fmt, fmt_vec
 
 # a generous cap: default-dataset pairs converge in under one iteration per row
 _MAX_ITER_PER_ROW = 1000
 _TAU = 1e-12  # floor of the curvature a_ij, reached by duplicate rows (K_ij = 1)
+_STACK_BYTES = 64 << 20  # kernel stack of one solver batch (a pair always fits)
 
 
 @dataclass
@@ -57,47 +62,88 @@ def smo_train(X, y, C, gamma, tol):
 
     Raises NumericError if the gap stays above `tol` for the iteration cap.
     """
-    y = np.asarray(y, dtype=np.float64)
-    n = y.size
-    sign = y.tolist()
-    K = rbf_kernel_matrix(X, gamma)
-    alpha = np.zeros(n)
-    v = y.copy()  # -y * gradient of the dual, at alpha = 0
-    # 0 on the rows of I_up (of I_low), -inf (+inf) on the others
-    off_up = np.where(y > 0, 0.0, -np.inf)
-    off_low = np.where(y > 0, np.inf, 0.0)
-    for _ in range(_MAX_ITER_PER_ROW * n):
+    return smo_train_pairs([X], [y], C, gamma, tol)[0]
+
+
+def smo_train_pairs(Xs, ys, C, gamma, tol):
+    """Binary SMO on several problems at once: [(alpha, bias)] per (X, y).
+
+    The problems are padded to one `problems x m` state, m the largest row
+    count, over a `problems x m x m` stack of their kernels, and every
+    unconverged problem takes one step per iteration.  Pad rows are in
+    neither I_up nor I_low, so they are never picked, and each problem's
+    arithmetic is elementwise that of a solver run on it alone, so the
+    result does not depend on which problems share the batch.
+    """
+    sizes = [len(y) for y in ys]
+    P, m = len(ys), max(sizes)
+    K = np.zeros((P, m, m))
+    sign = np.zeros((P, m))
+    for p, (X, y) in enumerate(zip(Xs, ys)):
+        rbf_kernel_matrix(X, gamma, out=K[p, :sizes[p], :sizes[p]])
+        sign[p, :sizes[p]] = y
+    alpha = np.zeros((P, m))
+    v = sign.copy()  # -y * gradient of the dual, at alpha = 0
+    # 0 on the rows of I_up (of I_low), -inf (+inf) on the others and on pads
+    off_up = np.where(sign > 0, 0.0, -np.inf)
+    off_low = np.where(sign < 0, 0.0, np.inf)
+    cap = _MAX_ITER_PER_ROW * np.asarray(sizes)
+    live = np.arange(P)  # problem of each row of the state arrays
+    rows, limit = np.arange(P), cap.min()
+    out = [None] * P
+    steps = 0
+    while True:
         v_up, v_low = v + off_up, v + off_low
-        i = int(v_up.argmax())
-        top, bottom = float(v_up[i]), float(v_low[v_low.argmin()])
-        if top - bottom <= tol:
-            break
+        i = v_up.argmax(axis=1)
+        top, bottom = v_up[rows, i], v_low.min(axis=1)
+        if steps >= limit:
+            raise NumericError(f"SMO left a KKT gap above tol {tol:g} after "
+                               f"{steps} iterations")
+        done = top - bottom <= tol
+        if done.any():
+            for r in np.nonzero(done)[0]:
+                n = sizes[live[r]]
+                a = alpha[r, :n].copy()
+                free = (a > 0) & (a < C)
+                bias = (float(v[r, :n][free].mean()) if free.any()
+                        else (float(top[r]) + float(bottom[r])) / 2.0)
+                out[live[r]] = (a, bias)
+            keep = ~done
+            if not keep.any():
+                return out
+            live, i, top = live[keep], i[keep], top[keep]
+            v, v_low, alpha = v[keep], v_low[keep], alpha[keep]
+            off_up, off_low, sign = off_up[keep], off_low[keep], sign[keep]
+            rows, limit = np.arange(live.size), cap[live].min()
         # second-order gain (v_i - v_t)^2 / a_it, positive on I_low below v_i;
         # a_it / 2 = max(1 - K_it, tau / 2) exactly, and halving leaves the argmax
-        gain = top - v_low
+        Ki = K[live, i]
+        gain = top[:, None] - v_low
         gain *= np.abs(gain)
-        gain /= np.maximum(1.0 - K[i], _TAU / 2)
-        j = int(gain.argmax())
+        gain /= np.maximum(1.0 - Ki, _TAU / 2)
+        j = gain.argmax(axis=1)
         # step t along alpha_i += y_i t, alpha_j -= y_j t, clipped to the box
-        old_i, old_j = float(alpha[i]), float(alpha[j])
-        room_i = C - old_i if sign[i] > 0 else old_i
-        room_j = old_j if sign[j] > 0 else C - old_j
-        t = min((top - float(v[j])) / max(2.0 - 2.0 * float(K[i, j]), _TAU),
-                room_i, room_j)
-        alpha[i] = (C if sign[i] > 0 else 0.0) if t == room_i else old_i + sign[i] * t
-        alpha[j] = (0.0 if sign[j] > 0 else C) if t == room_j else old_j - sign[j] * t
-        v -= K[i] * (sign[i] * (alpha[i] - old_i))
-        v -= K[j] * (sign[j] * (alpha[j] - old_j))
-        for r in (i, j):
-            can_rise, can_fall = alpha[r] < C, alpha[r] > 0
-            off_up[r] = 0.0 if (can_rise if sign[r] > 0 else can_fall) else -np.inf
-            off_low[r] = 0.0 if (can_fall if sign[r] > 0 else can_rise) else np.inf
-    else:
-        raise NumericError(f"SMO left a KKT gap above tol {tol:g} after "
-                           f"{_MAX_ITER_PER_ROW * n} iterations")
-    free = (alpha > 0) & (alpha < C)
-    bias = float(v[free].mean()) if free.any() else (top + bottom) / 2.0
-    return alpha, bias
+        s_i, s_j = sign[rows, i], sign[rows, j]
+        pos_i, pos_j = s_i > 0, s_j > 0
+        old_i, old_j = alpha[rows, i], alpha[rows, j]
+        room_i = np.where(pos_i, C - old_i, old_i)
+        room_j = np.where(pos_j, old_j, C - old_j)
+        t = np.minimum(np.minimum(
+            (top - v[rows, j]) / np.maximum(2.0 - 2.0 * Ki[rows, j], _TAU),
+            room_i), room_j)
+        new_i = np.where(t == room_i, np.where(pos_i, C, 0.0), old_i + s_i * t)
+        new_j = np.where(t == room_j, np.where(pos_j, 0.0, C), old_j - s_j * t)
+        alpha[rows, i], alpha[rows, j] = new_i, new_j
+        Ki *= (s_i * (new_i - old_i))[:, None]
+        v -= Ki
+        Kj = K[live, j]
+        Kj *= (s_j * (new_j - old_j))[:, None]
+        v -= Kj
+        for r, pos, a in ((i, pos_i, new_i), (j, pos_j, new_j)):
+            rise, fall = a < C, a > 0
+            off_up[rows, r] = np.where(np.where(pos, rise, fall), 0.0, -np.inf)
+            off_low[rows, r] = np.where(np.where(pos, fall, rise), 0.0, np.inf)
+        steps += 1
 
 
 def fit(X, y, C: float = 1.0, gamma="auto", tol: float = 1e-3) -> SvmCore:
@@ -109,17 +155,19 @@ def fit(X, y, C: float = 1.0, gamma="auto", tol: float = 1e-3) -> SvmCore:
     if len(tags) < 2:
         raise ValidationError("need at least 2 classes")
     g = resolve_gamma(X, gamma)
+    pairs = [(int(a), int(b)) for ia, a in enumerate(tags) for b in tags[ia + 1:]]
+    masks = [(y == a) | (y == b) for a, b in pairs]
+    Xs = [X[mask] for mask in masks]
+    ys = [np.where(y[mask] == a, 1.0, -1.0) for (a, _), mask in zip(pairs, masks)]
+    batch = max(1, _STACK_BYTES // (8 * max(map(len, ys)) ** 2))
+    solved = []
+    for s in range(0, len(pairs), batch):
+        solved += smo_train_pairs(Xs[s:s + batch], ys[s:s + batch], C, g, tol)
     machines = []
-    for ia in range(len(tags)):
-        for ib in range(ia + 1, len(tags)):
-            a, b = int(tags[ia]), int(tags[ib])
-            mask = (y == a) | (y == b)
-            Xp = X[mask]
-            yp = np.where(y[mask] == a, 1.0, -1.0)
-            alpha, bias = smo_train(Xp, yp, C, g, tol)
-            keep = alpha > 0
-            machines.append(PairMachine(a, b, (alpha * yp)[keep], Xp[keep],
-                                        float(bias)))
+    for (a, b), Xp, yp, (alpha, bias) in zip(pairs, Xs, ys, solved):
+        keep = alpha > 0
+        machines.append(PairMachine(a, b, (alpha * yp)[keep], Xp[keep],
+                                    float(bias)))
     return SvmCore(tags, machines, g)
 
 
@@ -166,12 +214,47 @@ def dual_objective(alpha, y, K) -> float:
     return float(alpha.sum() - 0.5 * (ay @ K @ ay))
 
 
-def rbf_kernel_matrix(X, gamma) -> np.ndarray:
+def rbf_kernel_matrix(X, gamma, out=None) -> np.ndarray:
+    """The n x n RBF kernel of X's rows, written into `out` if given."""
     X = np.asarray(X, dtype=np.float64)
     sq = (X * X).sum(axis=1)[:, None]
     one = np.ones_like(sq)
     # -gamma |x_i - x_j|^2 = [x_i, |x_i|^2, 1] . gamma [2 x_j, -1, -|x_j|^2]:
     # one matrix product, so the only n x n passes left are the clip and exp
-    K = np.hstack([X, sq, one]) @ (gamma * np.hstack([2.0 * X, -one, -sq])).T
+    K = np.matmul(np.hstack([X, sq, one]),
+                  (gamma * np.hstack([2.0 * X, -one, -sq])).T, out=out)
     np.minimum(K, 0.0, out=K)
     return np.exp(K, out=K)
+
+
+def dump(core: SvmCore):
+    out = [f"core svm {len(core.machines)} {len(core.tags)}",
+           "tags " + " ".join(str(int(t)) for t in core.tags)]
+    for m in core.machines:
+        out.append(f"machine {m.tag_pos} {m.tag_neg} {m.sv.shape[0]} "
+                   f"{fmt(m.bias)}")
+        for coeff, row in zip(m.alpha_y, m.sv):
+            out.append(f"sv {fmt(coeff)} {fmt_vec(row)}")
+    return out
+
+
+def load(r, head, width, params):
+    """(core, tags) from the lines after `core svm <n_machines> <n_tags>`."""
+    n_machines, n_tags = int(head[0]), int(head[1])
+    tags = r.tags(n_tags)
+    machines = []
+    for _ in range(n_machines):
+        parts = r.next("machine").split()
+        a, b, n_sv, bias = int(parts[1]), int(parts[2]), r.count(parts[3]), float(parts[4])
+        if a == b or a not in tags or b not in tags:
+            r.fail(f"machine tags {a} and {b} are not two distinct model tags")
+        coeffs = np.empty(n_sv)
+        sv = np.empty((n_sv, width))
+        for i in range(n_sv):
+            sparts = r.next("sv").split()
+            coeffs[i] = float(sparts[1])
+            sv[i] = r.floats(sparts[2:], width, "sv")
+        machines.append(PairMachine(a, b, coeffs, sv, bias))
+    if "gamma" not in params:
+        r.fail("svm model file lacks a gamma param")
+    return SvmCore(tags, machines, params["gamma"]), tags

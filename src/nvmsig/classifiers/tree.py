@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ValidationError
+from ._text import fmt
 
 
 @dataclass
@@ -113,33 +114,80 @@ def best_split(Xn, yn, n_classes, min_leaf):
     return best[1], best[2]
 
 
+def _reached(core: TreeCore, X) -> np.ndarray:
+    """The leaf that each probe reaches.
+
+    All probes walk down the table together, one level per step, at
+    position p = 2 * node: each gathers its node's feature and threshold
+    and moves to kids[p + 1] if x[feature] <= threshold, else to kids[p].
+    A leaf is its own child both ways, so a probe that reached one stays
+    there, and the walk checks for the end only every fourth level.
+    """
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    pos = 2 * np.arange(core.feature.size)
+    kids = np.where((core.feature >= 0)[:, None],
+                    np.stack([2 * core.right, 2 * core.left], axis=1),
+                    pos[:, None]).ravel()
+    feature, threshold = np.repeat(core.feature, 2), np.repeat(core.threshold, 2)
+    flat, start = X.ravel(), np.arange(X.shape[0]) * X.shape[1]
+    p = np.zeros(X.shape[0], dtype=np.int64)
+    while feature[p].max(initial=-1) >= 0:
+        for _ in range(4):  # a leaf's feature is -1: any column, same child
+            p = kids[p + (flat[start + feature[p]] <= threshold[p])]
+    return p // 2
+
+
 def predict_detail(core: TreeCore, X, tags):
     """(pred, scores); scores are the training-sample counts at the reached
-    leaf, aligned with `tags`.
-
-    All probes walk down the table together, one level per step: the rows
-    still at a split gather their feature, threshold and child ids at once.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    node = np.zeros(X.shape[0], dtype=np.int64)
-    rows = np.arange(X.shape[0])
-    while rows.size:
-        at = node[rows]
-        f = core.feature[at]
-        down = f >= 0
-        rows, at, f = rows[down], at[down], f[down]
-        node[rows] = np.where(X[rows, f] <= core.threshold[at],
-                              core.left[at], core.right[at])
+    leaf, aligned with `tags`."""
+    node = _reached(core, X)
     pos = {int(t): i for i, t in enumerate(tags)}
-    scores = np.zeros((X.shape[0], len(tags)), dtype=np.float64)
+    scores = np.zeros((node.size, len(tags)), dtype=np.float64)
     scores[:, [pos[int(t)] for t in core.tags]] = core.counts[node]
     return core.tags[core.leaf[node]], scores
 
 
 def predict(core: TreeCore, X) -> np.ndarray:
-    return predict_detail(core, X, core.tags)[0]
+    return core.tags[core.leaf[_reached(core, X)]]
 
 
 def predict_scores(core: TreeCore, X, tags) -> np.ndarray:
     """Training-sample counts at the reached leaf, aligned with `tags`."""
     return predict_detail(core, X, tags)[1]
+
+
+def dump(core: TreeCore):
+    out = [f"core tree {core.feature.size} {len(core.tags)}",
+           "tags " + " ".join(str(int(t)) for t in core.tags)]
+    cols = (core.feature, core.threshold, core.left, core.right, core.leaf)
+    for nid, (f, thr, left, right, leaf, counts) in enumerate(zip(
+            *(c.tolist() for c in cols), core.counts.tolist())):
+        out.append(f"node {nid} {f} {fmt(thr)} {left} {right} {leaf} "
+                   + " ".join(map(str, counts)))
+    return out
+
+
+def load(r, head, width, params):
+    """(core, tags) from the lines after `core tree <n_nodes> <n_tags>`."""
+    n_nodes, n_tags = int(head[0]), int(head[1])
+    if n_nodes < 1:
+        r.fail("a tree needs at least one node")
+    tags = r.tags(n_tags)
+    rows = []
+    for nid in range(n_nodes):
+        p = r.next("node").split()
+        if len(p) != 7 + n_tags:
+            r.fail("node: wrong field count")
+        f, kids, leaf = int(p[2]), (int(p[4]), int(p[5])), int(p[6])
+        counts = np.array([int(c) for c in p[7:]], dtype=np.int64)
+        # preorder ids: a split's children come later in the file
+        if f == -1:
+            ok = kids == (-1, -1) and 0 <= leaf < n_tags
+        else:
+            ok = (0 <= f < width and leaf == -1
+                  and all(nid < c < n_nodes for c in kids))
+        if not ok or (counts < 0).any():
+            r.fail(f"node {nid}: feature {f}, children {kids}, leaf "
+                   f"{leaf} or counts out of range")
+        rows.append((f, float(p[3]), *kids, leaf, counts))
+    return table(tags, rows), tags

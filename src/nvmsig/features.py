@@ -85,8 +85,9 @@ def bin_feature(feature, bins: int = DEFAULT_BINS) -> np.ndarray:
         raise ValidationError("feature must be a non-empty 1-D vector")
     if not np.all(np.isfinite(x)):
         raise ValidationError("feature values must be finite")
-    if bins < 1:
-        raise ValidationError("bins must be >= 1")
+    # beyond 2**53 a float misses bin indices and the top one overflows int64
+    if not 1 <= bins <= 2 ** 53:
+        raise ValidationError("bins must be in [1, 2**53]")
     lo, hi = x.min(), x.max()
     if hi == lo:
         return np.zeros(x.size, dtype=np.int64)

@@ -316,6 +316,23 @@ def test_svm_pairs_converge_on_lab_seed_1_sweep_data():
     assert pairs == 36
 
 
+def test_svm_pairs_solved_together_match_pairs_solved_alone(monkeypatch):
+    """One solver batch over padded pairs of unequal size, and one pair per
+    batch (a one-byte stack budget), give bit-identical machines."""
+    for seed in range(6):
+        ds = toy(700 + seed, n=60, d=4, classes=4, integer=seed % 2 == 1)
+        assert len(set(np.bincount(ds.y).tolist())) > 1
+        together = svm_core.fit(ds.X, ds.y, C=2.0)
+        with monkeypatch.context() as m:
+            m.setattr(svm_core, "_STACK_BYTES", 1)
+            alone = svm_core.fit(ds.X, ds.y, C=2.0)
+        assert len(together.machines) == len(alone.machines) == 6
+        for a, b in zip(together.machines, alone.machines):
+            assert (a.tag_pos, a.tag_neg, a.bias) == (b.tag_pos, b.tag_neg, b.bias)
+            assert np.array_equal(a.alpha_y, b.alpha_y)
+            assert np.array_equal(a.sv, b.sv)
+
+
 def test_svm_separable_training_is_consistent():
     ds = toy(41, n=24, d=3, classes=3, spread=6.0)
     m = train_svm(ds, C=5.0)
@@ -426,22 +443,38 @@ def _set_field(line, pos, value):
     ("tree", "node 0 ", lambda ln, n: _set_field(ln, 2, "4")),  # width 4
     ("tree", "node 0 ", lambda ln, n: _set_field(ln, 6, "0")),
     ("tree", "core tree ", lambda ln, n: _set_field(ln, 2, "0")),
+    ("knn", "indices ", lambda ln, n: _set_field(ln, 4, "7")),  # arity 4
+    ("knn", "indices ", lambda ln, n: _set_field(ln, 4, "-1")),
+    ("knn", "indices ", lambda ln, n: _set_field(ln, 4, "0")),
 ], ids=["arity", "bare-kind", "param-no-value", "machine-count", "sv-coeff",
         "sv-count-beyond-file", "machine-tag-not-in-model",
         "machine-tags-equal", "child-out-of-range", "child-not-after-parent",
         "leaf-tag-beyond-tags", "leaf-tag-negative", "count-negative",
-        "feature-beyond-width", "split-with-leaf-tag", "no-nodes"])
+        "feature-beyond-width", "split-with-leaf-tag", "no-nodes",
+        "index-beyond-arity", "index-negative", "index-repeated"])
 def test_malformed_model_field_is_parse_error_at_its_line(tmp_path, kind,
                                                           prefix, mutate):
     ds = toy(19, n=30, d=4, classes=3)
-    save_model(train_svm(ds) if kind == "svm" else train_tree(ds),
-               tmp_path / "m.txt")
+    trainer = {"knn": train_knn, "tree": train_tree, "svm": train_svm}[kind]
+    save_model(trainer(ds), tmp_path / "m.txt")
     lines = (tmp_path / "m.txt").read_text().splitlines()
     n_nodes = len([ln for ln in lines if ln.startswith("node ")])
     i = next(k for k, ln in enumerate(lines) if re.match(prefix, ln))
     lines[i] = mutate(lines[i], n_nodes)
     (tmp_path / "bad.txt").write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match=f"^line {i + 1}: "):
+        load_model(tmp_path / "bad.txt")
+
+
+def test_knn_model_without_k_is_parse_error(tmp_path):
+    ds = toy(19, n=30, d=4, classes=3)
+    save_model(train_knn(ds, k=3), tmp_path / "m.txt")
+    lines = (tmp_path / "m.txt").read_text().splitlines()
+    (tmp_path / "bad.txt").write_text(
+        "\n".join(ln for ln in lines if ln != "param k 3") + "\n")
+    # one line fewer above it: the core line's 0-based index is its number
+    core_line = next(i for i, ln in enumerate(lines) if ln.startswith("core "))
+    with pytest.raises(ParseError, match=f"^line {core_line}: .* k param"):
         load_model(tmp_path / "bad.txt")
 
 

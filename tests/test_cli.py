@@ -398,11 +398,41 @@ def test_mrmr_bins_beyond_row_count_train(workdir, tmp_path):
                "--mrmr-bins", 10 ** 12, "--out-dir", tmp_path) == 0
 
 
-# sha256 of the knn and tree model files trained on the lab-seed-1 dataset,
-# as the linked-node tree code wrote them
+def test_mrmr_bins_beyond_2_53_is_validation_error(workdir, tmp_path, capsys):
+    assert run("train", "--dataset", workdir / "two.train.csv",
+               "--selector", "mrmr", "--select-k", 4,
+               "--mrmr-bins", 2 ** 63 - 1, "--out-dir", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bins" in err
+
+
+@pytest.mark.parametrize("value", ["arity", "-1", "repeat"])
+def test_predict_with_model_index_out_of_range_exits_1(workdir, tmp_path,
+                                                        capsys, value):
+    lines = (workdir / "knn.model.txt").read_text().splitlines()
+    arity = next(ln for ln in lines if ln.startswith("arity ")).split()[1]
+    row = next(i for i, ln in enumerate(lines) if ln.startswith("indices "))
+    parts = lines[row].split()
+    parts[-1] = {"arity": arity, "-1": "-1", "repeat": parts[1]}[value]
+    lines[row] = " ".join(parts)
+    bad = tmp_path / "bad.model.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    probe = tmp_path / "probe.csv"
+    assert run("simulate", "--class", 4, "--cycles", 100, "--seed", 314,
+               "--out", probe) == 0
+    capsys.readouterr()
+    assert run("predict", "--model", bad, "--probe", probe) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {row + 1}: ") and "indices" in err
+
+
+# sha256 of the model files trained on the lab-seed-1 dataset: knn and tree
+# as the linked-node tree code wrote them, svm as model.py wrote every core
+# block before each core module wrote its own
 _LAB1_MODEL_SHA256 = {
     "knn": "24f362f211f98a15ec985e2d182bc7bb72ef023a0a2d8afca7e5db68a51c7805",
     "tree": "f09d08dcfc8a5632907d0d9eb462210892f4fc285f64aa639aa346e6a988011e",
+    "svm": "c7d8be1b66207338b609ce1f93b3d13a112dcad80ec12d2a04ba0e88e986c98a",
 }
 
 

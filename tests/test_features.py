@@ -83,6 +83,17 @@ def test_bin_feature_matches_oracle(values, bins):
     assert got.tolist() == bin_oracle(values, bins)
 
 
+@pytest.mark.parametrize("bins", [2 ** 63 - 1, 2 ** 62, 2 ** 53 + 1])
+def test_bin_count_beyond_2_53_is_refused(bins):
+    with pytest.raises(ValidationError, match="bins"):
+        bin_feature(np.array([0.0, 0.5, 1.0]), bins)
+
+
+def test_bin_count_2_53_keeps_the_top_value_in_the_top_bin():
+    got = bin_feature(np.array([0.0, 0.5, 1.0]), 2 ** 53)
+    assert got.tolist() == [0, 2 ** 52, 2 ** 53 - 1]
+
+
 def test_mi_matches_bruteforce_on_50_instances():
     rng = np.random.default_rng(42)
     for _ in range(50):
