@@ -24,13 +24,15 @@ from __future__ import annotations
 import csv
 import enum
 import io
-from dataclasses import dataclass, field
+import math
+import typing
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._atomic import atomic_open, read_lines
+from ._atomic import atomic_open, parse_int64, read_lines, read_table
 from ._rng import hashed_normal
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "Technology",
@@ -95,6 +97,10 @@ class ChipClassSpec:
     step_factor: float | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValidationError(f"{f.name} must be finite, got {value}")
         if not 0 <= self.class_tag <= 8:
             raise ValidationError(f"class_tag must be in 0..8, got {self.class_tag}")
         if self.base_latency_us <= 0:
@@ -127,16 +133,10 @@ class ChipClassSpec:
         return f"{self.manufacturer} {self.capacity_label} {self.technology.value}"
 
 
-def _spec(tag, manufacturer, capacity, tech, n_loc, base, a, b, c_ref,
-          noise, chip, loc, step_cycles=None, step_factor=None):
+def _spec(tag, manufacturer, capacity, tech, *rest):
+    """A spec with op_kind set by technology; `rest` is the later fields."""
     op = OpKind.SECTOR_ERASE if tech is Technology.NOR_FLASH else OpKind.PAGE_WRITE
-    return ChipClassSpec(
-        class_tag=tag, manufacturer=manufacturer, capacity_label=capacity,
-        technology=tech, op_kind=op, num_locations=n_loc,
-        base_latency_us=base, drift_amplitude=a, drift_exponent=b,
-        drift_ref_cycles=c_ref, noise_sigma=noise, chip_sigma=chip,
-        loc_sigma=loc, step_cycles=step_cycles, step_factor=step_factor,
-    )
+    return ChipClassSpec(tag, manufacturer, capacity, tech, op, *rest)
 
 
 # Synthetic defaults.  Curve constraints observed here:
@@ -158,12 +158,30 @@ BUILTIN_CATALOG: tuple[ChipClassSpec, ...] = (
     _spec(8, "Fujitsu", "8Mb", Technology.RRAM, 2048, 98.0, 1.426, 1.114, 10000, 0.020, 0.006, 0.004),
 )
 
-_CATALOG_FIELDS = [
-    "class_tag", "manufacturer", "capacity_label", "technology", "op_kind",
-    "num_locations", "base_latency_us", "drift_amplitude", "drift_exponent",
-    "drift_ref_cycles", "noise_sigma", "chip_sigma", "loc_sigma",
-    "step_cycles", "step_factor",
-]
+_CATALOG_FIELDS = [f.name for f in fields(ChipClassSpec)]
+
+
+def _cell_text(value):
+    """A catalog cell: reals as `repr`, enums by value, None as empty."""
+    if value is None:
+        return ""
+    if isinstance(value, enum.Enum):
+        return value.value
+    return repr(value) if isinstance(value, float) else value
+
+
+def _cell_parser(hint):
+    """Text -> value for a catalog field annotated `hint`; an empty cell is
+    None for an optional field."""
+    kinds = [k for k in typing.get_args(hint) if k is not type(None)]
+    if kinds:
+        inner = _cell_parser(kinds[0])
+        return lambda text: inner(text) if text else None
+    return parse_int64 if hint is int else hint  # float, str or an enum
+
+
+_CELL_PARSERS = [_cell_parser(hint)
+                 for hint in typing.get_type_hints(ChipClassSpec).values()]
 
 
 def dump_catalog(specs, path=None) -> str:
@@ -172,15 +190,7 @@ def dump_catalog(specs, path=None) -> str:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(_CATALOG_FIELDS)
     for s in specs:
-        w.writerow([
-            s.class_tag, s.manufacturer, s.capacity_label,
-            s.technology.value, s.op_kind.value, s.num_locations,
-            repr(s.base_latency_us), repr(s.drift_amplitude),
-            repr(s.drift_exponent), s.drift_ref_cycles,
-            repr(s.noise_sigma), repr(s.chip_sigma), repr(s.loc_sigma),
-            "" if s.step_cycles is None else s.step_cycles,
-            "" if s.step_factor is None else repr(s.step_factor),
-        ])
+        w.writerow([_cell_text(getattr(s, name)) for name in _CATALOG_FIELDS])
     text = buf.getvalue()
     if path is not None:
         with atomic_open(path) as fh:
@@ -192,47 +202,20 @@ def load_catalog(path="builtin") -> list[ChipClassSpec]:
     """Load a chip-class catalog from a CSV file, or the builtin one."""
     if path == "builtin":
         return list(BUILTIN_CATALOG)
-    from .protocol import parse_int64  # protocol imports this module
-    lines = read_lines(path)
-    if not lines:
-        raise ParseError("empty catalog file", line=1)
-    header = next(csv.reader([lines[0]]))
-    if header != _CATALOG_FIELDS:
-        raise ParseError(f"bad catalog header, expected {','.join(_CATALOG_FIELDS)}", line=1)
-    specs: list[ChipClassSpec] = []
     seen: set[int] = set()
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        row = next(csv.reader([raw]))
-        if len(row) != len(_CATALOG_FIELDS):
-            raise ParseError(f"expected {len(_CATALOG_FIELDS)} fields, got {len(row)}", line=lineno)
-        rec = dict(zip(_CATALOG_FIELDS, row))
-        try:
-            spec = ChipClassSpec(
-                class_tag=parse_int64(rec["class_tag"]),
-                manufacturer=rec["manufacturer"],
-                capacity_label=rec["capacity_label"],
-                technology=Technology(rec["technology"]),
-                op_kind=OpKind(rec["op_kind"]),
-                num_locations=parse_int64(rec["num_locations"]),
-                base_latency_us=float(rec["base_latency_us"]),
-                drift_amplitude=float(rec["drift_amplitude"]),
-                drift_exponent=float(rec["drift_exponent"]),
-                drift_ref_cycles=parse_int64(rec["drift_ref_cycles"]),
-                noise_sigma=float(rec["noise_sigma"]),
-                chip_sigma=float(rec["chip_sigma"]),
-                loc_sigma=float(rec["loc_sigma"]),
-                step_cycles=parse_int64(rec["step_cycles"]) if rec["step_cycles"] else None,
-                step_factor=float(rec["step_factor"]) if rec["step_factor"] else None,
-            )
-        except (ValueError, ValidationError) as exc:
-            raise ParseError(str(exc), line=lineno) from exc
+
+    def header_fault(cells):
+        return None if cells == _CATALOG_FIELDS else \
+            f"bad catalog header, expected {','.join(_CATALOG_FIELDS)}"
+
+    def parse_row(cells):
+        spec = ChipClassSpec(*(parse(c) for parse, c in zip(_CELL_PARSERS, cells)))
         if spec.class_tag in seen:
             raise ValidationError(f"duplicate class_tag {spec.class_tag}")
         seen.add(spec.class_tag)
-        specs.append(spec)
-    return specs
+        return spec
+
+    return read_table(read_lines(path), header_fault, parse_row, quoted=True)
 
 
 @dataclass
@@ -302,11 +285,7 @@ def latency_at(chip: ChipInstance, addr, wear) -> np.ndarray:
 
 def latency_sample(chip: ChipInstance, addr: int, advance: bool = True) -> float:
     """One latency measurement at `addr`; increments wear when `advance`."""
-    _check_addr(chip, addr)
-    lat = float(latency_at(chip, addr, chip.wear[addr]))
-    if advance:
-        chip.wear[addr] += 1
-    return lat
+    return float(latency_block(chip, addr, 1, advance)[0])
 
 
 def latency_block(chip: ChipInstance, addr: int, n: int, advance: bool = True) -> np.ndarray:
@@ -318,7 +297,8 @@ def latency_block(chip: ChipInstance, addr: int, n: int, advance: bool = True) -
     _check_addr(chip, addr)
     if n < 1:
         raise ValidationError("n must be >= 1")
-    _check_wear_room(chip, addr, n)
+    # a replay reads wears up to wear + n - 1 and advances nothing
+    _check_wear_room(chip, addr, n if advance else n - 1)
     wears = chip.wear[addr] + np.arange(n, dtype=np.int64)
     lat = latency_at(chip, addr, wears)
     if advance:

@@ -1,5 +1,7 @@
 """Model-file text encoding shared by the model header and the core blocks."""
 
+import math
+
 import numpy as np
 
 from .._atomic import read_lines
@@ -41,10 +43,19 @@ class Reader:
                       "lines left")
         return n
 
-    def floats(self, parts, n, what):
+    def floats(self, parts, n, what) -> list[float]:
+        """The `n` reals in `parts`; NaN or an infinity fails at this line."""
         if len(parts) != n:
             self.fail(f"{what}: expected {n} values, got {len(parts)}")
-        return np.array([float(p) for p in parts])
+        values = [float(p) for p in parts]
+        # the sum is finite when every value is, unless it overflows, and
+        # costs a third of testing each value on every line of a model file
+        if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+            self.fail(f"{what}: values must be finite")
+        return values
+
+    def real(self, text, what) -> float:
+        return self.floats([text], 1, what)[0]
 
     def tags(self, n_tags):
         tags = np.array([int(t) for t in self.next("tags").split()[1:]],

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._atomic import atomic_open
+from .._atomic import atomic_open, has_line_break
 from ..errors import ParseError, ValidationError
 from ..features import FeatureRanking, StandardizationStats, apply_standardizer, fit_standardizer
-from ..protocol import has_line_break
 from . import knn as _knn
 from . import svm as _svm
 from . import tree as _tree
@@ -201,11 +200,14 @@ def _read_model(r: Reader) -> TrainedModel:
     indices = np.array(idx, dtype=np.int64)
     mean = r.floats(r.next("mean").split()[1:], n_idx, "mean")
     std = r.floats(r.next("std").split()[1:], n_idx, "std")
+    if min(std) < 0:
+        r.fail("std must be non-negative")
     params = {}
     line = r.next()
     while line.startswith("param "):
         _, key, val = line.split()
-        params[key] = int(float(val)) if key in _INT_PARAMS else float(val)
+        val = r.real(val, f"param {key}")
+        params[key] = int(val) if key in _INT_PARAMS else val
         line = r.next()
     r.pos -= 1  # the non-param line heads the core block
     head = r.next("core").split()

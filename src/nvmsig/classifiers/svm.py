@@ -245,15 +245,15 @@ def load(r, head, width, params):
     machines = []
     for _ in range(n_machines):
         parts = r.next("machine").split()
-        a, b, n_sv, bias = int(parts[1]), int(parts[2]), r.count(parts[3]), float(parts[4])
+        a, b, n_sv = int(parts[1]), int(parts[2]), r.count(parts[3])
+        bias = r.real(parts[4], "machine bias")
         if a == b or a not in tags or b not in tags:
             r.fail(f"machine tags {a} and {b} are not two distinct model tags")
         coeffs = np.empty(n_sv)
         sv = np.empty((n_sv, width))
         for i in range(n_sv):
-            sparts = r.next("sv").split()
-            coeffs[i] = float(sparts[1])
-            sv[i] = r.floats(sparts[2:], width, "sv")
+            values = r.floats(r.next("sv").split()[1:], width + 1, "sv")
+            coeffs[i], sv[i] = values[0], values[1:]
         machines.append(PairMachine(a, b, coeffs, sv, bias))
     if "gamma" not in params:
         r.fail("svm model file lacks a gamma param")

@@ -189,5 +189,5 @@ def load(r, head, width, params):
         if not ok or (counts < 0).any():
             r.fail(f"node {nid}: feature {f}, children {kids}, leaf "
                    f"{leaf} or counts out of range")
-        rows.append((f, float(p[3]), *kids, leaf, counts))
+        rows.append((f, r.real(p[3], "node threshold"), *kids, leaf, counts))
     return table(tags, rows), tags

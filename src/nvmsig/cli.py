@@ -33,7 +33,7 @@ from .chipsim import (
     load_catalog,
     new_chip,
 )
-from ._atomic import atomic_open, read_lines
+from ._atomic import atomic_open, parse_int64, read_lines, read_table
 from .classifiers import KINDS, cross_validate, evaluate, load_model, save_model, train
 from .detector import (
     baseline_from_catalog,
@@ -45,7 +45,7 @@ from .detector import (
 from .errors import NumericError, NvmsigError, ParseError, ValidationError
 from .features import apply_standardizer, fit_standardizer, mrmr_select, nca_select
 from .protocol import (DEFAULT_CHECKPOINTS, build_dataset, load_dataset,
-                       parse_int64, save_dataset, split)
+                       save_dataset, split)
 
 OUT_DIR_ENV = "NVMSIG_OUT"
 SELECTORS = ("none", "mrmr", "nca")
@@ -255,24 +255,12 @@ def _write_manifest(path: str, command: str, cfg, keys) -> None:
 
 def _load_probe(path) -> np.ndarray:
     """Latency vector from a CSV whose last column is latency_us."""
-    lines = read_lines(path)
-    if not lines:
-        raise ParseError("empty probe file", line=1)
-    header = lines[0].split(",")
-    if header[-1] != "latency_us":
-        raise ParseError("expected a trailing latency_us column", line=1)
-    values = []
-    for ln, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise ParseError(f"expected {len(header)} columns", line=ln)
-        try:
-            values.append(float(parts[-1]))
-        except ValueError:
-            raise ParseError("bad latency value", line=ln) from None
-    if not values:
-        raise ParseError("probe file has no data rows", line=1)
-    return np.array(values)
+    def header_fault(cells):
+        return None if cells[-1] == "latency_us" else \
+            "expected a trailing latency_us column"
+
+    return np.array(read_table(read_lines(path), header_fault,
+                               lambda cells: float(cells[-1])))
 
 
 def _spec_for(cfg, tag: int):

@@ -13,10 +13,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ._atomic import atomic_open, read_lines
+from ._atomic import atomic_open, read_lines, read_table
 from .chipsim import ChipClassSpec, SpatialLatencyMap
 from .classifiers import TrainedModel, predict_detail
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 from .protocol import Side, latency_stats
 
 USED_THRESHOLD = 1.3
@@ -214,23 +214,19 @@ def save_map(latency_map: SpatialLatencyMap, path) -> None:
 
 def load_map(path) -> SpatialLatencyMap:
     """Two-column CSV (addr, latency_us) covering every address exactly once."""
-    lines = read_lines(path)
-    if not lines or lines[0] != "addr,latency_us":
-        raise ParseError("expected header 'addr,latency_us'", line=1)
     pairs = {}
-    for ln, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError("expected 2 columns", line=ln)
-        try:
-            addr, lat = int(parts[0]), float(parts[1])
-        except ValueError:
-            raise ParseError("bad addr or latency", line=ln) from None
+
+    def header_fault(cells):
+        return None if cells == ["addr", "latency_us"] else \
+            "expected header 'addr,latency_us'"
+
+    def parse_row(cells):
+        addr = int(cells[0])
         if addr in pairs:
-            raise ParseError(f"duplicate address {addr}", line=ln)
-        pairs[addr] = lat
-    if not pairs:
-        raise ParseError("map file has no data rows", line=1)
+            raise ValueError(f"duplicate address {addr}")
+        pairs[addr] = float(cells[1])
+
+    read_table(read_lines(path), header_fault, parse_row)
     # distinct addresses with min 0 and max len - 1 leave no holes
     n = max(pairs) + 1
     if min(pairs) != 0 or n != len(pairs):

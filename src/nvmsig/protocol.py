@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._atomic import atomic_open, read_lines
+from ._atomic import atomic_open, has_line_break, parse_int64, read_lines, read_table
 from ._rng import derive_seed
 from .chipsim import ChipClassSpec, latency_at, latency_block, new_chip
 from .errors import ParseError, ValidationError
@@ -40,6 +40,7 @@ DEFAULT_CHECKPOINTS = (0, 1000, 5000, 10000, 15000, 30000, 50000)
 DEFAULT_GROUP = 100
 DEFAULT_LOCATIONS_PER_CHIP = 12
 DEFAULT_STATS_CHECKPOINTS = (1000, 6000, 16000, 36000)
+_BASE_COLUMNS = ["class", "chip_seed", "addr", "checkpoint"]  # before the features
 
 # stream tags keeping location draws independent between protocols
 _STREAM_DATASET_LOCS = 0xD5
@@ -311,19 +312,6 @@ def _feature_columns(arity):
 _NAME_SEP = re.compile(r",(?=-?\d+=)")
 
 
-def parse_int64(text: str) -> int:
-    """int(text), rejected with ValueError when it does not fit in int64."""
-    value = int(text)
-    if not -(1 << 63) <= value < 1 << 63:
-        raise ValueError(f"{text.strip()!r} does not fit in int64")
-    return value
-
-
-def has_line_break(name: str) -> bool:
-    """True if `name` would end a line early in a line-based text file."""
-    return "".join(name.splitlines()) != name
-
-
 def save_dataset(ds: Dataset, path) -> None:
     """CSV with one row per sample; latencies as fixed 6-decimal µs.
 
@@ -335,7 +323,7 @@ def save_dataset(ds: Dataset, path) -> None:
         if has_line_break(name) or _NAME_SEP.search(name):
             raise ValidationError(f"class {tag} name {name!r} cannot be stored: "
                                   "it holds a line break or ',<int>='")
-    cols = ["class", "chip_seed", "addr", "checkpoint"] + _feature_columns(ds.arity)
+    cols = _BASE_COLUMNS + _feature_columns(ds.arity)
     template = "%d,%d,%d,%d" + ",%.6f" * ds.arity + "\n"
     head = np.column_stack((ds.y, ds.meta))
     with atomic_open(path) as fh:
@@ -354,7 +342,7 @@ def save_dataset(ds: Dataset, path) -> None:
 def load_dataset(path) -> Dataset:
     lines = read_lines(path)
     class_names: dict[int, str] = {}
-    lineno = 0
+    first = 1
     if lines and lines[0].startswith("# class_names:"):
         body = lines[0].split(":", 1)[1].lstrip()  # a name may end in a space
         if body:
@@ -364,30 +352,20 @@ def load_dataset(path) -> Dataset:
                     class_names[int(tag)] = name
                 except ValueError as exc:
                     raise ParseError(f"bad class_names entry {part!r}", line=1) from exc
-        lines = lines[1:]
-        lineno = 1
-    if not lines:
-        raise ParseError("missing header row", line=lineno + 1)
-    header = lines[0].split(",")
-    base_cols = ["class", "chip_seed", "addr", "checkpoint"]
-    arity = len(header) - len(base_cols)
-    if header[:4] != base_cols or arity < 1 or \
-            header[4:] != _feature_columns(arity):
-        raise ParseError("bad dataset header", line=lineno + 1)
-    rows, labels, meta = [], [], []
-    for off, raw in enumerate(lines[1:], start=lineno + 2):
-        if not raw.strip():
-            continue
-        parts = raw.split(",")
-        if len(parts) != len(header):
-            raise ParseError(
-                f"expected {len(header)} columns, got {len(parts)}", line=off)
-        try:
-            labels.append(parse_int64(parts[0]))
-            meta.append(tuple(parse_int64(v) for v in parts[1:4]))
-            rows.append(np.array(parts[4:], dtype=np.float64))
-        except ValueError as exc:
-            raise ParseError(str(exc), line=off) from exc
-    if not rows:
-        raise ParseError("dataset has no rows", line=lineno + 1)
-    return Dataset(np.array(rows), np.array(labels), np.array(meta), class_names)
+        first = 2
+
+    def header_fault(cells):
+        ok = len(cells) > 4 and cells[:4] == _BASE_COLUMNS and \
+            cells[4:] == _feature_columns(len(cells) - 4)
+        return None if ok else "bad dataset header"
+
+    heads = []  # (class, chip_seed, addr, checkpoint) of each row
+
+    def parse_row(cells):
+        heads.append(tuple(map(parse_int64, cells[:4])))
+        return np.array(cells[4:], dtype=np.float64)
+
+    X = np.array(read_table(lines[first - 1:], header_fault, parse_row,
+                            first=first))
+    heads = np.array(heads, dtype=np.int64)
+    return Dataset(X, heads[:, 0], heads[:, 1:], class_names)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -64,6 +65,9 @@ def test_builtin_catalog_is_load_catalog_default():
     dict(step_cycles=1000, step_factor=0.9),
     dict(technology=Technology.CBRAM),      # still SECTOR_ERASE
     dict(op_kind=OpKind.PAGE_WRITE),        # NOR with write op
+    dict(base_latency_us=math.nan),
+    dict(noise_sigma=math.inf),
+    dict(step_cycles=1000, step_factor=math.inf),
 ])
 def test_spec_validation_rejects(bad):
     with pytest.raises(ValidationError):
@@ -74,6 +78,22 @@ def test_catalog_round_trip(tmp_path):
     path = tmp_path / "cat.csv"
     dump_catalog(BUILTIN_CATALOG, path)
     assert load_catalog(path) == list(BUILTIN_CATALOG)
+
+
+def test_builtin_catalog_text_is_pinned():
+    text = dump_catalog(BUILTIN_CATALOG)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "7c32268ad65dbb990ef047a10b5e4d2e11e1b814e9b364f32b1f907f1e7fa0c0"
+
+
+def test_catalog_round_trip_quotes_a_comma_and_a_quote(tmp_path):
+    specs = [toy_spec(manufacturer='Acme, "Labs" Inc.', step_cycles=5000,
+                      step_factor=1.25),
+             toy_spec(class_tag=1, capacity_label="2,048kb")]
+    path = tmp_path / "cat.csv"
+    text = dump_catalog(specs, path)
+    assert '"Acme, ""Labs"" Inc."' in text and '"2,048kb"' in text
+    assert load_catalog(path) == specs
 
 
 def test_catalog_parse_error_carries_line_number(tmp_path):
@@ -99,6 +119,17 @@ def test_catalog_integer_beyond_int64_is_parse_error(tmp_path):
         load_catalog(path)
 
 
+def test_catalog_non_finite_real_is_parse_error(tmp_path):
+    path = tmp_path / "cat.csv"
+    lines = dump_catalog(BUILTIN_CATALOG).splitlines()
+    row = lines[1].split(",")
+    row[6] = "nan"  # base_latency_us column
+    lines[1] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="^line 2: base_latency_us must be finite"):
+        load_catalog(path)
+
+
 def test_new_chip_too_large_to_allocate_is_validation_error():
     with pytest.raises(ValidationError,
                        match="class3: cannot allocate 4611686018427387904 locations"):
@@ -110,7 +141,7 @@ def test_catalog_duplicate_tag_rejected(tmp_path):
     spec = toy_spec()
     rows = dump_catalog([spec, spec])
     path.write_text(rows, encoding="utf-8")
-    with pytest.raises(ValidationError, match="duplicate"):
+    with pytest.raises(ParseError, match="^line 3: duplicate"):
         load_catalog(path)
 
 
@@ -271,6 +302,18 @@ def test_latency_block_cannot_pass_int64():
         latency_block(chip, 4, 1 << 64)
     assert chip.wear[3] == (1 << 63) - 2 and chip.wear[4] == 0
     assert latency_block(chip, 3, 1).shape == (1,)
+    assert chip.wear[3] == (1 << 63) - 1
+
+
+def test_latency_sample_cannot_pass_int64():
+    chip = new_chip(BUILTIN_CATALOG[5], 1)
+    cycle_location(chip, 3, (1 << 63) - 1)
+    with pytest.raises(ValidationError, match="int64"):
+        latency_sample(chip, 3)
+    assert chip.wear[3] == (1 << 63) - 1
+    assert latency_sample(chip, 3, advance=False) > 0
+    with pytest.raises(ValidationError, match="int64"):
+        latency_block(chip, 3, 2, advance=False)
     assert chip.wear[3] == (1 << 63) - 1
 
 

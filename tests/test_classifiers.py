@@ -446,12 +446,25 @@ def _set_field(line, pos, value):
     ("knn", "indices ", lambda ln, n: _set_field(ln, 4, "7")),  # arity 4
     ("knn", "indices ", lambda ln, n: _set_field(ln, 4, "-1")),
     ("knn", "indices ", lambda ln, n: _set_field(ln, 4, "0")),
+    ("svm", "machine ", lambda ln, n: _set_field(ln, 4, "nan")),
+    ("svm", "sv ", lambda ln, n: _set_field(ln, 1, "inf")),
+    ("svm", "sv ", lambda ln, n: _set_field(ln, 3, "-inf")),
+    ("svm", "param gamma ", lambda ln, n: "param gamma nan"),
+    ("tree", "node 0 ", lambda ln, n: _set_field(ln, 3, "nan")),
+    ("knn", "row ", lambda ln, n: _set_field(ln, 2, "inf")),
+    ("knn", "param k ", lambda ln, n: "param k inf"),
+    ("knn", "mean ", lambda ln, n: _set_field(ln, 1, "nan")),
+    ("knn", "std ", lambda ln, n: _set_field(ln, 2, "inf")),
+    ("knn", "std ", lambda ln, n: _set_field(ln, 1, "-0.5")),
 ], ids=["arity", "bare-kind", "param-no-value", "machine-count", "sv-coeff",
         "sv-count-beyond-file", "machine-tag-not-in-model",
         "machine-tags-equal", "child-out-of-range", "child-not-after-parent",
         "leaf-tag-beyond-tags", "leaf-tag-negative", "count-negative",
         "feature-beyond-width", "split-with-leaf-tag", "no-nodes",
-        "index-beyond-arity", "index-negative", "index-repeated"])
+        "index-beyond-arity", "index-negative", "index-repeated",
+        "bias-nan", "sv-coeff-inf", "sv-value-inf", "param-nan",
+        "threshold-nan", "knn-row-inf", "int-param-inf", "mean-nan",
+        "std-inf", "std-negative"])
 def test_malformed_model_field_is_parse_error_at_its_line(tmp_path, kind,
                                                           prefix, mutate):
     ds = toy(19, n=30, d=4, classes=3)

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import filecmp
 import hashlib
+import inspect
 import io
 import os
 
@@ -15,10 +16,13 @@ from hypothesis import strategies as st
 from nvmsig import cli
 from nvmsig.chipsim import (SpatialLatencyMap, dump_catalog, full_chip_scan,
                             load_catalog, new_chip)
-from nvmsig.classifiers import svm as svm_core
-from nvmsig.detector import save_map
+from nvmsig.classifiers import (cross_validate, svm as svm_core, train_knn,
+                                train_svm, train_tree)
+from nvmsig.detector import (detect_recycled, load_map, locate_used_regions,
+                             save_map)
 from nvmsig.errors import ParseError
-from nvmsig.protocol import load_dataset
+from nvmsig.features import mrmr_select, nca_select
+from nvmsig.protocol import build_dataset, load_dataset, split
 
 
 def run(*argv):
@@ -341,6 +345,15 @@ def test_predict_bad_probe_file(workdir, tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_probe_blank_lines_are_skipped(tmp_path):
+    probe = tmp_path / "probe.csv"
+    probe.write_text("cycle,latency_us\n0,3.5\n\n1,4.5\n  \nx\n")
+    with pytest.raises(ParseError, match="^line 6: "):
+        cli._load_probe(probe)
+    probe.write_text("cycle,latency_us\n0,3.5\n\n1,4.5\n  \n")
+    assert cli._load_probe(probe).tolist() == [3.5, 4.5]
+
+
 def test_scan_uniform_map_reports_none(tmp_path, capsys):
     path = tmp_path / "flat.csv"
     save_map(SpatialLatencyMap(np.full(64, 5.0)), path)
@@ -558,6 +571,71 @@ def test_usage_errors_are_validation_errors(capsys):
     assert run("simulate", "--cycles", "notanint") == 1
     assert run() == 1
     assert run("catalog", "--no-such-flag") == 1
+
+
+# each loader with a valid header line for it
+_TABLES = {
+    "catalog": (load_catalog, dump_catalog([]).strip()),
+    "dataset": (load_dataset, "class,chip_seed,addr,checkpoint,f000"),
+    "map": (load_map, "addr,latency_us"),
+    "probe": (cli._load_probe, "cycle,latency_us"),
+}
+
+
+@pytest.mark.parametrize("fmt", list(_TABLES))
+@pytest.mark.parametrize("text", ["", "{header}\n", "{header}\n\n \n"],
+                         ids=["empty", "header-only", "header-and-blanks"])
+def test_table_without_rows_is_parse_error_at_line_1(tmp_path, fmt, text):
+    load, header = _TABLES[fmt]
+    path = tmp_path / "table.csv"
+    path.write_text(text.format(header=header), encoding="utf-8")
+    with pytest.raises(ParseError, match="^line 1: "):
+        load(path)
+
+
+@pytest.mark.parametrize("text", ["", "class,chip_seed,addr,checkpoint,f000\n"],
+                         ids=["no-header", "header-only"])
+def test_dataset_without_rows_after_class_names_fails_at_line_2(tmp_path, text):
+    path = tmp_path / "ds.csv"
+    path.write_text("# class_names: 0=a\n" + text, encoding="utf-8")
+    with pytest.raises(ParseError, match="^line 2: "):
+        load_dataset(path)
+
+
+# (library function, its parameter, the config key that sets it)
+_LIBRARY_DEFAULTS = [
+    (build_dataset, "chips_per_class", "chips_per_class"),
+    (build_dataset, "group", "group"),
+    (build_dataset, "locations_per_chip", "locations_per_chip"),
+    (build_dataset, "checkpoints", "checkpoints"),
+    (split, "train_fraction", "train_fraction"),
+    (train_knn, "k", "k"),
+    (train_tree, "max_depth", "max_depth"),
+    (train_tree, "min_leaf", "min_leaf"),
+    (train_svm, "C", "c"),
+    (train_svm, "gamma", "gamma"),
+    (train_svm, "tol", "tol"),
+    (mrmr_select, "k", "select_k"),
+    (mrmr_select, "bins", "mrmr_bins"),
+    (nca_select, "k", "select_k"),
+    (nca_select, "iters", "nca_iters"),
+    (nca_select, "learning_rate", "nca_lr"),
+    (cross_validate, "folds", "folds"),
+    (locate_used_regions, "flag_ratio", "flag_ratio"),
+    (detect_recycled, "used_threshold", "used_threshold"),
+    (detect_recycled, "fresh_threshold", "fresh_threshold"),
+]
+
+
+def test_cli_defaults_are_the_library_defaults():
+    differ = []
+    for fn, param, key in _LIBRARY_DEFAULTS:
+        library = inspect.signature(fn).parameters[param].default
+        if isinstance(library, tuple):
+            library = list(library)
+        if library != cli._SCHEMA[key].default:
+            differ.append((fn.__name__, param, library, cli._SCHEMA[key].default))
+    assert differ == []
 
 
 def test_catalog_dump(tmp_path):

@@ -343,6 +343,15 @@ def test_map_csv_parse_errors(tmp_path):
         load_map(path)
 
 
+def test_map_blank_lines_are_skipped(tmp_path):
+    path = tmp_path / "map.csv"
+    path.write_text("addr,latency_us\n\n0,1.5\n \n1,2.5\n1,3.5\n")
+    with pytest.raises(ParseError, match="^line 6: duplicate address 1"):
+        load_map(path)
+    path.write_text("addr,latency_us\n\n0,1.5\n \n1,2.5\n\n")
+    assert load_map(path).latencies.tolist() == [1.5, 2.5]
+
+
 # ----------------------------------------------------------- fresh baseline
 
 def test_simulated_baseline_tracks_catalog():
