@@ -273,8 +273,7 @@ def latency_at(chip: ChipInstance, addr, wear) -> np.ndarray:
     many locations at many wear counts.
     """
     spec = chip.spec
-    noiseless = (spec.base_latency_us * chip.chip_factor
-                 * chip.loc_factor[addr] * _drift(spec, wear))
+    noiseless = expected_latency(chip, addr, wear)
     if spec.noise_sigma > 0:
         eps = spec.noise_sigma * hashed_normal(_TAG_NOISE, chip.chip_seed, addr, wear)
         noiseless = noiseless * np.exp(eps)

@@ -62,4 +62,6 @@ class Reader:
                         dtype=np.int64)
         if len(tags) != n_tags:
             self.fail(f"expected {n_tags} tags")
+        if (np.diff(tags) <= 0).any():  # score columns are found by bisection
+            self.fail("tags must be distinct and ascending")
         return tags

@@ -5,7 +5,7 @@ prediction is reproducible.  Vote ties go to the tied class with the nearest
 member; an exact distance tie after that falls back to the lowest tag.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,10 +18,12 @@ class KnnCore:
     X: np.ndarray
     y: np.ndarray
     k: int
+    tags: np.ndarray = field(init=False)  # the sorted labels of y
 
     def __post_init__(self):
         if self.k < 1 or self.k > self.X.shape[0]:
             raise ValidationError(f"k must be in [1, {self.X.shape[0]}]")
+        self.tags = np.unique(self.y)
 
 
 def fit(X, y, k: int) -> KnnCore:
@@ -59,29 +61,29 @@ def _neighbors(core: KnnCore, X):
     return nn, nd
 
 
-def predict_detail(core: KnnCore, X, tags):
+def predict_detail(core: KnnCore, X):
     """(pred, scores) from one neighbor search: the calls under the tie
-    rules above, and neighbor vote counts per class aligned with `tags`
-    (ascending)."""
+    rules above, and neighbor vote counts per class aligned with
+    `core.tags`."""
     X = np.asarray(X, dtype=np.float64)
     nn, nd = _neighbors(core, X)
     rows = np.arange(X.shape[0])[:, None]
-    col = np.searchsorted(tags, core.y[nn])
-    scores = np.zeros((X.shape[0], len(tags)), dtype=np.float64)
+    col = np.searchsorted(core.tags, core.y[nn])
+    scores = np.zeros((X.shape[0], core.tags.size), dtype=np.float64)
     np.add.at(scores, (rows, col), 1.0)
     nearest = np.full(scores.shape, np.inf)
     np.minimum.at(nearest, (rows, col), nd)
     nearest[scores < scores.max(axis=1, keepdims=True)] = np.inf
-    return np.asarray(tags)[np.argmin(nearest, axis=1)], scores
+    return core.tags[np.argmin(nearest, axis=1)], scores
 
 
-def predict_scores(core: KnnCore, X, tags) -> np.ndarray:
-    """Neighbor vote counts per class, aligned with `tags`."""
-    return predict_detail(core, X, tags)[1]
+def predict_scores(core: KnnCore, X) -> np.ndarray:
+    """Neighbor vote counts per class, aligned with `core.tags`."""
+    return predict_detail(core, X)[1]
 
 
 def predict(core: KnnCore, X) -> np.ndarray:
-    return predict_detail(core, X, np.unique(core.y))[0]
+    return predict_detail(core, X)[0]
 
 
 def _sq_dists(A, B):
@@ -100,7 +102,7 @@ def dump(core: KnnCore):
 
 
 def load(r, head, width, params):
-    """(core, tags) from the rows after `core knn <n> <d>`."""
+    """The core from the rows after `core knn <n> <d>`."""
     if "k" not in params:
         r.fail("knn model file lacks a k param")
     n, d = r.count(head[0]), int(head[1])
@@ -112,4 +114,4 @@ def load(r, head, width, params):
         parts = r.next("row").split()
         y[i] = int(parts[1])
         X[i] = r.floats(parts[2:], d, "row")
-    return fit(X, y, params["k"]), np.unique(y)
+    return fit(X, y, params["k"])

@@ -23,8 +23,10 @@ from ._text import Reader, fmt, fmt_vec
 _FORMAT_HEADER = "nvmsig-model 1"
 _INT_PARAMS = ("k", "max_depth", "min_leaf")
 # the one place a classifier kind is chosen: each core module offers fit(Z,
-# y, **params), predict(core, Z), predict_detail(core, Z, tags), and, for its
-# model-file block, dump(core) and load(reader, head, width, params)
+# y, **params), predict(core, Z), predict_detail(core, Z), and, for its
+# model-file block, dump(core) and load(reader, head, width, params) -> core.
+# Every core holds `tags`, the sorted training labels that index its score
+# columns; they are the model's class axis.
 _CORES = {"knn": _knn, "tree": _tree, "svm": _svm}
 KINDS = tuple(_CORES)
 
@@ -36,13 +38,16 @@ class TrainedModel:
     indices: np.ndarray
     selection_method: str
     stats: StandardizationStats
-    tags: np.ndarray
     class_names: dict
     core: object
     params: dict
     train_time_s: float = 0.0
     selection_time_s: float = 0.0
     n_train: int = 0
+
+    @property
+    def tags(self) -> np.ndarray:
+        return self.core.tags
 
     def label_of(self, tag: int) -> str:
         return self.class_names.get(int(tag), f"class{int(tag)}")
@@ -68,17 +73,16 @@ def _prepare(train, ranking):
     stats = fit_standardizer(Xsel)
     Z = apply_standardizer(stats, Xsel)
     names = dict(getattr(train, "class_names", {}) or {})
-    tags = np.unique(y)
-    return Z, y.astype(np.int64), arity, indices, method, stats, tags, names
+    return Z, y.astype(np.int64), arity, indices, method, stats, names
 
 
 def _train(kind, train, ranking, selection_time_s, params):
     t0 = time.perf_counter()
-    Z, y, arity, idx, method, stats, tags, names = _prepare(train, ranking)
+    Z, y, arity, idx, method, stats, names = _prepare(train, ranking)
     core = _CORES[kind].fit(Z, y, **params)
     dt = time.perf_counter() - t0
-    return TrainedModel(kind, arity, idx, method, stats, tags, names, core,
-                        params, dt, selection_time_s, len(y))
+    return TrainedModel(kind, arity, idx, method, stats, names, core, params,
+                        dt, selection_time_s, len(y))
 
 
 def train_knn(train, k: int = 5, ranking: FeatureRanking | None = None,
@@ -134,7 +138,7 @@ def predict_detail(model: TrainedModel, X):
     reached leaf for tree, and pairwise votes for svm.
     """
     pred, scores = _CORES[model.kind].predict_detail(
-        model.core, _probe_matrix(model, X), model.tags)
+        model.core, _probe_matrix(model, X))
     return pred, scores, model.tags
 
 
@@ -185,6 +189,7 @@ def _read_model(r: Reader) -> TrainedModel:
     arity = int(r.next("arity").split()[1])
     n_train = int(r.next("n_train").split()[1])
     n_classes = int(r.next("classes").split()[1])
+    classes_line = r.pos
     names = {}
     for _ in range(n_classes):
         # single spaces, so a name keeps its leading and doubled spaces
@@ -213,9 +218,12 @@ def _read_model(r: Reader) -> TrainedModel:
     head = r.next("core").split()
     if head[1] != kind:
         r.fail(f"core block is '{head[1]}', header says '{kind}'")
-    core, tags = _CORES[kind].load(r, head[2:], n_idx, params)
+    core = _CORES[kind].load(r, head[2:], n_idx, params)
     if r.next() != "end":
         r.fail("expected 'end'")
+    if list(names) != core.tags.tolist():
+        raise ParseError(f"the class header lists tags {list(names)}, the core "
+                         f"block holds {core.tags.tolist()}", line=classes_line)
     return TrainedModel(kind, arity, indices, method,
-                        StandardizationStats(mean, std), tags, names, core,
-                        params, 0.0, 0.0, n_train)
+                        StandardizationStats(mean, std), names, core, params,
+                        0.0, 0.0, n_train)

@@ -146,7 +146,7 @@ def smo_train_pairs(Xs, ys, C, gamma, tol):
         steps += 1
 
 
-def fit(X, y, C: float = 1.0, gamma="auto", tol: float = 1e-3) -> SvmCore:
+def fit(X, y, C: float, gamma, tol: float) -> SvmCore:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if not (0 < C < np.inf and 0 < tol < np.inf):
@@ -180,30 +180,30 @@ def _pair_decisions(machine: PairMachine, X, gamma):
     return np.exp(-gamma * d2) @ machine.alpha_y + machine.bias
 
 
-def predict_detail(core: SvmCore, X, tags):
-    """(pred, scores) from one set of pair decisions; `tags` ascending.
+def predict_detail(core: SvmCore, X):
+    """(pred, scores) from one set of pair decisions.
 
-    Scores are one-vs-one vote counts per class, aligned with `tags`; a vote
-    tie goes to the lowest tag.
+    Scores are one-vs-one vote counts per class, aligned with `core.tags`; a
+    vote tie goes to the lowest tag.
     """
     X = np.asarray(X, dtype=np.float64)
-    pos = {int(t): i for i, t in enumerate(tags)}
-    scores = np.zeros((X.shape[0], len(tags)), dtype=np.float64)
+    scores = np.zeros((X.shape[0], core.tags.size), dtype=np.float64)
     for m in core.machines:
         f = _pair_decisions(m, X, core.gamma)
         win_pos = f >= 0  # an exact zero sides with the lower tag
-        scores[win_pos, pos[m.tag_pos]] += 1.0
-        scores[~win_pos, pos[m.tag_neg]] += 1.0
-    return np.asarray(tags)[np.argmax(scores, axis=1)], scores
+        col_pos, col_neg = np.searchsorted(core.tags, (m.tag_pos, m.tag_neg))
+        scores[win_pos, col_pos] += 1.0
+        scores[~win_pos, col_neg] += 1.0
+    return core.tags[np.argmax(scores, axis=1)], scores
 
 
-def predict_scores(core: SvmCore, X, tags) -> np.ndarray:
-    """One-vs-one vote counts per class, aligned with `tags`."""
-    return predict_detail(core, X, tags)[1]
+def predict_scores(core: SvmCore, X) -> np.ndarray:
+    """One-vs-one vote counts per class, aligned with `core.tags`."""
+    return predict_detail(core, X)[1]
 
 
 def predict(core: SvmCore, X) -> np.ndarray:
-    return predict_detail(core, X, core.tags)[0]
+    return predict_detail(core, X)[0]
 
 
 def dual_objective(alpha, y, K) -> float:
@@ -239,7 +239,7 @@ def dump(core: SvmCore):
 
 
 def load(r, head, width, params):
-    """(core, tags) from the lines after `core svm <n_machines> <n_tags>`."""
+    """The core from the lines after `core svm <n_machines> <n_tags>`."""
     n_machines, n_tags = int(head[0]), int(head[1])
     tags = r.tags(n_tags)
     machines = []
@@ -257,4 +257,4 @@ def load(r, head, width, params):
         machines.append(PairMachine(a, b, coeffs, sv, bias))
     if "gamma" not in params:
         r.fail("svm model file lacks a gamma param")
-    return SvmCore(tags, machines, params["gamma"]), tags
+    return SvmCore(tags, machines, params["gamma"])

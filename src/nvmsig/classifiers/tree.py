@@ -39,7 +39,7 @@ def table(tags, rows) -> TreeCore:
     return TreeCore(tags, *map(np.array, zip(*rows)))
 
 
-def fit(X, y, max_depth: int = 20, min_leaf: int = 1) -> TreeCore:
+def fit(X, y, max_depth: int, min_leaf: int) -> TreeCore:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if max_depth < 1 or min_leaf < 1:
@@ -137,23 +137,20 @@ def _reached(core: TreeCore, X) -> np.ndarray:
     return p // 2
 
 
-def predict_detail(core: TreeCore, X, tags):
+def predict_detail(core: TreeCore, X):
     """(pred, scores); scores are the training-sample counts at the reached
-    leaf, aligned with `tags`."""
+    leaf, aligned with `core.tags`."""
     node = _reached(core, X)
-    pos = {int(t): i for i, t in enumerate(tags)}
-    scores = np.zeros((node.size, len(tags)), dtype=np.float64)
-    scores[:, [pos[int(t)] for t in core.tags]] = core.counts[node]
-    return core.tags[core.leaf[node]], scores
+    return core.tags[core.leaf[node]], core.counts[node].astype(np.float64)
 
 
 def predict(core: TreeCore, X) -> np.ndarray:
     return core.tags[core.leaf[_reached(core, X)]]
 
 
-def predict_scores(core: TreeCore, X, tags) -> np.ndarray:
-    """Training-sample counts at the reached leaf, aligned with `tags`."""
-    return predict_detail(core, X, tags)[1]
+def predict_scores(core: TreeCore, X) -> np.ndarray:
+    """Training-sample counts at the reached leaf, aligned with `core.tags`."""
+    return predict_detail(core, X)[1]
 
 
 def dump(core: TreeCore):
@@ -168,7 +165,7 @@ def dump(core: TreeCore):
 
 
 def load(r, head, width, params):
-    """(core, tags) from the lines after `core tree <n_nodes> <n_tags>`."""
+    """The core from the lines after `core tree <n_nodes> <n_tags>`."""
     n_nodes, n_tags = int(head[0]), int(head[1])
     if n_nodes < 1:
         r.fail("a tree needs at least one node")
@@ -190,4 +187,4 @@ def load(r, head, width, params):
             r.fail(f"node {nid}: feature {f}, children {kids}, leaf "
                    f"{leaf} or counts out of range")
         rows.append((f, r.real(p[3], "node threshold"), *kids, leaf, counts))
-    return table(tags, rows), tags
+    return table(tags, rows)

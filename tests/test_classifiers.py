@@ -214,7 +214,7 @@ def test_tree_table_is_preorder_and_walks_like_one_probe_at_a_time(seed):
                           core.counts[leaves].argmax(axis=1))
     probes = np.vstack([ds.X, rng.normal(size=(30, ds.X.shape[1])) * 3])
     reached = [_walk_oracle(core, x) for x in probes]
-    pred, scores = tree_core.predict_detail(core, probes, core.tags)
+    pred, scores = tree_core.predict_detail(core, probes)
     assert np.array_equal(pred, core.tags[core.leaf[reached]])
     assert np.array_equal(scores, core.counts[reached])
 
@@ -322,10 +322,10 @@ def test_svm_pairs_solved_together_match_pairs_solved_alone(monkeypatch):
     for seed in range(6):
         ds = toy(700 + seed, n=60, d=4, classes=4, integer=seed % 2 == 1)
         assert len(set(np.bincount(ds.y).tolist())) > 1
-        together = svm_core.fit(ds.X, ds.y, C=2.0)
+        together = svm_core.fit(ds.X, ds.y, C=2.0, gamma="auto", tol=1e-3)
         with monkeypatch.context() as m:
             m.setattr(svm_core, "_STACK_BYTES", 1)
-            alone = svm_core.fit(ds.X, ds.y, C=2.0)
+            alone = svm_core.fit(ds.X, ds.y, C=2.0, gamma="auto", tol=1e-3)
         assert len(together.machines) == len(alone.machines) == 6
         for a, b in zip(together.machines, alone.machines):
             assert (a.tag_pos, a.tag_neg, a.bias) == (b.tag_pos, b.tag_neg, b.bias)
@@ -456,6 +456,8 @@ def _set_field(line, pos, value):
     ("knn", "mean ", lambda ln, n: _set_field(ln, 1, "nan")),
     ("knn", "std ", lambda ln, n: _set_field(ln, 2, "inf")),
     ("knn", "std ", lambda ln, n: _set_field(ln, 1, "-0.5")),
+    ("svm", "tags ", lambda ln, n: "tags 1 0 2"),
+    ("tree", "tags ", lambda ln, n: "tags 0 0 2"),
 ], ids=["arity", "bare-kind", "param-no-value", "machine-count", "sv-coeff",
         "sv-count-beyond-file", "machine-tag-not-in-model",
         "machine-tags-equal", "child-out-of-range", "child-not-after-parent",
@@ -464,7 +466,7 @@ def _set_field(line, pos, value):
         "index-beyond-arity", "index-negative", "index-repeated",
         "bias-nan", "sv-coeff-inf", "sv-value-inf", "param-nan",
         "threshold-nan", "knn-row-inf", "int-param-inf", "mean-nan",
-        "std-inf", "std-negative"])
+        "std-inf", "std-negative", "tags-unsorted", "tags-repeated"])
 def test_malformed_model_field_is_parse_error_at_its_line(tmp_path, kind,
                                                           prefix, mutate):
     ds = toy(19, n=30, d=4, classes=3)
@@ -476,6 +478,32 @@ def test_malformed_model_field_is_parse_error_at_its_line(tmp_path, kind,
     lines[i] = mutate(lines[i], n_nodes)
     (tmp_path / "bad.txt").write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match=f"^line {i + 1}: "):
+        load_model(tmp_path / "bad.txt")
+
+
+def _keep_first_class(lines, at):
+    """Only the first `class` line, and a `classes` count of 1."""
+    n = int(lines[at].split()[1])
+    return lines[:at] + ["classes 1", lines[at + 1]] + lines[at + 1 + n:]
+
+
+def _renumber_last_class(lines, at):
+    n = int(lines[at].split()[1])
+    lines[at + n] = _set_field(lines[at + n], 1, lines[at + n].split()[1] + "0")
+    return lines
+
+
+@pytest.mark.parametrize("edit", [_keep_first_class, _renumber_last_class],
+                         ids=["classes-dropped", "class-renumbered"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_class_header_that_disagrees_with_the_core_is_parse_error(tmp_path,
+                                                                  kind, edit):
+    ds = toy(19, n=30, d=4, classes=3)
+    save_model(train(kind, ds), tmp_path / "m.txt")
+    lines = (tmp_path / "m.txt").read_text().splitlines()
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("classes "))
+    (tmp_path / "bad.txt").write_text("\n".join(edit(lines, at)) + "\n")
+    with pytest.raises(ParseError, match=f"^line {at + 1}: .*core"):
         load_model(tmp_path / "bad.txt")
 
 
@@ -601,7 +629,7 @@ def test_predict_detail_matches_predict_and_core_scores(kind):
     assert np.array_equal(tags, m.tags)
     assert np.array_equal(pred, predict(m, probes))
     Z = apply_standardizer(m.stats, probes[:, m.indices])
-    assert np.array_equal(scores, _CORE_OF[kind].predict_scores(m.core, Z, tags))
+    assert np.array_equal(scores, _CORE_OF[kind].predict_scores(m.core, Z))
 
 
 def test_predict_detail_knn_vote_tie_goes_to_nearest_member():

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 from nvmsig import cli
 from nvmsig.chipsim import (SpatialLatencyMap, dump_catalog, full_chip_scan,
                             load_catalog, new_chip)
-from nvmsig.classifiers import (cross_validate, svm as svm_core, train_knn,
-                                train_svm, train_tree)
+from nvmsig.classifiers import (KINDS, cross_validate, knn as knn_core,
+                                load_model, predict_detail, svm as svm_core,
+                                train_knn, train_svm, train_tree)
 from nvmsig.detector import (detect_recycled, load_map, locate_used_regions,
                              save_map)
 from nvmsig.errors import ParseError
@@ -439,6 +440,20 @@ def test_predict_with_model_index_out_of_range_exits_1(workdir, tmp_path,
     assert err.startswith(f"error: line {row + 1}: ") and "indices" in err
 
 
+@pytest.fixture(scope="module")
+def lab1(tmp_path_factory):
+    """The lab-seed-1 split, and a knn, tree and svm model trained on it
+    with the CLI defaults."""
+    root = tmp_path_factory.mktemp("lab1")
+    assert run("dataset", "--seed", 1, "--chips-per-class", 2,
+               "--locations-per-chip", 2, "--split", "--out-dir", root) == 0
+    for kind in KINDS:
+        assert run("train", "--kind", kind, "--dataset",
+                   root / "dataset.train.csv", "--out-dir", root,
+                   "--out", f"{kind}.model.txt") == 0
+    return root
+
+
 # sha256 of the model files trained on the lab-seed-1 dataset: knn and tree
 # as the linked-node tree code wrote them, svm as model.py wrote every core
 # block before each core module wrote its own
@@ -449,16 +464,74 @@ _LAB1_MODEL_SHA256 = {
 }
 
 
-def test_lab_seed_1_model_file_bytes_are_pinned(tmp_path):
-    assert run("dataset", "--seed", 1, "--chips-per-class", 2,
-               "--locations-per-chip", 2, "--split", "--out-dir", tmp_path) == 0
+def test_lab_seed_1_model_file_bytes_are_pinned(lab1):
     for kind, digest in _LAB1_MODEL_SHA256.items():
-        out = f"{kind}.model.txt"
-        assert run("train", "--kind", kind, "--dataset",
-                   tmp_path / "dataset.train.csv", "--out-dir", tmp_path,
-                   "--out", out) == 0
-        assert hashlib.sha256((tmp_path / out).read_bytes()).hexdigest() \
+        assert hashlib.sha256((lab1 / f"{kind}.model.txt").read_bytes()
+                              ).hexdigest() == digest, kind
+
+
+# sha256 of the int64 calls then the float64 scores that predict_detail
+# gives for each lab-seed-1 model, loaded from its file, on the lab-seed-1
+# test split, as computed while model.py handed each core its class axis
+_LAB1_EVIDENCE_SHA256 = {
+    "knn": "7b87fb14ba9fff4103548ea7d0d8952e9dda1fedb00d8a325dc5e9048f48c6fe",
+    "tree": "f070094cac5d8ae05438478de3e3ffd49e16f75bfaa9e12fef26bf36fa031d97",
+    "svm": "499bd3f9c33cfc91f2e39b8b77c097492fac82d29ae100f9ef83e21abf344f02",
+}
+
+
+def test_lab_seed_1_evidence_is_pinned(lab1):
+    test = load_dataset(lab1 / "dataset.test.csv")
+    for kind, digest in _LAB1_EVIDENCE_SHA256.items():
+        model = load_model(lab1 / f"{kind}.model.txt")
+        pred, scores, tags = predict_detail(model, test.X)
+        assert (pred.dtype, scores.dtype) == (np.int64, np.float64), kind
+        assert scores.shape == (test.y.size, tags.size), kind
+        assert hashlib.sha256(pred.tobytes() + scores.tobytes()).hexdigest() \
             == digest, kind
+
+
+@pytest.mark.parametrize("edit", ["classes-dropped", "class-renumbered"])
+def test_class_header_that_disagrees_with_the_core_exits_1(lab1, tmp_path,
+                                                          capsys, edit):
+    probe = tmp_path / "probe.csv"
+    assert run("simulate", "--class", 8, "--cycles", 100, "--seed", 314,
+               "--out", probe) == 0
+    for kind in KINDS:
+        lines = (lab1 / f"{kind}.model.txt").read_text().splitlines()
+        at = lines.index("classes 9")
+        if edit == "classes-dropped":  # keep `class 0` and `class 1`
+            lines[at:at + 10] = ["classes 2"] + lines[at + 1:at + 3]
+        else:
+            lines[at + 9] = lines[at + 9].replace("class 8 ", "class 80 ", 1)
+        bad = tmp_path / f"{kind}.model.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        for argv in (["predict", "--probe", probe],
+                     ["eval", "--dataset", lab1 / "dataset.test.csv"]):
+            capsys.readouterr()
+            assert run(*argv, "--model", bad, "--out-dir", tmp_path / "out") == 1
+            assert capsys.readouterr().err.startswith(
+                f"error: line {at + 1}: "), (kind, argv[0])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,core,func,message", [
+    ("train", svm_core, "smo_train_pairs", "Unable to allocate 298. GiB"),
+    ("eval", knn_core, "_sq_dists", ""),
+], ids=["train-svm", "eval-knn"])
+def test_out_of_memory_is_an_error_line_and_exit_1(workdir, tmp_path, capsys,
+                                                   monkeypatch, command, core,
+                                                   func, message):
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(core, func, refuse)
+    argv = {"train": ["--kind", "svm", "--dataset", workdir / "two.train.csv"],
+            "eval": ["--model", workdir / "knn.model.txt",
+                     "--dataset", workdir / "two.test.csv"]}[command]
+    assert run(command, *argv, "--out-dir", tmp_path / "out") == 1
+    assert f"error: {message or 'out of memory'}\n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_scan_needs_map_or_seed(capsys):
