@@ -13,7 +13,9 @@ def fmt(x: float) -> str:
 
 
 def fmt_vec(v) -> str:
-    return " ".join(fmt(x) for x in v)
+    """`fmt` of each value, space-separated, from one `%` template."""
+    v = np.asarray(v, dtype=np.float64).tolist()
+    return ("%.9g " * len(v))[:-1] % tuple(v)
 
 
 class Reader:

@@ -39,79 +39,112 @@ def table(tags, rows) -> TreeCore:
     return TreeCore(tags, *map(np.array, zip(*rows)))
 
 
+# byte cap on each int64 buffer (features x node rows) of one block of the
+# split search; a block holds at least one feature
+_BLOCK_BYTES = 1 << 18
+
+
 def fit(X, y, max_depth: int, min_leaf: int) -> TreeCore:
+    """Grows the tree from one stable argsort per feature.
+
+    Each node holds its rows in every feature's ascending order, a d x m
+    table.  A split partitions each row of that table with the node's
+    left/right mask, which keeps the order, so no node sorts again.
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if max_depth < 1 or min_leaf < 1:
         raise ValidationError("max_depth and min_leaf must be >= 1")
     tags = np.unique(y)
-    # remap tags to dense 0..L-1 for counting; leaves map back
-    dense = np.searchsorted(tags, y)
+    # remap tags to dense 0..L-1 for counting; leaves map back.  The
+    # narrowest dtype lets the stable argsort of labels be a radix sort
+    dense = np.searchsorted(tags, y).astype(np.min_scalar_type(tags.size - 1))
+    Xt = np.ascontiguousarray(X.T)
+    goes_left = np.zeros(y.size, dtype=bool)  # per row, set at each split
     rows = []
-    _grow(X, dense, np.arange(X.shape[0]), len(tags), 0, max_depth, min_leaf,
-          rows)
+    # a node's left child is popped right after it and its right child once
+    # the left subtree is done, so rows come out in preorder; the entry's
+    # last field is the split row whose right child id the node fills in
+    stack = [(np.argsort(Xt, axis=1, kind="stable"), 0, None)]
+    while stack:
+        order, depth, parent = stack.pop()
+        if parent is not None:
+            parent[3] = len(rows)
+        m = order.shape[1]
+        counts = np.bincount(dense[order[0]], minlength=len(tags))
+        split = None
+        if depth < max_depth and counts.max() < m and m >= 2 * min_leaf:
+            split = _search(Xt, dense, order, counts, min_leaf)
+        if split is None:
+            rows.append((-1, 0.0, -1, -1, int(np.argmax(counts)),
+                         counts.tolist()))
+            continue
+        feature, threshold = split
+        row = [feature, threshold, len(rows) + 1, -1, -1, counts.tolist()]
+        rows.append(row)
+        node = order[feature]
+        goes_left[node] = Xt[feature, node] <= threshold
+        left = goes_left[order]
+        stack.append((order[~left].reshape(len(Xt), -1), depth + 1, row))
+        stack.append((order[left].reshape(len(Xt), -1), depth + 1, None))
     return table(tags, rows)
 
 
-def _grow(X, dense, idx, n_classes, depth, max_depth, min_leaf, rows):
-    """Appends the rows of the subtree over samples `idx` in preorder."""
-    counts = np.bincount(dense[idx], minlength=n_classes).tolist()
-    split = None
-    if depth < max_depth and max(counts) < idx.size and idx.size >= 2 * min_leaf:
-        split = best_split(X[idx], dense[idx], n_classes, min_leaf)
-    if split is None:
-        rows.append((-1, 0.0, -1, -1, int(np.argmax(counts)), counts))
-        return
-    feature, threshold = split
-    row = [feature, threshold, len(rows) + 1, -1, -1, counts]
-    rows.append(row)
-    mask = X[idx, feature] <= threshold
-    _grow(X, dense, idx[mask], n_classes, depth + 1, max_depth, min_leaf, rows)
-    row[3] = len(rows)  # the right subtree starts after the whole left one
-    _grow(X, dense, idx[~mask], n_classes, depth + 1, max_depth, min_leaf,
-          rows)
-
-
 def best_split(Xn, yn, n_classes, min_leaf):
+    """(feature, threshold) with maximal Gini decrease over the rows of Xn,
+    or None."""
+    Xt = np.ascontiguousarray(np.asarray(Xn, dtype=np.float64).T)
+    return _search(Xt, np.asarray(yn), np.argsort(Xt, axis=1, kind="stable"),
+                   np.bincount(yn, minlength=n_classes), min_leaf)
+
+
+def _search(Xt, y, order, counts, min_leaf):
     """(feature, threshold) with maximal Gini decrease, or None.
 
-    Works with the purity sum S = sum_c count_c^2 / n per side, which orders
-    splits identically to Gini decrease and keeps exact ties exactly equal
-    in float (counts are small integers).
+    `order` lists the node's rows in each feature's ascending order and
+    `counts` its rows per class.  Works with the purity sum
+    S = sum_c count_c^2 / n per side, which orders splits identically to
+    Gini decrease and keeps exact ties exactly equal in float.
+
+    S stays in integers: moving a row of class c to the left side adds
+    2 L_c + 1 to sum_c L_c^2, where L_c counts the class-c rows already
+    there (its rank among them), and sum_c (T_c - L_c)^2 is
+    sum_c T_c^2 - 2 sum_c T_c L_c + sum_c L_c^2 for class totals T, so
+    both sides are cumsums along the order.  A stable argsort of the
+    labels gives every row's rank in its class.  Each purity is then one
+    float division of the same exact integers that a float sum of squared
+    counts holds.  Features are scored a block at a time.
     """
-    n = yn.size
-    onehot = np.zeros((n, n_classes), dtype=np.int64)
-    onehot[np.arange(n), yn] = 1
-    total = onehot.sum(axis=0)
-    parent = float((total.astype(np.float64) ** 2).sum()) / n
-    best = None  # (purity, feature, threshold)
-    for j in range(Xn.shape[1]):
-        v = Xn[:, j]
-        order = np.argsort(v, kind="stable")
-        sv = v[order]
-        cum = np.cumsum(onehot[order], axis=0)
-        cut = np.nonzero(sv[:-1] < sv[1:])[0]  # split after position i
-        if cut.size == 0:
-            continue
-        n_left = cut + 1
-        n_right = n - n_left
-        ok = (n_left >= min_leaf) & (n_right >= min_leaf)
-        cut = cut[ok]
-        if cut.size == 0:
-            continue
-        n_left, n_right = n_left[ok], n_right[ok]
-        left = cum[cut].astype(np.float64)
-        right = total.astype(np.float64) - left
-        purity = (left ** 2).sum(axis=1) / n_left + (right ** 2).sum(axis=1) / n_right
-        pos = int(np.argmax(purity))  # lowest threshold on equal purity
-        cand = float(purity[pos])
-        if cand <= parent:
-            continue
-        if best is None or cand > best[0]:
-            best = (cand, j, float((sv[cut[pos]] + sv[cut[pos] + 1]) / 2.0))
-    if best is None:
+    n_features, m = order.shape
+    lo, hi = min_leaf - 1, m - min_leaf  # cut after position lo <= i < hi
+    if hi <= lo:
         return None
-    return best[1], best[2]
+    n_left = np.arange(lo + 1, hi + 1)
+    n_right = m - n_left
+    # 2 * rank + 1 of the rows in class order: each class's ranks 0, 1, ...
+    step_of_rank = 2 * (np.arange(m) - np.repeat(np.cumsum(counts) - counts,
+                                                 counts)) + 1
+    best = (float((counts.astype(np.float64) ** 2).sum()) / m, None)  # parent
+    block = max(1, _BLOCK_BYTES // (8 * m))
+    for start in range(0, n_features, block):
+        o = order[start:start + block]
+        rows = np.arange(len(o))[:, None]
+        labels = y[o]
+        step = np.empty(o.shape, dtype=np.int64)
+        step[rows, np.argsort(labels, axis=1, kind="stable")] = step_of_rank
+        s_left = np.cumsum(step[:, :hi], axis=1)[:, lo:]
+        s_right = (int(counts @ counts) + s_left
+                   - 2 * np.cumsum(counts[labels[:, :hi]], axis=1)[:, lo:])
+        purity = s_left / n_left + s_right / n_right
+        sv = Xt[start + rows, o]
+        purity[~(sv[:, lo:hi] < sv[:, lo + 1:hi + 1])] = -np.inf
+        pos = purity.argmax(axis=1)  # lowest threshold on equal purity
+        cand = purity[rows[:, 0], pos]
+        f = int(np.argmax(cand))  # lowest feature on equal purity
+        if cand[f] > best[0]:
+            i = lo + pos[f]
+            best = (cand[f], (start + f, float((sv[f, i] + sv[f, i + 1]) / 2.0)))
+    return best[1]
 
 
 def _reached(core: TreeCore, X) -> np.ndarray:

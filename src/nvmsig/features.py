@@ -8,6 +8,7 @@ distance-based, so run it on standardized features; the MI filter bins each
 feature over its own range and is unaffected by per-feature affine scaling.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,9 @@ from .errors import NumericError, ValidationError
 
 DEFAULT_BINS = 16
 DEFAULT_K = 25
+# cells of the stacked joint-count table, and of the bin codes, of one
+# `_mi_rows` block; a block holds at least one row
+_JOINT_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -85,35 +89,86 @@ def bin_feature(feature, bins: int = DEFAULT_BINS) -> np.ndarray:
         raise ValidationError("feature must be a non-empty 1-D vector")
     if not np.all(np.isfinite(x)):
         raise ValidationError("feature values must be finite")
+    return _bin_rows(x[None], bins)[0]
+
+
+def _bin_rows(F, bins):
+    """`bin_feature` of each row of the finite matrix F."""
     # beyond 2**53 a float misses bin indices and the top one overflows int64
     if not 1 <= bins <= 2 ** 53:
         raise ValidationError("bins must be in [1, 2**53]")
-    lo, hi = x.min(), x.max()
-    if hi == lo:
-        return np.zeros(x.size, dtype=np.int64)
-    idx = np.floor((x - lo) / (hi - lo) * bins).astype(np.int64)
-    return np.clip(idx, 0, bins - 1)
+    lo, hi = F.min(axis=1, keepdims=True), F.max(axis=1, keepdims=True)
+    x = F - lo
+    x /= np.where(hi == lo, 1.0, hi - lo)  # a constant row is all 0
+    x *= bins
+    idx = np.floor(x, out=x).astype(np.int64)
+    return np.clip(idx, 0, bins - 1, out=idx)
+
+
+def _occupied(binned):
+    """(ranks, counts): each row's bin indices renumbered 0.. over the bins
+    that row occupies, in ascending order, as the inverse of `np.unique`,
+    and the number of occupied bins per row."""
+    order = np.argsort(binned, axis=1)
+    rows = np.arange(len(binned))[:, None]
+    s = binned[rows, order]
+    rank = np.zeros(binned.shape, dtype=np.int64)
+    np.cumsum(s[:, 1:] != s[:, :-1], axis=1, out=rank[:, 1:])
+    ranks = np.empty_like(rank)
+    ranks[rows, order] = rank
+    return ranks, rank[:, -1] + 1
 
 
 def mutual_information(feature, labels, bins: int = DEFAULT_BINS) -> float:
     """MI in nats between an equal-width-binned feature and integer labels."""
     labels = _check_labels(labels)
-    bf = bin_feature(feature, bins)
-    if bf.size != labels.size:
+    bf = bin_feature(feature, bins)[None]
+    if bf.shape[1] != labels.size:
         raise ValidationError("feature and labels lengths differ")
+    return float(_mi_rows(bf, lambda: _occupied(bf), labels, bins,
+                          np.arange(1))[0])
+
+
+def _mi_rows(binned, occupied, labels, bins, rows) -> np.ndarray:
+    """MI in nats of each of `binned[rows]` against integer labels.
+
+    `binned` holds bin indices, one feature per row, and `occupied()`
+    returns its `_occupied`, called only when a table needs it.  Each row
+    has a joint table of bins x labels, or of its occupied bins x labels
+    once a row per bin would outgrow the data.  One bincount fills the
+    tables of a block of rows, stacked into one matrix, and the marginals
+    and log terms are computed over the whole block.  Each row's column
+    marginal and final sum run on that row's own table and cells, so every
+    sum adds the same numbers in the same order as a one-row call.
+    """
     _, li = np.unique(labels, return_inverse=True)
     n_l = int(li.max()) + 1
-    if bins * n_l > bf.size:
-        # a row per bin would outgrow the data: give occupied bins a row only
-        _, bf = np.unique(bf, return_inverse=True)
-        bins = int(bf.max()) + 1
-    joint = np.bincount(bf * n_l + li, minlength=bins * n_l).astype(np.float64)
-    joint = joint.reshape(bins, n_l) / bf.size
-    px = joint.sum(axis=1)
-    py = joint.sum(axis=0)
-    nz = joint > 0
-    denom = np.outer(px, py)
-    return float(np.sum(joint[nz] * np.log(joint[nz] / denom[nz])))
+    if bins * n_l > labels.size:  # give occupied bins a table row only
+        codes, height = occupied()
+        height = height[rows]
+    else:
+        codes, height = binned, np.full(len(rows), bins)
+    out = np.empty(len(rows))
+    block = max(1, _JOINT_CELLS // max(int(height.max()) * n_l, labels.size))
+    for s in range(0, len(rows), block):
+        h = height[s:s + block]
+        top = np.cumsum(h) - h  # each row's first line in the stacked table
+        cells = codes[rows[s:s + block]] + top[:, None]
+        cells *= n_l
+        cells += li
+        count = np.bincount(cells.ravel(), minlength=int(h.sum()) * n_l)
+        line, col = np.divmod(np.flatnonzero(count), n_l)
+        joint = count.reshape(-1, n_l) / labels.size
+        px = joint.sum(axis=1)
+        py = np.array([np.add.reduce(joint[t:t + n])
+                       for t, n in zip(top.tolist(), h.tolist())])
+        feature = np.repeat(np.arange(h.size), h)[line]
+        p = joint[line, col]
+        terms = p * np.log(p / (px[line] * py[feature, col]))
+        ends = np.cumsum(np.bincount(feature, minlength=h.size)).tolist()
+        out[s:s + block] = [np.add.reduce(terms[a:b])
+                            for a, b in zip([0] + ends, ends)]
+    return out
 
 
 def _check_labels(labels):
@@ -130,14 +185,16 @@ def mrmr_select(train, k: int = DEFAULT_K, bins: int = DEFAULT_BINS) -> FeatureR
 
     Picks argmax of MI(f, y) - mean MI(f, s) over already-selected s, ties
     broken toward the lowest feature index, so any shorter run is a prefix
-    of a longer one.
+    of a longer one.  Each feature is binned once, and each pick's
+    redundancy against every remaining feature is one `_mi_rows` call.
     """
     X, y = _train_xy(train)
     d = X.shape[1]
     if not 1 <= k <= d:
         raise ValidationError(f"k must be in [1, {d}]")
-    binned = np.stack([bin_feature(X[:, j], bins) for j in range(d)])
-    relevance = np.array([mutual_information(X[:, j], y, bins) for j in range(d)])
+    binned = _bin_rows(X.T, bins)
+    occupied = functools.cache(lambda: _occupied(binned))
+    relevance = _mi_rows(binned, occupied, y, bins, np.arange(d))
 
     selected: list[int] = []
     scores: list[float] = []
@@ -153,8 +210,10 @@ def mrmr_select(train, k: int = DEFAULT_K, bins: int = DEFAULT_BINS) -> FeatureR
         selected.append(best)
         scores.append(float(score[best]))
         remaining[best] = False
-        for j in np.nonzero(remaining)[0]:
-            redundancy_sum[j] += mutual_information(X[:, j], binned[best], bins)
+        if len(selected) < k:
+            rest = np.nonzero(remaining)[0]
+            redundancy_sum[rest] += _mi_rows(binned, occupied, binned[best],
+                                             bins, rest)
     return FeatureRanking("mrmr", np.array(selected), np.array(scores))
 
 

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -161,6 +162,112 @@ def test_tree_tie_prefers_lowest_feature():
     y = np.array([0, 0, 1, 1])
     got = tree_core.best_split(X, y, 2, 1)
     assert got == (0, 0.5)
+
+
+# ---------------- tree fit against a per-node reference grower ----------------
+
+def grow_reference(X, y, max_depth, min_leaf):
+    """The node table of a tree grown node by node, where every node argsorts
+    and cumsums each of its features again."""
+    tags = np.unique(y)
+    dense = np.searchsorted(tags, y)
+    rows = []
+
+    def split_of(Xn, yn):
+        n = yn.size
+        onehot = np.zeros((n, tags.size), dtype=np.int64)
+        onehot[np.arange(n), yn] = 1
+        total = onehot.sum(axis=0)
+        parent = float((total.astype(np.float64) ** 2).sum()) / n
+        best = None
+        for j in range(Xn.shape[1]):
+            order = np.argsort(Xn[:, j], kind="stable")
+            sv = Xn[order, j]
+            cum = np.cumsum(onehot[order], axis=0)
+            cut = np.nonzero(sv[:-1] < sv[1:])[0]
+            cut = cut[(cut + 1 >= min_leaf) & (n - cut - 1 >= min_leaf)]
+            if cut.size == 0:
+                continue
+            left = cum[cut].astype(np.float64)
+            right = total.astype(np.float64) - left
+            purity = ((left ** 2).sum(axis=1) / (cut + 1)
+                      + (right ** 2).sum(axis=1) / (n - cut - 1))
+            pos = int(np.argmax(purity))
+            if purity[pos] > parent and (best is None or purity[pos] > best[0]):
+                best = (purity[pos], j,
+                        float((sv[cut[pos]] + sv[cut[pos] + 1]) / 2.0))
+        return None if best is None else best[1:]
+
+    def grow(idx, depth):
+        counts = np.bincount(dense[idx], minlength=tags.size).tolist()
+        split = None
+        if depth < max_depth and max(counts) < idx.size \
+                and idx.size >= 2 * min_leaf:
+            split = split_of(X[idx], dense[idx])
+        if split is None:
+            rows.append((-1, 0.0, -1, -1, int(np.argmax(counts)), counts))
+            return
+        row = [split[0], split[1], len(rows) + 1, -1, -1, counts]
+        rows.append(row)
+        mask = X[idx, split[0]] <= split[1]
+        grow(idx[mask], depth + 1)
+        row[3] = len(rows)
+        grow(idx[~mask], depth + 1)
+
+    grow(np.arange(y.size), 0)
+    return tree_core.table(tags, rows)
+
+
+def assert_same_table(got, want):
+    for field in ("tags", "feature", "threshold", "left", "right", "leaf",
+                  "counts"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+@pytest.mark.parametrize("min_leaf", [1, 2, 3, 5])
+def test_tree_fit_matches_per_node_reference(min_leaf, monkeypatch):
+    rng = np.random.default_rng(40 + min_leaf)
+    for trial in range(16):
+        d = int(rng.integers(1, 6))
+        ds = toy(int(rng.integers(1 << 30)), n=int(rng.integers(2, 70)), d=d,
+                 classes=int(rng.integers(2, 5)), integer=trial % 2 == 0,
+                 spread=1.0)
+        if trial % 4 == 1:
+            ds.X[:, int(rng.integers(d))] = 0.5  # a constant column
+        if trial % 4 == 3:
+            ds.X[:, -1] = ds.X[:, 0]  # every split on 0 ties with the copy
+        for max_depth in (1, 2, 3, 4, 20):
+            want = grow_reference(ds.X, ds.y, max_depth, min_leaf)
+            for cap in (1 << 20, 1):  # one feature per block at cap 1
+                monkeypatch.setattr(tree_core, "_BLOCK_BYTES", cap)
+                assert_same_table(tree_core.fit(ds.X, ds.y, max_depth,
+                                                min_leaf), want)
+
+
+def test_tree_tie_across_feature_blocks_prefers_lowest_feature(monkeypatch):
+    ds = toy(3, n=60, d=3, classes=3)
+    X = np.column_stack([ds.X[:, 1], ds.X[:, 0], ds.X[:, 0], ds.X[:, 2]])
+    # the root block holds features 0-1 and the next one features 2-3, so
+    # the equal purities of the copies 1 and 2 land in different blocks
+    monkeypatch.setattr(tree_core, "_BLOCK_BYTES", 8 * 60 * 2)
+    core = tree_core.fit(X, ds.y, 20, 1)
+    assert core.feature[0] == 1
+    assert_same_table(core, grow_reference(X, ds.y, 20, 1))
+
+
+def test_tree_fit_peak_allocation_is_bounded():
+    """The per-feature orders and the block buffers of a default-size fit
+    (1,818 x 100, 9 classes) stay under a fixed budget."""
+    rng = np.random.default_rng(9)
+    y = rng.integers(0, 9, 1818)
+    X = rng.normal(size=(1818, 100)) + 0.3 * y[:, None] * rng.normal(size=100)
+    tracemalloc.start()
+    try:
+        tree_core.fit(X, y, 20, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, f"{peak / 2 ** 20:.1f} MiB"
 
 
 def test_tree_fits_training_data_exactly():

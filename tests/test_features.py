@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nvmsig import features
+from nvmsig.chipsim import load_catalog
 from nvmsig.errors import NumericError, ValidationError
 from nvmsig.features import (
     apply_standardizer,
@@ -18,6 +20,7 @@ from nvmsig.features import (
     nca_objective,
     nca_select,
 )
+from nvmsig.protocol import build_dataset, split
 
 
 def bin_oracle(values, bins):
@@ -207,6 +210,95 @@ def test_mrmr_k_bounds():
         mrmr_select(ds, k=5)
     with pytest.raises(ValidationError):
         mrmr_select(ds, k=0)
+
+
+# ------- mrmr and MI against one joint table per feature and per call -------
+
+def mi_table_reference(feature, labels, bins):
+    """MI from this feature's own joint table: bins x labels, or occupied
+    bins x labels once a row per bin would outgrow the data."""
+    bf = bin_feature(feature, bins)
+    _, li = np.unique(labels, return_inverse=True)
+    n_l = int(li.max()) + 1
+    if bins * n_l > bf.size:
+        _, bf = np.unique(bf, return_inverse=True)
+        bins = int(bf.max()) + 1
+    joint = np.bincount(bf * n_l + li, minlength=bins * n_l)
+    joint = joint.reshape(bins, n_l) / bf.size
+    px, py = joint.sum(axis=1), joint.sum(axis=0)
+    nz = joint > 0
+    return float(np.sum(joint[nz] * np.log(joint[nz] / np.outer(px, py)[nz])))
+
+
+def test_mi_matches_one_table_formula_bit_for_bit():
+    rng = np.random.default_rng(77)
+    for trial in range(120):
+        n = int(rng.integers(1, 70))
+        y = rng.integers(0, int(rng.integers(1, 10)), size=n)  # may be 1 label
+        f = (rng.normal(size=n) if trial % 3
+             else rng.integers(0, 4, size=n).astype(float))
+        if trial % 7 == 0:
+            f[:] = 2.0
+        for bins in (1, 3, 16, 10 ** 12):
+            assert mutual_information(f, y, bins) == \
+                mi_table_reference(f, y, bins), (trial, bins)
+
+
+def mrmr_reference(X, y, k, bins):
+    """mRMR indices and scores from one mutual_information call per feature
+    and per (remaining feature, pick)."""
+    d = X.shape[1]
+    binned = [bin_feature(X[:, j], bins) for j in range(d)]
+    relevance = np.array([mutual_information(X[:, j], y, bins)
+                          for j in range(d)])
+    chosen, scores = [], []
+    redundancy_sum = np.zeros(d)
+    for _ in range(k):
+        score = (relevance - redundancy_sum / len(chosen) if chosen
+                 else relevance.copy())
+        score[chosen] = -np.inf
+        best = int(np.argmax(score))
+        chosen.append(best)
+        scores.append(score[best])
+        for j in range(d):
+            if j not in chosen:
+                redundancy_sum[j] += mutual_information(X[:, j], binned[best],
+                                                        bins)
+    return np.array(chosen), np.array(scores)
+
+
+@pytest.fixture(scope="module")
+def lab1_train():
+    """The lab-seed-1 training split (nvmsig dataset --seed 1
+    --chips-per-class 2 --locations-per-chip 2 --split)."""
+    ds = build_dataset(load_catalog(), chips_per_class=2,
+                       locations_per_chip=2, seed=1)
+    train = split(ds, seed=1)[0]
+    assert train.X.shape == (198, 100)
+    return train
+
+
+@pytest.mark.parametrize("bins", [1, 16])
+def test_mrmr_matches_mutual_information_loop_on_lab_seed_1(lab1_train, bins):
+    got = mrmr_select(lab1_train, k=25, bins=bins)
+    indices, scores = mrmr_reference(lab1_train.X, lab1_train.y, 25, bins)
+    assert np.array_equal(got.indices, indices)
+    assert np.array_equal(got.scores, scores)
+
+
+@pytest.mark.parametrize("cells", [1 << 15, 1])
+def test_mrmr_matches_mutual_information_loop_beyond_row_count(cells,
+                                                               monkeypatch):
+    """10**12 bins gives every feature a table of occupied bins only; at a
+    cap of 1 cell each table block holds one feature."""
+    monkeypatch.setattr(features, "_JOINT_CELLS", cells)
+    for seed in range(4):
+        ds = toy(seed, n=60, d=5)
+        ds.X[:, 2] = 1.0  # once picked, redundancy is against a single label
+        got = mrmr_select(ds, k=5, bins=10 ** 12)
+        indices, scores = mrmr_reference(ds.X, ds.y, 5, 10 ** 12)
+        assert np.array_equal(got.indices, indices)
+        assert np.array_equal(got.scores, scores)
 
 
 # ---------------- nca ----------------
