@@ -120,9 +120,8 @@ def fold_assignments(y, folds: int, seed: int) -> np.ndarray:
     for tag in np.unique(y):
         rows = np.nonzero(y == tag)[0]
         rows = rows[rng.permutation(rows.size)]
-        for r in rows:
-            fold_of[r] = cursor % folds
-            cursor += 1
+        fold_of[rows] = (cursor + np.arange(rows.size)) % folds
+        cursor += rows.size
     return fold_of
 
 

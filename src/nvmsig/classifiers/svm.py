@@ -21,6 +21,7 @@ import numpy as np
 
 from ..errors import NumericError, ValidationError
 from ._text import fmt, fmt_vec
+from .knn import _sq_dists
 
 # a generous cap: default-dataset pairs converge in under one iteration per row
 _MAX_ITER_PER_ROW = 1000
@@ -174,9 +175,7 @@ def fit(X, y, C: float, gamma, tol: float) -> SvmCore:
 def _pair_decisions(machine: PairMachine, X, gamma):
     if machine.sv.shape[0] == 0:
         return np.full(X.shape[0], machine.bias)
-    xx = (X * X).sum(axis=1)[:, None]
-    ss = (machine.sv * machine.sv).sum(axis=1)[None, :]
-    d2 = np.maximum(xx + ss - 2.0 * (X @ machine.sv.T), 0.0)
+    d2 = _sq_dists(X, machine.sv)
     return np.exp(-gamma * d2) @ machine.alpha_y + machine.bias
 
 

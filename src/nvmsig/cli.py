@@ -263,12 +263,18 @@ def _load_probe(path) -> np.ndarray:
                                lambda cells: float(cells[-1])))
 
 
-def _spec_for(cfg, tag: int):
-    specs = {s.class_tag: s for s in load_catalog(cfg.catalog)}
-    if tag not in specs:
-        raise ValidationError(f"class tag {tag} not in catalog "
-                              f"(have {sorted(specs)})")
-    return specs[tag]
+def _catalog(cfg, tags=None):
+    """The specs of `tags`, in that order, from the configured catalog; the
+    whole catalog when `tags` is None."""
+    catalog = load_catalog(cfg.catalog)
+    if tags is None:
+        return catalog
+    by_tag = {s.class_tag: s for s in catalog}
+    for t in tags:
+        if t not in by_tag:
+            raise ValidationError(f"class tag {t} not in catalog "
+                                  f"(have {sorted(by_tag)})")
+    return [by_tag[t] for t in tags]
 
 
 # ------------------------------------------------------------ training glue
@@ -314,7 +320,7 @@ def _trace_blocks(chip, addr: int, cycles: int):
 # ---------------------------------------------------------------- commands
 
 def cmd_catalog(cfg) -> int:
-    text = dump_catalog(load_catalog(cfg.catalog))
+    text = dump_catalog(_catalog(cfg))
     if cfg.out:
         path = _out_path(cfg, cfg.out)
         _write_text(path, text)
@@ -328,7 +334,7 @@ def cmd_simulate(cfg) -> int:
     _require_seed(cfg, "simulate")
     if cfg.cycles < 1:
         raise ValidationError("cycles must be >= 1")
-    spec = _spec_for(cfg, cfg.class_tag)
+    spec, = _catalog(cfg, [cfg.class_tag])
     blocks = _trace_blocks(new_chip(spec, cfg.seed), cfg.addr, cfg.cycles)
     # the first block checks the address before anything is written
     head = "cycle,latency_us\n" + next(blocks)
@@ -348,14 +354,8 @@ def cmd_simulate(cfg) -> int:
 
 def cmd_dataset(cfg) -> int:
     _require_seed(cfg, "dataset")
-    catalog = load_catalog(cfg.catalog)
-    if cfg.classes is not None:
-        by_tag = {s.class_tag: s for s in catalog}
-        missing = [t for t in cfg.classes if t not in by_tag]
-        if missing:
-            raise ValidationError(f"class tags {missing} not in catalog")
-        catalog = [by_tag[t] for t in cfg.classes]
-    ds = build_dataset(catalog, chips_per_class=cfg.chips_per_class,
+    ds = build_dataset(_catalog(cfg, cfg.classes),
+                       chips_per_class=cfg.chips_per_class,
                        checkpoints=cfg.checkpoints, group=cfg.group,
                        locations_per_chip=cfg.locations_per_chip,
                        seed=cfg.seed)
@@ -480,7 +480,7 @@ def cmd_predict(cfg) -> int:
         raise ValidationError("predict needs --model and --probe")
     model = load_model(cfg.model)
     probe = _load_probe(cfg.probe)
-    baseline = baseline_from_catalog(load_catalog(cfg.catalog))
+    baseline = baseline_from_catalog(_catalog(cfg))
     report = diagnose_probe(probe, model, baseline,
                             used_threshold=cfg.used_threshold,
                             fresh_threshold=cfg.fresh_threshold)
@@ -498,7 +498,7 @@ def cmd_scan(cfg) -> int:
         latency_map = load_map(cfg.map)
     else:
         _require_seed(cfg, "scan of a simulated chip")
-        spec = _spec_for(cfg, cfg.class_tag)
+        spec, = _catalog(cfg, [cfg.class_tag])
         chip = new_chip(spec, cfg.seed)
         for addr, cycles in cfg.spots:
             cycle_location(chip, addr, cycles)

@@ -86,12 +86,7 @@ def identify_manufacturer(probe, model: TrainedModel):
     Scores are neighbor votes (knn), leaf training counts (tree), or
     pairwise votes (svm).  Pure function of (probe, model).
     """
-    probe = _check_probe(probe)
-    if probe.size != model.expected_arity:
-        raise ValidationError(
-            f"probe has {probe.size} values, model expects "
-            f"{model.expected_arity}")
-    pred, scores, tags = predict_detail(model, probe[None, :])
+    pred, scores, tags = predict_detail(model, _check_probe(probe)[None, :])
     detail = {int(t): float(s) for t, s in zip(tags, scores[0])}
     return int(pred[0]), detail
 

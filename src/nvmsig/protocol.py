@@ -9,6 +9,7 @@ stratified train/test split.  Plus CSV persistence for datasets.
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -148,13 +149,56 @@ def collect_trace(spec: ChipClassSpec, chip_seed: int, addr: int,
                         latencies=lat)
 
 
-def _chip_locations(spec, chip_seed, count, stream):
-    if count > spec.num_locations:
-        raise ValidationError(
-            f"class{spec.class_tag}: {count} locations requested, "
-            f"chip has {spec.num_locations}")
-    rng = np.random.default_rng(derive_seed(stream, chip_seed))
-    return np.sort(rng.choice(spec.num_locations, size=count, replace=False))
+def _sample(specs, chips, locations, checkpoints, lo, hi, seed_of, stream):
+    """Latencies of every chip of every spec at wears ck+lo .. ck+hi-1 of
+    each checkpoint ck, as one specs x chips x locations x checkpoints x
+    (hi - lo) array.
+
+    Chip `ci` of a spec has seed `seed_of(class_tag, ci)` (kept to 63 bits)
+    and `locations` sorted distinct addresses drawn from `stream`.  The
+    windows must ascend without overlapping, the first must start at wear
+    >= 0 and the last must end inside the int64 wear counter.  Every array
+    is allocated before the first chip is drawn, so a size that cannot be
+    held fails at once.  Latency depends only on (chip, addr, wear), so
+    each chip takes one `latency_at` call over its locations and wears.
+    Returns (latencies, chip seeds, addresses, checkpoints).
+    """
+    if chips < 1 or locations < 1:
+        raise ValidationError("chip and location counts must be >= 1")
+    ckpts = [int(c) for c in checkpoints]
+    if not ckpts:
+        raise ValidationError("checkpoints is empty")
+    if ckpts[0] + lo < 0:
+        raise ValidationError(f"first checkpoint must be >= {-lo}")
+    if any(b + lo < a + hi for a, b in zip(ckpts, ckpts[1:])):
+        raise ValidationError(f"checkpoints must ascend by >= {hi - lo} "
+                              "cycles so that their windows do not overlap")
+    if ckpts[-1] + hi > 1 << 63:
+        raise ValidationError(f"checkpoint {ckpts[-1]} plus {hi} passes the "
+                              "int64 wear counter")
+    for spec in specs:
+        if locations > spec.num_locations:
+            raise ValidationError(
+                f"class{spec.class_tag}: {locations} locations requested, "
+                f"chip has {spec.num_locations}")
+    shape = (len(specs), chips, locations, len(ckpts))
+    try:
+        lat = np.empty(shape + (hi - lo,))
+        seeds = np.empty(shape[:2], dtype=np.int64)
+        addrs = np.empty(shape[:3], dtype=np.int64)
+    except (ValueError, MemoryError):
+        raise ValidationError(f"cannot allocate a dataset of {math.prod(shape)} "
+                              f"rows x {hi - lo} latencies") from None
+    wears = np.array(ckpts, dtype=np.int64)[:, None] + np.arange(lo, hi)
+    for s, spec in enumerate(specs):
+        for ci in range(chips):
+            seeds[s, ci] = seed = seed_of(spec.class_tag, ci) & _SEED_MASK
+            chip = new_chip(spec, seed)
+            rng = np.random.default_rng(derive_seed(stream, seed))
+            addrs[s, ci] = np.sort(rng.choice(spec.num_locations,
+                                              size=locations, replace=False))
+            lat[s, ci] = latency_at(chip, addrs[s, ci, :, None, None], wears)
+    return lat, seeds, addrs, ckpts
 
 
 def build_dataset(catalog, chips_per_class: int = 3,
@@ -163,70 +207,35 @@ def build_dataset(catalog, chips_per_class: int = 3,
                   seed: int = 1) -> Dataset:
     """Grouped-sampling dataset over every (class, chip, location, checkpoint).
 
-    Each location is fast-forwarded to each checkpoint's wear in ascending
-    order and then sampled `group` consecutive advancing cycles, so a
-    checkpoint must be at least `group` cycles past the previous one (wear
-    only moves forward).  Sample count is exactly
-    len(catalog) * chips_per_class * locations_per_chip * len(checkpoints),
-    and the arrays are allocated for it up front, so a count that cannot be
-    held fails at once with a ValidationError.
-
-    Latency depends only on (chip, addr, wear), so the row of checkpoint
-    `ck` holds the latencies at wears ck .. ck + group - 1.  Each chip takes
-    one `latency_at` call over all its locations and checkpoints, which
-    gives the same values as sampling each probe in turn.  Rows run in
-    catalog order, then chip, address and checkpoint.
+    The row of checkpoint `ck` holds the latencies at wears
+    ck .. ck + group - 1: each location is fast-forwarded to each
+    checkpoint's wear in ascending order and then sampled `group`
+    consecutive advancing cycles, so a checkpoint must be at least `group`
+    cycles past the previous one (wear only moves forward).  Sample count
+    is exactly len(catalog) * chips_per_class * locations_per_chip *
+    len(checkpoints), allocated up front.  Rows run in catalog order, then
+    chip, address and checkpoint.
     """
     catalog = list(catalog)
     if not catalog:
         raise ValidationError("catalog is empty")
-    if chips_per_class < 1 or locations_per_chip < 1:
-        raise ValidationError("chips_per_class and locations_per_chip must be >= 1")
+    tags = [s.class_tag for s in catalog]
+    for i, tag in enumerate(tags):
+        if tag in tags[:i]:  # its chips would be drawn twice
+            raise ValidationError(f"duplicate class_tag {tag}")
     if group < 1:
         raise ValidationError("group must be >= 1")
-    ckpts = [int(c) for c in checkpoints]
-    if not ckpts:
-        raise ValidationError("checkpoints is empty")
-    if any(c < 0 for c in ckpts):
-        raise ValidationError("checkpoints must be >= 0")
-    if any(b <= a for a, b in zip(ckpts, ckpts[1:])):
-        raise ValidationError("checkpoints must be strictly ascending")
-    if any(b - a < group for a, b in zip(ckpts, ckpts[1:])):
-        raise ValidationError(
-            f"checkpoint spacing must be >= group ({group}) cycles")
-    if ckpts[-1] + group > 1 << 63:
-        raise ValidationError(
-            f"checkpoint {ckpts[-1]} plus group {group} passes the int64 "
-            "wear counter")
-
-    n_rows = locations_per_chip * len(ckpts)  # per chip
-    total = len(catalog) * chips_per_class * n_rows
-    try:
-        X = np.empty((total, group))
-        y = np.empty(total, dtype=np.int64)
-        meta = np.empty((total, 3), dtype=np.int64)
-    except (ValueError, MemoryError):
-        raise ValidationError(f"cannot allocate a dataset of {total} rows "
-                              f"x {group} latencies") from None
-    ckpts = np.array(ckpts, dtype=np.int64)
-    wears = ckpts[:, None] + np.arange(group, dtype=np.int64)
-    start = 0
-    for spec in catalog:
-        for ci in range(chips_per_class):
-            chip_seed = derive_seed(seed, spec.class_tag, ci) & _SEED_MASK
-            chip = new_chip(spec, chip_seed)
-            addrs = _chip_locations(spec, chip_seed, locations_per_chip,
-                                    _STREAM_DATASET_LOCS)
-            rows = slice(start, start + n_rows)
-            X[rows] = latency_at(chip, addrs[:, None, None], wears).reshape(
-                n_rows, group)
-            y[rows] = spec.class_tag
-            meta[rows, 0] = chip_seed
-            meta[rows, 1] = np.repeat(addrs, len(ckpts))
-            meta[rows, 2] = np.tile(ckpts, locations_per_chip)
-            start += n_rows
-    names = {s.class_tag: s.label for s in catalog}
-    return Dataset(X, y, meta, names)
+    lat, seeds, addrs, ckpts = _sample(
+        catalog, chips_per_class, locations_per_chip, checkpoints, 0, group,
+        lambda tag, ci: derive_seed(seed, tag, ci), _STREAM_DATASET_LOCS)
+    meta = np.empty(lat.shape[:4] + (3,), dtype=np.int64)
+    meta[..., 0] = seeds[:, :, None, None]
+    meta[..., 1] = addrs[..., None]
+    meta[..., 2] = ckpts
+    X = lat.reshape(-1, group)
+    y = np.repeat(np.array(tags, dtype=np.int64), len(X) // len(tags))
+    return Dataset(X, y, meta.reshape(-1, 3),
+                   {s.class_tag: s.label for s in catalog})
 
 
 def split(ds: Dataset, train_fraction: float = 0.8, seed: int = 1):
@@ -257,45 +266,24 @@ def latency_stats(specs, chips: int = 2, locations: int = 5,
     For every checkpoint c the BEFORE window covers cycles (c-span, c] and
     AFTER covers (c, c+span], pooled over `chips` chips with `locations`
     random locations each, so n = span * chips * locations per window.
-    Each chip takes one `latency_at` call over its locations x checkpoints
-    x 2*span wears.
     """
     if span < 1:
         raise ValidationError("span must be >= 1")
-    if chips < 1 or locations < 1:
-        raise ValidationError("chips and locations must be >= 1")
-    ckpts = [int(c) for c in checkpoints]
-    if any(b <= a for a, b in zip(ckpts, ckpts[1:])):
-        raise ValidationError("checkpoints must be strictly ascending")
-    if ckpts and ckpts[0] < span:
-        raise ValidationError("first checkpoint must be >= span")
-    if any(b - span < a + span for a, b in zip(ckpts, ckpts[1:])):
-        raise ValidationError("windows overlap: need checkpoint gaps >= 2*span")
-
-    if ckpts and ckpts[-1] + span > 1 << 63:
-        raise ValidationError(
-            f"checkpoint {ckpts[-1]} plus span {span} passes the int64 wear "
-            "counter")
-
     if isinstance(specs, ChipClassSpec):
         specs = [specs]
+    specs = list(specs)
     # the windows of checkpoint ck cover wears ck-span .. ck+span-1
-    wears = np.array(ckpts, dtype=np.int64)[:, None] + np.arange(-span, span)
+    lat, _, _, ckpts = _sample(
+        specs, chips, locations, checkpoints, -span, span,
+        lambda tag, ci: derive_seed(seed, tag, ci, _STREAM_STATS_LOCS),
+        _STREAM_STATS_LOCS)
     out = []
-    for spec in specs:
-        lat = np.empty((chips, locations) + wears.shape)
-        for ci in range(chips):
-            chip_seed = derive_seed(seed, spec.class_tag, ci,
-                                    _STREAM_STATS_LOCS) & _SEED_MASK
-            addrs = _chip_locations(spec, chip_seed, locations,
-                                    _STREAM_STATS_LOCS)
-            lat[ci] = latency_at(new_chip(spec, chip_seed), addrs[:, None, None],
-                                 wears)
+    for s, spec in enumerate(specs):
         for k, ck in enumerate(ckpts):
             for side, half in ((Side.BEFORE, slice(None, span)),
                                (Side.AFTER, slice(span, None))):
                 # pooled in (chip, location, wear) order
-                vals = lat[:, :, k, half].reshape(-1)
+                vals = lat[s, :, :, k, half].reshape(-1)
                 out.append(WindowStats(
                     class_tag=spec.class_tag, checkpoint=ck, side=side,
                     mean=float(vals.mean()), stdev=float(vals.std()),

@@ -454,6 +454,18 @@ def test_svm_votes_and_tags():
     assert np.all(scores.sum(axis=1) == 6)  # 4 classes -> 6 pair votes
 
 
+@pytest.mark.parametrize("n,m,d", [(450, 300, 25), (1, 500, 100), (37, 9, 3)])
+def test_svm_pair_decisions_match_the_kernel_formula(n, m, d):
+    rng = np.random.default_rng(n + m + d)
+    X, sv = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+    alpha_y, gamma = rng.normal(size=m), 1.0 / d
+    d2 = np.maximum((X * X).sum(axis=1)[:, None] + (sv * sv).sum(axis=1)[None, :]
+                    - 2.0 * (X @ sv.T), 0.0)
+    machine = svm_core.PairMachine(0, 1, alpha_y, sv, 0.25)
+    assert np.array_equal(svm_core._pair_decisions(machine, X, gamma),
+                          np.exp(-gamma * d2) @ alpha_y + 0.25)
+
+
 def test_svm_training_is_deterministic(tmp_path):
     ds = toy(47, n=30, d=3, classes=3)
     a, b = train_svm(ds), train_svm(ds)
@@ -692,6 +704,20 @@ def test_fold_assignments_balanced_and_stratified():
     for tag in range(3):
         per = np.bincount(fold_of[y == tag], minlength=8)
         assert per.min() == 2 and per.max() == 2
+
+
+def test_fold_assignments_match_the_per_row_round_robin():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        y = rng.integers(0, rng.integers(1, 6), size=rng.integers(2, 60))
+        folds, seed = int(rng.integers(2, y.size + 1)), int(rng.integers(99))
+        ref_rng, ref, cursor = np.random.default_rng(seed), np.empty_like(y), 0
+        for tag in np.unique(y):
+            rows = np.nonzero(y == tag)[0]
+            for r in rows[ref_rng.permutation(rows.size)]:
+                ref[r] = cursor % folds
+                cursor += 1
+        assert np.array_equal(fold_assignments(y, folds, seed), ref)
 
 
 def test_cross_validate_loo_matches_manual_loop():

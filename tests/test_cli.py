@@ -491,6 +491,29 @@ def test_lab_seed_1_evidence_is_pinned(lab1):
             == digest, kind
 
 
+# sha256 of the lab-seed-1 dataset files and of the default dataset, as
+# written while build_dataset sampled its chips in a loop of its own
+_LAB1_DATASET_SHA256 = {
+    "dataset.csv": "c24ddb2d27f5da7b042bf90c1e56b5b654b3e2a7cca333a2f46dee8c8f116b53",
+    "dataset.train.csv": "eae4ec82c66b68bd6839d35e4638981e4631431c4515c750098acd3685c17e2c",
+    "dataset.test.csv": "fe1009b43f659b462363c37f3aac9636830687fce9272bdb46be5b5ad0860fe8",
+}
+_DEFAULT_DATASET_SHA256 = \
+    "3e987bbcdd8d1c16db8a442ea71c6ac3677bc23ba346d96a2fffa323e31a5f11"
+
+
+def test_lab_seed_1_dataset_bytes_are_pinned(lab1):
+    for name, digest in _LAB1_DATASET_SHA256.items():
+        assert hashlib.sha256((lab1 / name).read_bytes()).hexdigest() \
+            == digest, name
+
+
+def test_default_dataset_bytes_are_pinned(tmp_path):
+    assert run("dataset", "--seed", 1, "--out-dir", tmp_path) == 0
+    assert hashlib.sha256((tmp_path / "dataset.csv").read_bytes()
+                          ).hexdigest() == _DEFAULT_DATASET_SHA256
+
+
 @pytest.mark.parametrize("edit", ["classes-dropped", "class-renumbered"])
 def test_class_header_that_disagrees_with_the_core_exits_1(lab1, tmp_path,
                                                           capsys, edit):
@@ -809,6 +832,16 @@ def test_oversized_catalog_is_validation_error(tmp_path, capsys, num_locations,
         assert "error: line 2: " in err and "int64" in err
     else:
         assert f"error: class0: cannot allocate {num_locations} locations" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_dataset_refuses_a_repeated_class(tmp_path, capsys):
+    # each chip of a repeated class would be drawn twice, so a split could
+    # put copies of one probe on both sides
+    assert run("dataset", "--seed", 1, "--classes", "1,1",
+               "--chips-per-class", 2, "--locations-per-chip", 2,
+               "--out-dir", tmp_path / "out") == 1
+    assert "error: duplicate class_tag 1\n" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,5 +1,7 @@
 """Identification, recycled verdicts, and used-region localization."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -361,6 +363,23 @@ def test_simulated_baseline_tracks_catalog():
     for tag in sim.mean:
         assert sim.mean[tag] == pytest.approx(cat.mean[tag], rel=0.02)
         assert sim.stdev[tag] >= 0.0
+
+
+def test_simulated_baseline_is_pinned():
+    # sha256 of the tags as int64, then each tag's (mean, stdev) as float64,
+    # as computed while latency_stats sampled its chips in a loop of its own
+    base = baseline_from_simulation(CATALOG, seed=4)
+    tags = sorted(base.mean)
+    assert tags == list(range(9))
+    values = np.array([(base.mean[t], base.stdev[t]) for t in tags])
+    assert hashlib.sha256(np.array(tags, dtype=np.int64).tobytes()
+                          + values.tobytes()).hexdigest() == \
+        "1d3fa6765f5ad97bbd445037659e5b8032fa9b56d9a8f9fed7c0a108c35b42c1"
+
+
+def test_simulated_baseline_too_large_to_allocate_is_validation_error():
+    with pytest.raises(ValidationError, match="cannot allocate"):
+        baseline_from_simulation(CATALOG, chips=(1 << 63) - 1)
 
 
 def test_simulated_baseline_gives_fresh_verdicts():

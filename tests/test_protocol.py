@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,6 +189,9 @@ def test_build_dataset_validations():
     rows = ((1 << 63) - 1) * 12 * len(DEFAULT_CHECKPOINTS)
     with pytest.raises(ValidationError, match=f"dataset of {rows} rows"):
         build_dataset([toy_spec()], chips_per_class=(1 << 63) - 1)
+    # a repeated class would draw the same chips twice
+    with pytest.raises(ValidationError, match="duplicate class_tag 1"):
+        build_dataset([toy_spec(), toy_spec(class_tag=1), toy_spec(class_tag=1)])
 
 
 # ---------------- split ----------------
@@ -307,6 +312,32 @@ def test_latency_stats_validations():
         latency_stats(toy_spec(), checkpoints=[10], span=50)
     with pytest.raises(ValidationError, match="int64"):
         latency_stats(toy_spec(), checkpoints=[(1 << 63) - 10], span=50)
+    with pytest.raises(ValidationError, match="checkpoints is empty"):
+        latency_stats(toy_spec(), checkpoints=[])
+
+
+# sizes that numpy refuses outright, so no host can grant them
+@pytest.mark.parametrize("kw", [{"chips": (1 << 63) - 1},
+                                {"checkpoints": [1 << 62], "span": 1 << 62}],
+                         ids=["chips", "span"])
+def test_latency_stats_too_large_to_allocate_is_validation_error(kw):
+    with pytest.raises(ValidationError, match="cannot allocate"):
+        latency_stats(BUILTIN_CATALOG, **kw)
+
+
+def stats_digest(stats):
+    """sha256 of each window's (class, checkpoint, side, n) as int64, then
+    of its (mean, stdev, min, max) as float64."""
+    ints = np.array([(w.class_tag, w.checkpoint, w.side is Side.AFTER, w.n)
+                     for w in stats], dtype=np.int64)
+    reals = np.array([(w.mean, w.stdev, w.min, w.max) for w in stats])
+    return hashlib.sha256(ints.tobytes() + reals.tobytes()).hexdigest()
+
+
+def test_default_latency_stats_are_pinned():
+    # as computed while latency_stats sampled its chips in a loop of its own
+    assert stats_digest(latency_stats(BUILTIN_CATALOG)) == \
+        "f134140bbfd8388ae28aff09a7c9f22ee3466685609ab60aa58c9b564b767599"
 
 
 # ---------------- persistence ----------------
