@@ -298,7 +298,13 @@ def latency_block(chip: ChipInstance, addr: int, n: int, advance: bool = True) -
         raise ValidationError("n must be >= 1")
     # a replay reads wears up to wear + n - 1 and advances nothing
     _check_wear_room(chip, addr, n if advance else n - 1)
-    wears = chip.wear[addr] + np.arange(n, dtype=np.int64)
+    # np.empty, not np.arange: np.arange(2**63 - 1) comes back empty
+    try:
+        wears = np.empty(n, dtype=np.int64)
+    except (ValueError, MemoryError):
+        raise ValidationError(f"cannot allocate {n} latencies") from None
+    wears[:] = np.arange(n, dtype=np.int64)
+    wears += chip.wear[addr]
     lat = latency_at(chip, addr, wears)
     if advance:
         chip.wear[addr] += n

@@ -45,7 +45,7 @@ from .detector import (
 from .errors import NumericError, NvmsigError, ParseError, ValidationError
 from .features import apply_standardizer, fit_standardizer, mrmr_select, nca_select
 from .protocol import (DEFAULT_CHECKPOINTS, build_dataset, load_dataset,
-                       save_dataset, split)
+                       save_dataset, split, split_rows)
 
 OUT_DIR_ENV = "NVMSIG_OUT"
 SELECTORS = ("none", "mrmr", "nca")
@@ -361,21 +361,21 @@ def cmd_dataset(cfg) -> int:
                        seed=cfg.seed)
     keys = ["seed", "catalog", "classes", "chips_per_class", "checkpoints",
             "group", "locations_per_chip", "out"]
+    rows = ()
     if cfg.split:
-        # split before any file is written, so a bad split leaves none behind
-        train_ds, test_ds = split(ds, train_fraction=cfg.train_fraction,
-                                  seed=cfg.split_seed)
+        # split before any file or directory is made, so a bad split leaves
+        # nothing behind
+        rows = split_rows(ds.y, train_fraction=cfg.train_fraction,
+                          seed=cfg.split_seed)
         keys += ["split", "train_fraction", "split_seed"]
     name = cfg.out if cfg.out else "dataset.csv"
     path = _out_path(cfg, name)
-    save_dataset(ds, path)
+    stem = path[:-4] if path.endswith(".csv") else path
+    parts = [(r, f"{stem}.{side}.csv") for r, side in zip(rows, ("train", "test"))]
+    save_dataset(ds, path, parts)
     print(f"wrote {path} ({ds.y.size} samples, {len(ds.class_counts())} classes)")
-    if cfg.split:
-        stem = path[:-4] if path.endswith(".csv") else path
-        save_dataset(train_ds, stem + ".train.csv")
-        save_dataset(test_ds, stem + ".test.csv")
-        print(f"wrote {stem}.train.csv ({train_ds.y.size} samples)")
-        print(f"wrote {stem}.test.csv ({test_ds.y.size} samples)")
+    for r, part_path in parts:
+        print(f"wrote {part_path} ({r.size} samples)")
     _write_manifest(path + ".manifest", "dataset", cfg, keys)
     return 0
 

@@ -28,6 +28,7 @@ __all__ = [
     "collect_trace",
     "build_dataset",
     "split",
+    "split_rows",
     "latency_stats",
     "save_dataset",
     "load_dataset",
@@ -52,7 +53,9 @@ _STREAM_SPLIT = 0x5B
 _SEED_MASK = (1 << 63) - 1
 
 # rows per write in save_dataset: enough to amortise the call, few enough
-# that one block of text (about 70 kB at 100 features) adds no peak memory
+# that one block of text (about 70 kB at 100 features) adds no peak memory.
+# Split parts keep one copy of the row text, so their peak is about the
+# full file's size
 _SAVE_BLOCK = 64
 
 
@@ -238,14 +241,18 @@ def build_dataset(catalog, chips_per_class: int = 3,
                    {s.class_tag: s.label for s in catalog})
 
 
-def split(ds: Dataset, train_fraction: float = 0.8, seed: int = 1):
-    """Stratified split; per-class train count = round(fraction * count)."""
+def split_rows(y, train_fraction: float = 0.8, seed: int = 1):
+    """(train, test) row indices of a stratified split of labels `y`; per
+    class the train count is round(fraction * count), both sides non-empty.
+    Classes are drawn in ascending tag order, each side's rows class by
+    class."""
     if not 0 < train_fraction < 1:
         raise ValidationError("train_fraction must be in (0, 1)")
+    y = np.asarray(y)
     rng = np.random.default_rng(derive_seed(seed, _STREAM_SPLIT))
     tr_idx, te_idx = [], []
-    for tag in np.unique(ds.y):
-        idx = np.where(ds.y == tag)[0]
+    for tag in np.unique(y):
+        idx = np.where(y == tag)[0]
         if len(idx) < 2:
             raise ValidationError(
                 f"class {tag} has {len(idx)} sample(s); need >= 2 to stratify")
@@ -255,7 +262,13 @@ def split(ds: Dataset, train_fraction: float = 0.8, seed: int = 1):
         n_tr = min(max(n_tr, 1), len(idx) - 1)
         tr_idx.append(idx[:n_tr])
         te_idx.append(idx[n_tr:])
-    return ds.subset(np.concatenate(tr_idx)), ds.subset(np.concatenate(te_idx))
+    return np.concatenate(tr_idx), np.concatenate(te_idx)
+
+
+def split(ds: Dataset, train_fraction: float = 0.8, seed: int = 1):
+    """Stratified split of `ds` at the rows of `split_rows`."""
+    tr_idx, te_idx = split_rows(ds.y, train_fraction, seed)
+    return ds.subset(tr_idx), ds.subset(te_idx)
 
 
 def latency_stats(specs, chips: int = 2, locations: int = 5,
@@ -300,31 +313,60 @@ def _feature_columns(arity):
 _NAME_SEP = re.compile(r",(?=-?\d+=)")
 
 
-def save_dataset(ds: Dataset, path) -> None:
+def save_dataset(ds: Dataset, path, parts=()) -> None:
     """CSV with one row per sample; latencies as fixed 6-decimal µs.
 
     Rows are formatted with one `%`-template per row and written in blocks
     of `_SAVE_BLOCK` rows; `%d` and `%.6f` give the same text as `str` of
-    an int64 and `f"{v:.6f}"` of a float64.
+    an int64 and `f"{v:.6f}"` of a float64.  For each `(rows, part_path)`
+    of `parts`, `part_path` gets the same header and the rows of `ds` at
+    index array `rows`, in that order, from the text already formatted for
+    `path`: the bytes `save_dataset(ds.subset(rows), part_path)` writes.
+    Everything is checked before the first file is opened.
     """
     for tag, name in ds.class_names.items():
         if has_line_break(name) or _NAME_SEP.search(name):
             raise ValidationError(f"class {tag} name {name!r} cannot be stored: "
                                   "it holds a line break or ',<int>='")
-    cols = _BASE_COLUMNS + _feature_columns(ds.arity)
+    # load_dataset refuses a file without rows or without feature columns
+    if not len(ds) or not ds.arity:
+        raise ValidationError(f"cannot store a dataset of {len(ds)} rows x "
+                              f"{ds.arity} features: need >= 1 of each")
+    parts = [(_part_rows(rows, len(ds)), part_path) for rows, part_path in parts]
+    head_lines = ""
+    if ds.class_names:
+        names = ",".join(f"{t}={ds.class_names[t]}"
+                         for t in sorted(ds.class_names))
+        head_lines = f"# class_names: {names}\n"
+    head_lines += ",".join(_BASE_COLUMNS + _feature_columns(ds.arity)) + "\n"
     template = "%d,%d,%d,%d" + ",%.6f" * ds.arity + "\n"
     head = np.column_stack((ds.y, ds.meta))
+    kept = []  # each row's text, kept only for the parts
     with atomic_open(path) as fh:
-        if ds.class_names:
-            names = ",".join(f"{t}={ds.class_names[t]}"
-                             for t in sorted(ds.class_names))
-            fh.write(f"# class_names: {names}\n")
-        fh.write(",".join(cols) + "\n")
+        fh.write(head_lines)
         for start in range(0, len(ds), _SAVE_BLOCK):
             stop = start + _SAVE_BLOCK
-            fh.write("".join(
-                template % (*h, *x) for h, x in
-                zip(head[start:stop].tolist(), ds.X[start:stop].tolist())))
+            text = [template % (*h, *x) for h, x in
+                    zip(head[start:stop].tolist(), ds.X[start:stop].tolist())]
+            fh.write("".join(text))
+            if parts:
+                kept += text
+    for rows, part_path in parts:
+        with atomic_open(part_path) as fh:
+            fh.write(head_lines)
+            for start in range(0, len(rows), _SAVE_BLOCK):
+                fh.write("".join([kept[i] for i in rows[start:start + _SAVE_BLOCK]]))
+
+
+def _part_rows(rows, n) -> list[int]:
+    """`rows` as a list of row indices into a dataset of `n` rows; a part
+    must hold at least one row so that it can be read back."""
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or not rows.size or rows.dtype.kind not in "iu" \
+            or rows.min() < 0 or rows.max() >= n:
+        raise ValidationError(f"a part's rows must be a non-empty list of "
+                              f"row indices in [0, {n})")
+    return rows.tolist()
 
 
 def load_dataset(path) -> Dataset:

@@ -305,6 +305,17 @@ def test_latency_block_cannot_pass_int64():
     assert chip.wear[3] == (1 << 63) - 1
 
 
+# sizes that numpy refuses outright, so no host can grant them; np.arange
+# alone would give an empty array for the second
+@pytest.mark.parametrize("n", [1 << 62, (1 << 63) - 1], ids=["2^62", "2^63-1"])
+def test_latency_block_too_large_to_allocate_is_validation_error(n):
+    chip = new_chip(BUILTIN_CATALOG[0], 1)
+    for advance in (True, False):
+        with pytest.raises(ValidationError, match="cannot allocate"):
+            latency_block(chip, 0, n, advance)
+    assert chip.wear[0] == 0
+
+
 def test_latency_sample_cannot_pass_int64():
     chip = new_chip(BUILTIN_CATALOG[5], 1)
     cycle_location(chip, 3, (1 << 63) - 1)

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvmsig import cli
-from nvmsig.chipsim import (SpatialLatencyMap, dump_catalog, full_chip_scan,
-                            load_catalog, new_chip)
+from nvmsig.chipsim import (BUILTIN_CATALOG, SpatialLatencyMap, dump_catalog,
+                            full_chip_scan, load_catalog, new_chip)
 from nvmsig.classifiers import (KINDS, cross_validate, knn as knn_core,
                                 load_model, predict_detail, svm as svm_core,
                                 train_knn, train_svm, train_tree)
@@ -23,7 +23,7 @@ from nvmsig.detector import (detect_recycled, load_map, locate_used_regions,
                              save_map)
 from nvmsig.errors import ParseError
 from nvmsig.features import mrmr_select, nca_select
-from nvmsig.protocol import build_dataset, load_dataset, split
+from nvmsig.protocol import build_dataset, load_dataset, save_dataset, split
 
 
 def run(*argv):
@@ -175,6 +175,15 @@ def test_dataset_bad_train_fraction_writes_nothing(tmp_path, capsys):
                "--out-dir", tmp_path) == 1
     assert "train_fraction" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_dataset_bad_split_makes_no_directory(tmp_path, capsys):
+    assert run("dataset", "--seed", 2, "--classes", "4,6",
+               "--chips-per-class", 2, "--locations-per-chip", 2,
+               "--checkpoints", "0,10000", "--split", "--train-fraction", 2,
+               "--out-dir", tmp_path, "--out", "sub/ds.csv") == 1
+    assert "train_fraction" in capsys.readouterr().err
+    assert not (tmp_path / "sub").exists()
 
 
 # ---------------------------------------------------------- train / eval
@@ -512,6 +521,36 @@ def test_default_dataset_bytes_are_pinned(tmp_path):
     assert run("dataset", "--seed", 1, "--out-dir", tmp_path) == 0
     assert hashlib.sha256((tmp_path / "dataset.csv").read_bytes()
                           ).hexdigest() == _DEFAULT_DATASET_SHA256
+
+
+# sha256 of the default dataset's split files, as written by one
+# save_dataset call per file
+_DEFAULT_SPLIT_SHA256 = {
+    "dataset.train.csv": "b2b5268cfec39b52efa3e2bf2d2513bf257d3faef4cd88df9ec9e6143106a8d1",
+    "dataset.test.csv": "33ccb701ddbbb22bfb28746ff544cf4810c1fbe5e41dd4f905f92f13af739b05",
+}
+
+
+def test_default_split_dataset_bytes_are_pinned(tmp_path):
+    assert run("dataset", "--seed", 1, "--split", "--out-dir", tmp_path) == 0
+    for name, digest in {"dataset.csv": _DEFAULT_DATASET_SHA256,
+                         **_DEFAULT_SPLIT_SHA256}.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() \
+            == digest, name
+
+
+def test_split_files_equal_the_library_split_in_unsorted_class_order(tmp_path):
+    # the split draws classes in tag order (1, 5, 8), the file holds 5, 1, 8
+    assert run("dataset", "--seed", 3, "--classes", "5,1,8",
+               "--chips-per-class", 2, "--locations-per-chip", 2, "--split",
+               "--out-dir", tmp_path / "cli") == 0
+    by_tag = {s.class_tag: s for s in BUILTIN_CATALOG}
+    ds = build_dataset([by_tag[t] for t in (5, 1, 8)], chips_per_class=2,
+                       locations_per_chip=2, seed=3)
+    for part, name in zip(split(ds, 0.8, seed=3), ("train", "test")):
+        save_dataset(part, tmp_path / f"{name}.csv")
+        assert (tmp_path / "cli" / f"dataset.{name}.csv").read_bytes() == \
+            (tmp_path / f"{name}.csv").read_bytes(), name
 
 
 @pytest.mark.parametrize("edit", ["classes-dropped", "class-renumbered"])

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from nvmsig.protocol import (
     load_dataset,
     save_dataset,
     split,
+    split_rows,
 )
 
 
@@ -77,6 +79,12 @@ def test_trace_bad_address():
         collect_trace(BUILTIN_CATALOG[0], 1, 10_000, 5)
     with pytest.raises(ValidationError):
         collect_trace(BUILTIN_CATALOG[0], 1, 0, 0)
+
+
+
+def test_trace_too_large_to_allocate_is_validation_error():
+    with pytest.raises(ValidationError, match="cannot allocate"):
+        collect_trace(BUILTIN_CATALOG[0], 1, 0, 1 << 62)
 
 
 # ---------------- build_dataset ----------------
@@ -235,6 +243,16 @@ def test_split_rejects_tiny_class_and_bad_fraction():
         split(small_dataset(), 1.0, seed=0)
 
 
+def test_split_is_the_subset_at_split_rows():
+    ds = small_dataset(n_per_class=7, classes=4, seed=3)
+    ds.y = np.array([9, 2, 5, 0])[ds.y]  # classes stored out of tag order
+    tr_idx, te_idx = split_rows(ds.y, 0.6, seed=5)
+    tr, te = split(ds, 0.6, seed=5)
+    assert np.array_equal(tr.X, ds.X[tr_idx]) and np.array_equal(te.X, ds.X[te_idx])
+    assert np.array_equal(np.sort(np.concatenate([tr_idx, te_idx])), np.arange(28))
+    assert list(dict.fromkeys(tr.y)) == [0, 2, 5, 9]
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(2, 40), frac=st.floats(0.05, 0.95), seed=st.integers(0, 99))
 def test_split_proportions_property(n, frac, seed):
@@ -371,6 +389,52 @@ def test_dataset_unstorable_class_name_rejected(tmp_path, name):
     with pytest.raises(ValidationError, match="class 1"):
         save_dataset(ds, path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (5, 0)], ids=["no-rows", "no-features"])
+def test_dataset_that_would_not_load_is_not_saved(tmp_path, shape):
+    ds = Dataset(np.zeros(shape), np.zeros(shape[0]), np.zeros((shape[0], 3)))
+    path = tmp_path / "ds.csv"
+    with pytest.raises(ValidationError, match="need >= 1 of each"):
+        save_dataset(ds, path)
+    assert not path.exists()
+
+
+def test_save_dataset_parts_equal_saves_of_the_subsets(tmp_path):
+    ds = small_dataset(n_per_class=50, classes=3, seed=2)
+    rows = [np.array([149, 0, 3, 3, 77]), np.arange(150)[::-1]]
+    save_dataset(ds, tmp_path / "full.csv",
+                 [(r, tmp_path / f"part{i}.csv") for i, r in enumerate(rows)])
+    for i, r in enumerate(rows):
+        save_dataset(ds.subset(r), tmp_path / f"ref{i}.csv")
+        assert (tmp_path / f"part{i}.csv").read_bytes() == \
+            (tmp_path / f"ref{i}.csv").read_bytes()
+    save_dataset(ds, tmp_path / "ref.csv")
+    assert (tmp_path / "full.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [[], [0, 36], [-1], [[0, 1]], [0.0]],
+                         ids=["empty", "past-end", "negative", "2-d", "float"])
+def test_save_dataset_bad_part_rows_open_no_file(tmp_path, rows):
+    ds = small_dataset()
+    with pytest.raises(ValidationError, match="part's rows"):
+        save_dataset(ds, tmp_path / "full.csv", [(rows, tmp_path / "part.csv")])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_split_write_peak_memory_is_about_one_file(tmp_path):
+    # the row text is kept once, a block at a time: a whole-matrix tolist()
+    # or a whole-file join would peak at several times the file's size
+    ds = build_dataset(BUILTIN_CATALOG)
+    tr_idx, te_idx = split_rows(ds.y, 0.8, seed=1)
+    parts = [(tr_idx, tmp_path / "ds.train.csv"), (te_idx, tmp_path / "ds.test.csv")]
+    tracemalloc.start()
+    try:
+        save_dataset(ds, tmp_path / "ds.csv", parts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * (tmp_path / "ds.csv").stat().st_size
 
 
 def test_atomic_open_failure_keeps_the_old_file(tmp_path):
