@@ -60,7 +60,6 @@ from .protocol import (
     Dataset,
     WindowStats,
     build_dataset,
-    collect_trace,
     latency_stats,
     load_dataset,
     save_dataset,

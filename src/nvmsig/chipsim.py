@@ -222,8 +222,8 @@ def load_catalog(path="builtin") -> list[ChipClassSpec]:
 class ChipInstance:
     """One simulated chip: frozen draw of factors plus a mutable wear map.
 
-    Not safe for concurrent mutation; advance-free sampling may run in
-    parallel across addresses.
+    Not safe for concurrent mutation; `latency_at`, which changes no state,
+    may run in parallel across addresses.
     """
 
     spec: ChipClassSpec
@@ -231,10 +231,6 @@ class ChipInstance:
     chip_factor: float
     loc_factor: np.ndarray
     wear: np.ndarray = field(repr=False)
-
-    @property
-    def class_tag(self) -> int:
-        return self.spec.class_tag
 
 
 def new_chip(spec: ChipClassSpec, chip_seed: int) -> ChipInstance:
@@ -282,22 +278,21 @@ def latency_at(chip: ChipInstance, addr, wear) -> np.ndarray:
     return np.round(noiseless / QUANTUM_US) / (1.0 / QUANTUM_US)
 
 
-def latency_sample(chip: ChipInstance, addr: int, advance: bool = True) -> float:
-    """One latency measurement at `addr`; increments wear when `advance`."""
-    return float(latency_block(chip, addr, 1, advance)[0])
+def latency_sample(chip: ChipInstance, addr: int) -> float:
+    """One latency measurement at `addr`; increments its wear."""
+    return float(latency_block(chip, addr, 1)[0])
 
 
-def latency_block(chip: ChipInstance, addr: int, n: int, advance: bool = True) -> np.ndarray:
-    """`n` consecutive advancing measurements at one address, vectorized.
+def latency_block(chip: ChipInstance, addr: int, n: int) -> np.ndarray:
+    """`n` consecutive measurements at one address, vectorized.
 
-    Equivalent to calling latency_sample `n` times with advance=True; with
-    advance=False the wear map is left untouched (a what-if replay).
+    Equivalent to calling latency_sample `n` times: the wear at `addr`
+    grows by `n`.
     """
     _check_addr(chip, addr)
     if n < 1:
         raise ValidationError("n must be >= 1")
-    # a replay reads wears up to wear + n - 1 and advances nothing
-    _check_wear_room(chip, addr, n if advance else n - 1)
+    _check_wear_room(chip, addr, n)
     # np.empty, not np.arange: np.arange(2**63 - 1) comes back empty
     try:
         wears = np.empty(n, dtype=np.int64)
@@ -306,8 +301,7 @@ def latency_block(chip: ChipInstance, addr: int, n: int, advance: bool = True) -
     wears[:] = np.arange(n, dtype=np.int64)
     wears += chip.wear[addr]
     lat = latency_at(chip, addr, wears)
-    if advance:
-        chip.wear[addr] += n
+    chip.wear[addr] += n
     return lat
 
 
@@ -331,7 +325,6 @@ class SpatialLatencyMap:
     """One latency per address over a whole chip."""
 
     latencies: np.ndarray
-    class_tag: int | None = None
 
     def __len__(self) -> int:
         return len(self.latencies)
@@ -342,7 +335,7 @@ def full_chip_scan(chip: ChipInstance) -> SpatialLatencyMap:
     addrs = np.arange(chip.spec.num_locations)
     lat = latency_at(chip, addrs, chip.wear)
     chip.wear += 1
-    return SpatialLatencyMap(latencies=lat, class_tag=chip.class_tag)
+    return SpatialLatencyMap(lat)
 
 
 def expected_latency(chip: ChipInstance, addr, wear) -> np.ndarray:

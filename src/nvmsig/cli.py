@@ -81,6 +81,8 @@ def _parse_spots(text: str):
     """'addr:cycles,addr:cycles' pairs for pre-cycling scan targets."""
     spots = []
     for part in text.split(","):
+        if part.strip() == "":
+            continue
         addr, sep, cycles = part.partition(":")
         if not sep:
             raise ValueError(f"expected addr:cycles, got {part!r}")
@@ -344,7 +346,7 @@ def cmd_simulate(cfg) -> int:
             fh.write(head)
             fh.writelines(blocks)
         _write_manifest(path + ".manifest", "simulate", cfg,
-                        ["seed", "catalog", "class_tag", "addr", "cycles", "out"])
+                        _COMMANDS["simulate"][1])
         print(f"wrote {path} ({cfg.cycles} rows)")
     else:
         sys.stdout.write(head)
@@ -390,8 +392,7 @@ def cmd_train(cfg) -> int:
     name = cfg.out if cfg.out else "model.txt"
     path = _out_path(cfg, name)
     save_model(model, path)
-    _write_manifest(path + ".manifest", "train", cfg,
-                    ("seed",) + _COMMANDS["train"][1])
+    _write_manifest(path + ".manifest", "train", cfg, _COMMANDS["train"][1])
     print(f"wrote {path}")
     print(f"kind={model.kind} selector={model.selection_method} "
           f"features={model.indices.size} samples={model.n_train} "
@@ -469,8 +470,7 @@ def cmd_sweep(cfg) -> int:
         _write_text(stem + ".confusion.csv", report.to_csv())
     path = _out_path(cfg, "sweep.csv")
     _write_text(path, "\n".join(rows) + "\n")
-    _write_manifest(path + ".manifest", "sweep", cfg,
-                    ("seed",) + _COMMANDS["sweep"][1])
+    _write_manifest(path + ".manifest", "sweep", cfg, _COMMANDS["sweep"][1])
     print(f"wrote {path}")
     return 0
 
@@ -564,30 +564,33 @@ exit codes: 0 success, 1 validation error, 2 I/O error, 3 numeric failure.
 _MODEL_KEYS = ("kind", "k", "max_depth", "min_leaf", "c", "gamma", "tol",
                "selector", "select_k", "mrmr_bins", "nca_iters", "nca_lr")
 
-# command -> (help line, the _SCHEMA keys it takes besides --config and the
-# _COMMON ones); each runs as cmd_<command>(cfg)
-_COMMON = ("seed", "catalog", "out_dir")
+# command -> (help line, the _SCHEMA keys it takes besides --config and
+# --out-dir); each runs as cmd_<command>(cfg).  The simulate, train and
+# sweep manifests record their command's keys in this order
 _COMMANDS = {
-    "catalog": ("dump the chip-class catalog as CSV", ("out",)),
+    "catalog": ("dump the chip-class catalog as CSV", ("catalog", "out")),
     "simulate": ("per-cycle latency trace for one location",
-                 ("class_tag", "addr", "cycles", "out")),
+                 ("seed", "catalog", "class_tag", "addr", "cycles", "out")),
     "dataset": ("build a labeled latency-signature dataset",
-                ("classes", "chips_per_class", "checkpoints", "group",
-                 "locations_per_chip", "train_fraction", "split_seed", "out",
-                 "split")),
+                ("seed", "catalog", "classes", "chips_per_class",
+                 "checkpoints", "group", "locations_per_chip",
+                 "train_fraction", "split_seed", "out", "split")),
     "train": ("train a classifier and save the model file",
-              ("dataset",) + _MODEL_KEYS + ("out",)),
+              ("seed", "dataset") + _MODEL_KEYS + ("out",)),
     "crossval": ("k-fold cross-validation accuracy table",
-                 ("dataset", "folds") + _MODEL_KEYS + ("out",)),
+                 ("seed", "dataset", "folds") + _MODEL_KEYS + ("out",)),
     "eval": ("score a saved model on a labeled dataset",
              ("model", "dataset", "out")),
     "sweep": ("all classifier x selector cells in one run",
-              ("dataset", "train", "test", "train_fraction", "split_seed")
+              ("seed", "dataset", "train", "test", "train_fraction",
+               "split_seed")
               + tuple(k for k in _MODEL_KEYS if k not in ("kind", "selector"))),
     "predict": ("identify a probe and judge fresh vs used",
-                ("model", "probe", "used_threshold", "fresh_threshold", "out")),
+                ("catalog", "model", "probe", "used_threshold",
+                 "fresh_threshold", "out")),
     "scan": ("locate used regions on a map or simulated chip",
-             ("map", "class_tag", "spots", "flag_ratio", "map_out", "out")),
+             ("seed", "catalog", "map", "class_tag", "spots", "flag_ratio",
+              "map_out", "out")),
 }
 
 
@@ -604,8 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = root.add_subparsers(dest="command", metavar="command")
     common = _Parser(add_help=False)
     common.add_argument("--config", help="flat key = value config file")
-    for key in _COMMON:
-        _add(common, key)
+    _add(common, "out_dir")
     for command, (summary, keys) in _COMMANDS.items():
         p = sub.add_parser(command, parents=[common], help=summary)
         for key in keys:

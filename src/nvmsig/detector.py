@@ -6,10 +6,11 @@ compares the probe median against the class's fresh mean; localization
 flags spatial-map addresses elevated above the chip-wide median.
 """
 
+import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,45 +147,26 @@ def locate_used_regions(latency_map: SpatialLatencyMap,
 
 @dataclass
 class DetectionReport:
-    predicted_class_tag: Optional[int]
+    predicted_class_tag: int
     predicted_class_label: str
     recycled_verdict: RecycledVerdict
     elevation_ratio: float
-    used_regions: list = field(default_factory=list)
-
-    def __post_init__(self):
-        ends = [-2]
-        for r in self.used_regions:
-            if r.start_addr <= ends[-1] or r.start_addr > r.end_addr:
-                raise ValidationError("used regions must be sorted and disjoint")
-            ends.append(r.end_addr)
 
     def to_text(self) -> str:
-        out = io.StringIO()
-        tag = "?" if self.predicted_class_tag is None else self.predicted_class_tag
-        out.write(f"predicted class: {tag} ({self.predicted_class_label})\n")
-        out.write(f"recycled verdict: {self.recycled_verdict.value}\n")
-        out.write(f"elevation ratio: {self.elevation_ratio:.4f}\n")
-        if not self.used_regions:
-            out.write("used regions: none\n")
-        else:
-            out.write("used regions (start, end, peak ratio):\n")
-            for r in self.used_regions:
-                out.write(f"  {r.start_addr} {r.end_addr} {r.peak_ratio:.4f}\n")
-        return out.getvalue()
+        return (f"predicted class: {self.predicted_class_tag} "
+                f"({self.predicted_class_label})\n"
+                f"recycled verdict: {self.recycled_verdict.value}\n"
+                f"elevation ratio: {self.elevation_ratio:.4f}\n")
 
     def to_csv(self) -> str:
+        """`field,value` rows; a cell holding a comma or quote is quoted."""
         out = io.StringIO()
-        out.write("field,value\n")
-        tag = "" if self.predicted_class_tag is None else self.predicted_class_tag
-        out.write(f"predicted_class_tag,{tag}\n")
-        out.write(f"predicted_class_label,{self.predicted_class_label}\n")
-        out.write(f"recycled_verdict,{self.recycled_verdict.value}\n")
-        out.write(f"elevation_ratio,{self.elevation_ratio:.6f}\n")
-        out.write("# used_regions\n")
-        out.write("start_addr,end_addr,peak_ratio\n")
-        for r in self.used_regions:
-            out.write(f"{r.start_addr},{r.end_addr},{r.peak_ratio:.6f}\n")
+        csv.writer(out, lineterminator="\n").writerows([
+            ("field", "value"),
+            ("predicted_class_tag", self.predicted_class_tag),
+            ("predicted_class_label", self.predicted_class_label),
+            ("recycled_verdict", self.recycled_verdict.value),
+            ("elevation_ratio", f"{self.elevation_ratio:.6f}")])
         return out.getvalue()
 
 

@@ -1,9 +1,9 @@
 """Measurement protocols on top of the chip simulator.
 
-Covers the four data products the analysis pipeline consumes: long cycling
-traces, the grouped-sampling dataset (100 consecutive latencies per group
-at fixed wear checkpoints), windowed before/after statistics, and the
-stratified train/test split.  Plus CSV persistence for datasets.
+Covers the three data products the analysis pipeline consumes: the
+grouped-sampling dataset (100 consecutive latencies per group at fixed wear
+checkpoints), windowed before/after statistics, and the stratified
+train/test split.  Plus CSV persistence for datasets.
 """
 
 from __future__ import annotations
@@ -17,15 +17,13 @@ import numpy as np
 
 from ._atomic import atomic_open, has_line_break, parse_int64, read_lines, read_table
 from ._rng import derive_seed
-from .chipsim import ChipClassSpec, latency_at, latency_block, new_chip
+from .chipsim import ChipClassSpec, latency_at, new_chip
 from .errors import ParseError, ValidationError
 
 __all__ = [
-    "LatencyTrace",
     "Dataset",
     "Side",
     "WindowStats",
-    "collect_trace",
     "build_dataset",
     "split",
     "split_rows",
@@ -57,28 +55,6 @@ _SEED_MASK = (1 << 63) - 1
 # Split parts keep one copy of the row text, so their peak is about the
 # full file's size
 _SAVE_BLOCK = 64
-
-
-@dataclass
-class LatencyTrace:
-    """One location cycled continuously; cycle_index counts from 1."""
-
-    class_tag: int
-    chip_seed: int
-    addr: int
-    cycles: np.ndarray
-    latencies: np.ndarray
-
-    def __post_init__(self):
-        if len(self.cycles) != len(self.latencies):
-            raise ValidationError("cycles and latencies must align")
-        if len(self.cycles) and np.any(np.diff(self.cycles) <= 0):
-            raise ValidationError("cycle_index must be strictly increasing")
-        if np.any(self.latencies <= 0):
-            raise ValidationError("latencies must be positive")
-
-    def __len__(self) -> int:
-        return len(self.cycles)
 
 
 @dataclass
@@ -138,18 +114,6 @@ class WindowStats:
     min: float
     max: float
     n: int
-
-
-def collect_trace(spec: ChipClassSpec, chip_seed: int, addr: int,
-                  n_cycles: int) -> LatencyTrace:
-    """Cycle one fresh location continuously, recording every latency."""
-    if n_cycles < 1:
-        raise ValidationError("n_cycles must be >= 1")
-    chip = new_chip(spec, chip_seed)
-    lat = latency_block(chip, addr, n_cycles)
-    return LatencyTrace(class_tag=spec.class_tag, chip_seed=chip_seed,
-                        addr=addr, cycles=np.arange(1, n_cycles + 1),
-                        latencies=lat)
 
 
 def _sample(specs, chips, locations, checkpoints, lo, hi, seed_of, stream):

@@ -384,6 +384,18 @@ def test_scan_seeded_spots_match_ground_truth(tmp_path, capsys):
     assert "used regions" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("spots", [[], ["--spots", "40:20000,100:50000"]],
+                         ids=["no-spots", "two-spots"])
+def test_scan_manifest_reruns_byte_identical(tmp_path, spots):
+    first, rerun = tmp_path / "first", tmp_path / "rerun"
+    assert run("scan", "--seed", 1, "--class", 0, *spots, "--out-dir", first,
+               "--map-out", "m.csv") == 0
+    assert run("scan", "--config", first / "m.csv.manifest",
+               "--out-dir", rerun) == 0
+    for name in ("m.csv", "m.csv.manifest"):
+        assert (rerun / name).read_bytes() == (first / name).read_bytes()
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--kind", "svm", "--c", "nan"],
     ["train", "--kind", "svm", "--c", "inf"],
@@ -706,6 +718,14 @@ def test_usage_errors_are_validation_errors(capsys):
     assert run("simulate", "--cycles", "notanint") == 1
     assert run() == 1
     assert run("catalog", "--no-such-flag") == 1
+    # flags that these commands would not read
+    for command, flag in [("train", "--catalog"), ("crossval", "--catalog"),
+                          ("eval", "--catalog"), ("sweep", "--catalog"),
+                          ("catalog", "--seed"), ("eval", "--seed"),
+                          ("predict", "--seed")]:
+        capsys.readouterr()
+        assert run(command, flag, 1) == 1
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 # each loader with a valid header line for it
@@ -783,25 +803,29 @@ def test_catalog_dump(tmp_path):
 
 # ------------------------------------------------------- command surface
 
-_COMMON_FLAGS = {"-h", "--help", "--config", "--seed", "--catalog", "--out-dir"}
+_COMMON_FLAGS = {"-h", "--help", "--config", "--out-dir"}
 _MODEL_FLAGS = {"--k", "--max-depth", "--min-leaf", "--c", "--gamma", "--tol",
                 "--select-k", "--mrmr-bins", "--nca-iters", "--nca-lr"}
-# every flag each command took when each was declared by hand
+# every flag each command took when each was declared by hand, less the
+# --seed and --catalog of the commands that never read them
 _SURFACE = {
-    "catalog": {"--out"},
-    "simulate": {"--class", "--addr", "--cycles", "--out"},
-    "dataset": {"--classes", "--chips-per-class", "--checkpoints", "--group",
-                "--locations-per-chip", "--split", "--no-split",
-                "--train-fraction", "--split-seed", "--out"},
-    "train": {"--dataset", "--kind", "--selector", "--out"} | _MODEL_FLAGS,
-    "crossval": {"--dataset", "--folds", "--kind", "--selector",
+    "catalog": {"--catalog", "--out"},
+    "simulate": {"--seed", "--catalog", "--class", "--addr", "--cycles",
+                 "--out"},
+    "dataset": {"--seed", "--catalog", "--classes", "--chips-per-class",
+                "--checkpoints", "--group", "--locations-per-chip", "--split",
+                "--no-split", "--train-fraction", "--split-seed", "--out"},
+    "train": {"--seed", "--dataset", "--kind", "--selector",
+              "--out"} | _MODEL_FLAGS,
+    "crossval": {"--seed", "--dataset", "--folds", "--kind", "--selector",
                  "--out"} | _MODEL_FLAGS,
     "eval": {"--model", "--dataset", "--out"},
-    "sweep": {"--dataset", "--train", "--test", "--train-fraction",
+    "sweep": {"--seed", "--dataset", "--train", "--test", "--train-fraction",
               "--split-seed"} | _MODEL_FLAGS,
-    "predict": {"--model", "--probe", "--used-threshold", "--fresh-threshold",
-                "--out"},
-    "scan": {"--map", "--class", "--spots", "--flag-ratio", "--map-out", "--out"},
+    "predict": {"--catalog", "--model", "--probe", "--used-threshold",
+                "--fresh-threshold", "--out"},
+    "scan": {"--seed", "--catalog", "--map", "--class", "--spots",
+             "--flag-ratio", "--map-out", "--out"},
 }
 
 

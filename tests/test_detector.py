@@ -1,6 +1,8 @@
 """Identification, recycled verdicts, and used-region localization."""
 
+import csv
 import hashlib
+import io
 
 import numpy as np
 import pytest
@@ -275,29 +277,26 @@ def test_locate_seeded_spots_recall_and_precision():
 
 def test_report_text_and_csv():
     report = DetectionReport(7, "Fujitsu 4Mb ReRAM", RecycledVerdict.USED,
-                             1.8321, [UsedRegion(3, 5, 2.5)])
-    text = report.to_text()
-    assert "predicted class: 7" in text
-    assert "recycled verdict: USED" in text
-    assert "elevation ratio: 1.8321" in text
-    assert "  3 5 2.5000" in text
-    csv = report.to_csv()
-    assert "recycled_verdict,USED" in csv
-    assert "3,5,2.500000" in csv.splitlines()
+                             1.8321)
+    assert report.to_text() == ("predicted class: 7 (Fujitsu 4Mb ReRAM)\n"
+                                "recycled verdict: USED\n"
+                                "elevation ratio: 1.8321\n")
+    assert report.to_csv() == ("field,value\n"
+                               "predicted_class_tag,7\n"
+                               "predicted_class_label,Fujitsu 4Mb ReRAM\n"
+                               "recycled_verdict,USED\n"
+                               "elevation_ratio,1.832100\n")
 
 
-def test_report_without_regions_says_none():
-    report = DetectionReport(0, "x", RecycledVerdict.FRESH, 1.0)
-    assert "used regions: none" in report.to_text()
-
-
-def test_report_rejects_overlapping_regions():
-    with pytest.raises(ValidationError):
-        DetectionReport(0, "x", RecycledVerdict.FRESH, 1.0,
-                        [UsedRegion(3, 6, 2.0), UsedRegion(6, 8, 2.0)])
-    with pytest.raises(ValidationError):
-        DetectionReport(0, "x", RecycledVerdict.FRESH, 1.0,
-                        [UsedRegion(5, 3, 2.0)])
+def test_report_csv_quotes_a_label_with_a_comma():
+    report = DetectionReport(0, 'Acme, Inc "A" 4Mb NOR_FLASH',
+                             RecycledVerdict.FRESH, 1.0)
+    assert list(csv.reader(io.StringIO(report.to_csv()))) == [
+        ["field", "value"],
+        ["predicted_class_tag", "0"],
+        ["predicted_class_label", 'Acme, Inc "A" 4Mb NOR_FLASH'],
+        ["recycled_verdict", "FRESH"],
+        ["elevation_ratio", "1.000000"]]
 
 
 def test_diagnose_probe_composes_both_checks():
@@ -309,7 +308,6 @@ def test_diagnose_probe_composes_both_checks():
     assert report.predicted_class_tag == 4
     assert "Winbond" in report.predicted_class_label
     assert report.recycled_verdict is RecycledVerdict.FRESH
-    assert report.used_regions == []
 
 
 def test_map_csv_roundtrip(tmp_path):

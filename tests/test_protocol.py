@@ -24,7 +24,6 @@ from nvmsig.protocol import (
     Dataset,
     Side,
     build_dataset,
-    collect_trace,
     latency_stats,
     load_dataset,
     save_dataset,
@@ -52,39 +51,6 @@ def small_dataset(n_per_class=12, arity=4, classes=3, seed=0):
     y = np.repeat(np.arange(classes), n_per_class)
     meta = np.zeros((n, 3), dtype=np.int64)
     return Dataset(X, y, meta, {i: f"class{i}" for i in range(classes)})
-
-
-# ---------------- collect_trace ----------------
-
-def test_trace_length_matches_cycles():
-    tr = collect_trace(BUILTIN_CATALOG[0], 7, 3, 50000)
-    assert len(tr) == 50000
-    assert tr.cycles[0] == 1 and tr.cycles[-1] == 50000
-
-
-def test_trace_single_cycle_fresh_latency_noise_off():
-    spec = toy_spec()
-    tr = collect_trace(spec, 1, 0, 1)
-    assert tr.latencies[0] == pytest.approx(100.0, abs=0.011)
-
-
-def test_trace_replay_identical():
-    a = collect_trace(BUILTIN_CATALOG[6], 123, 5, 400)
-    b = collect_trace(BUILTIN_CATALOG[6], 123, 5, 400)
-    assert np.array_equal(a.latencies, b.latencies)
-
-
-def test_trace_bad_address():
-    with pytest.raises(ValidationError):
-        collect_trace(BUILTIN_CATALOG[0], 1, 10_000, 5)
-    with pytest.raises(ValidationError):
-        collect_trace(BUILTIN_CATALOG[0], 1, 0, 0)
-
-
-
-def test_trace_too_large_to_allocate_is_validation_error():
-    with pytest.raises(ValidationError, match="cannot allocate"):
-        collect_trace(BUILTIN_CATALOG[0], 1, 0, 1 << 62)
 
 
 # ---------------- build_dataset ----------------
