@@ -32,7 +32,7 @@ import numpy as np
 
 from ._atomic import atomic_open, parse_int64, read_lines, read_table
 from ._rng import hashed_normal
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 
 __all__ = [
     "Technology",
@@ -202,20 +202,29 @@ def load_catalog(path="builtin") -> list[ChipClassSpec]:
     """Load a chip-class catalog from a CSV file, or the builtin one."""
     if path == "builtin":
         return list(BUILTIN_CATALOG)
-    seen: set[int] = set()
-
     def header_fault(cells):
         return None if cells == _CATALOG_FIELDS else \
             f"bad catalog header, expected {','.join(_CATALOG_FIELDS)}"
 
-    def parse_row(cells):
-        spec = ChipClassSpec(*(parse(c) for parse, c in zip(_CELL_PARSERS, cells)))
-        if spec.class_tag in seen:
-            raise ValidationError(f"duplicate class_tag {spec.class_tag}")
-        seen.add(spec.class_tag)
-        return spec
+    header, rows, linenos = read_table(read_lines(path), header_fault,
+                                       split=_csv_cells)
+    specs = {}
+    for row, lineno in zip(rows, linenos):
+        try:
+            cells = _csv_cells(row)
+            if len(cells) != len(header):
+                raise ValueError(f"expected {len(header)} columns, got {len(cells)}")
+            spec = ChipClassSpec(*(parse(c) for parse, c in zip(_CELL_PARSERS, cells)))
+            if spec.class_tag in specs:
+                raise ValueError(f"duplicate class_tag {spec.class_tag}")
+        except (ValueError, ValidationError) as exc:
+            raise ParseError(str(exc), line=lineno) from None
+        specs[spec.class_tag] = spec
+    return list(specs.values())
 
-    return read_table(read_lines(path), header_fault, parse_row, quoted=True)
+
+def _csv_cells(line):
+    return next(csv.reader([line]))
 
 
 @dataclass

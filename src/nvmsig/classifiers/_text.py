@@ -1,10 +1,10 @@
 """Model-file text encoding shared by the model header and the core blocks."""
 
-import math
+from itertools import repeat
 
 import numpy as np
 
-from .._atomic import read_lines
+from .._atomic import read_block, read_lines
 from ..errors import ParseError
 
 
@@ -37,33 +37,42 @@ class Reader:
     def fail(self, msg):
         raise ParseError(msg, line=self.pos)
 
-    def count(self, text) -> int:
-        """A count of lines still to come, checked before it sizes an array."""
-        n = int(text)
+    def rows(self, n) -> range:
+        """The 0-based indices of the next `n` lines, which the reader passes;
+        the count is checked before it sizes an array."""
         if not 0 <= n <= len(self.lines) - self.pos:
             self.fail(f"count {n} does not fit the {len(self.lines) - self.pos} "
                       "lines left")
-        return n
+        self.pos += n
+        return range(self.pos - n, self.pos)
 
-    def floats(self, parts, n, what) -> list[float]:
-        """The `n` reals in `parts`; NaN or an infinity fails at this line."""
-        if len(parts) != n:
-            self.fail(f"{what}: expected {n} values, got {len(parts)}")
-        values = [float(p) for p in parts]
-        # the sum is finite when every value is, unless it overflows, and
-        # costs a third of testing each value on every line of a model file
-        if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
-            self.fail(f"{what}: values must be finite")
-        return values
+    def block(self, prefix, rows, dtype):
+        """One record of `dtype` from each line at the 0-based indices `rows`:
+        `prefix`, then the record's values separated by whitespace (see
+        `read_block`)."""
+        lines = [self.lines[i] for i in rows]
+        if not all(map(str.startswith, lines, repeat(prefix + " "))):
+            self.pos = 1 + next(i for i, line in zip(rows, lines)
+                                if not line.startswith(prefix + " "))
+            self.fail(f"expected '{prefix} ...'")
+        if not lines:
+            return np.empty(0, dtype)
+        # a bytes field takes the prefix, so no line is copied to cut it;
+        # 8 bytes keep the number fields aligned
+        dtype = [("prefix", "S8"), *np.dtype(dtype).descr]
+        return read_block(lines, [i + 1 for i in rows], [(dtype, None)])[0]
 
-    def real(self, text, what) -> float:
-        return self.floats([text], 1, what)[0]
+    def vector(self, prefix, n, dtype=np.float64):
+        """The `n` values after `prefix` on the next line (see `block`)."""
+        rows = self.rows(1)
+        # checked before `n` sizes the record: a line holds fewer values
+        # than characters
+        if not 0 <= n <= len(self.lines[rows[0]]):
+            self.fail(f"{prefix}: expected {n} values")
+        return self.block(prefix, rows, [("v", dtype, n)])["v"][0]
 
     def tags(self, n_tags):
-        tags = np.array([int(t) for t in self.next("tags").split()[1:]],
-                        dtype=np.int64)
-        if len(tags) != n_tags:
-            self.fail(f"expected {n_tags} tags")
+        tags = self.vector("tags", n_tags, np.int64)
         if (np.diff(tags) <= 0).any():  # score columns are found by bisection
             self.fail("tags must be distinct and ascending")
         return tags

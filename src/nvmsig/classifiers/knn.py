@@ -105,13 +105,8 @@ def load(r, head, width, params):
     """The core from the rows after `core knn <n> <d>`."""
     if "k" not in params:
         r.fail("knn model file lacks a k param")
-    n, d = r.count(head[0]), int(head[1])
-    if d != width:
+    if head[1] != width:
         r.fail("core width disagrees with selection width")
-    X = np.empty((n, d))
-    y = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        parts = r.next("row").split()
-        y[i] = int(parts[1])
-        X[i] = r.floats(parts[2:], d, "row")
-    return fit(X, y, params["k"])
+    rec = r.block("row", r.rows(head[0]), [("y", np.int64), ("X", np.float64, width)])
+    return fit(np.ascontiguousarray(rec["X"]), np.ascontiguousarray(rec["y"]),
+               params["k"])

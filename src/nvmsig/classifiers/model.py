@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._atomic import atomic_open, has_line_break
+from .._atomic import atomic_open, has_line_break, number
 from ..errors import ParseError, ValidationError
 from ..features import FeatureRanking, StandardizationStats, apply_standardizer, fit_standardizer
 from . import knn as _knn
@@ -24,7 +24,8 @@ _FORMAT_HEADER = "nvmsig-model 1"
 _INT_PARAMS = ("k", "max_depth", "min_leaf")
 # the one place a classifier kind is chosen: each core module offers fit(Z,
 # y, **params), predict(core, Z), predict_detail(core, Z), and, for its
-# model-file block, dump(core) and load(reader, head, width, params) -> core.
+# model-file block, dump(core) and load(reader, head, width, params) -> core,
+# `head` being the integers on the block's `core <kind>` line.
 # Every core holds `tags`, the sorted training labels that index its score
 # columns; they are the model's class axis.
 _CORES = {"knn": _knn, "tree": _tree, "svm": _svm}
@@ -186,39 +187,37 @@ def _read_model(r: Reader) -> TrainedModel:
     kind = r.next("kind").split()[1]
     if kind not in KINDS:
         r.fail(f"unknown model kind '{kind}'")
-    arity = int(r.next("arity").split()[1])
-    n_train = int(r.next("n_train").split()[1])
-    n_classes = int(r.next("classes").split()[1])
+    arity = number(r.next("arity").split()[1], True)
+    n_train = number(r.next("n_train").split()[1], True)
+    n_classes = number(r.next("classes").split()[1], True)
     classes_line = r.pos
     names = {}
     for _ in range(n_classes):
         # single spaces, so a name keeps its leading and doubled spaces
         parts = r.next("class").split(" ", 2)
-        names[int(parts[1])] = parts[2] if len(parts) > 2 else ""
+        names[number(parts[1], True)] = parts[2] if len(parts) > 2 else ""
     sel_parts = r.next("selection").split()
-    method, n_idx = sel_parts[1], int(sel_parts[2])
-    idx = [int(p) for p in r.next("indices").split()[1:]]
-    if len(idx) != n_idx:
-        r.fail(f"expected {n_idx} indices")
-    if not idx or len(set(idx)) < n_idx or not 0 <= min(idx) <= max(idx) < arity:
+    method, n_idx = sel_parts[1], number(sel_parts[2], True)
+    indices = r.vector("indices", n_idx, np.int64)
+    if not n_idx or np.unique(indices).size < n_idx \
+            or not 0 <= indices.min() <= indices.max() < arity:
         r.fail(f"indices must be at least one distinct column in [0, {arity})")
-    indices = np.array(idx, dtype=np.int64)
-    mean = r.floats(r.next("mean").split()[1:], n_idx, "mean")
-    std = r.floats(r.next("std").split()[1:], n_idx, "std")
-    if min(std) < 0:
+    mean, std = r.vector("mean", n_idx), r.vector("std", n_idx)
+    if (std < 0).any():
         r.fail("std must be non-negative")
     params = {}
     line = r.next()
     while line.startswith("param "):
         _, key, val = line.split()
-        val = r.real(val, f"param {key}")
+        val = number(val)
         params[key] = int(val) if key in _INT_PARAMS else val
         line = r.next()
     r.pos -= 1  # the non-param line heads the core block
     head = r.next("core").split()
     if head[1] != kind:
         r.fail(f"core block is '{head[1]}', header says '{kind}'")
-    core = _CORES[kind].load(r, head[2:], n_idx, params)
+    core = _CORES[kind].load(r, [number(h, True) for h in head[2:]], n_idx,
+                             params)
     if r.next() != "end":
         r.fail("expected 'end'")
     if list(names) != core.tags.tolist():

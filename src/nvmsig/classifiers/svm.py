@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._atomic import number
 from ..errors import NumericError, ValidationError
 from ._text import fmt, fmt_vec
 from .knn import _sq_dists
@@ -239,21 +240,24 @@ def dump(core: SvmCore):
 
 def load(r, head, width, params):
     """The core from the lines after `core svm <n_machines> <n_tags>`."""
-    n_machines, n_tags = int(head[0]), int(head[1])
+    n_machines, n_tags = head
     tags = r.tags(n_tags)
-    machines = []
+    heads, spans = [], []
     for _ in range(n_machines):
         parts = r.next("machine").split()
-        a, b, n_sv = int(parts[1]), int(parts[2]), r.count(parts[3])
-        bias = r.real(parts[4], "machine bias")
+        a, b = number(parts[1], True), number(parts[2], True)
+        bias = number(parts[4])
         if a == b or a not in tags or b not in tags:
             r.fail(f"machine tags {a} and {b} are not two distinct model tags")
-        coeffs = np.empty(n_sv)
-        sv = np.empty((n_sv, width))
-        for i in range(n_sv):
-            values = r.floats(r.next("sv").split()[1:], width + 1, "sv")
-            coeffs[i], sv[i] = values[0], values[1:]
-        machines.append(PairMachine(a, b, coeffs, sv, bias))
+        heads.append((a, b, bias))
+        spans.append(r.rows(number(parts[3], True)))
+    # the sv lines of every machine, read in one pass
+    rec = r.block("sv", [i for span in spans for i in span],
+                  [("alpha_y", np.float64), ("sv", np.float64, width)])
+    ends = np.cumsum([len(span) for span in spans])[:-1]
+    machines = [PairMachine(a, b, np.ascontiguousarray(part["alpha_y"]),
+                            np.ascontiguousarray(part["sv"]), bias)
+                for (a, b, bias), part in zip(heads, np.split(rec, ends))]
     if "gamma" not in params:
         r.fail("svm model file lacks a gamma param")
     return SvmCore(tags, machines, params["gamma"])

@@ -199,25 +199,30 @@ def dump(core: TreeCore):
 
 def load(r, head, width, params):
     """The core from the lines after `core tree <n_nodes> <n_tags>`."""
-    n_nodes, n_tags = int(head[0]), int(head[1])
+    n_nodes, n_tags = head
     if n_nodes < 1:
         r.fail("a tree needs at least one node")
     tags = r.tags(n_tags)
-    rows = []
-    for nid in range(n_nodes):
-        p = r.next("node").split()
-        if len(p) != 7 + n_tags:
-            r.fail("node: wrong field count")
-        f, kids, leaf = int(p[2]), (int(p[4]), int(p[5])), int(p[6])
-        counts = np.array([int(c) for c in p[7:]], dtype=np.int64)
-        # preorder ids: a split's children come later in the file
-        if f == -1:
-            ok = kids == (-1, -1) and 0 <= leaf < n_tags
-        else:
-            ok = (0 <= f < width and leaf == -1
-                  and all(nid < c < n_nodes for c in kids))
-        if not ok or (counts < 0).any():
-            r.fail(f"node {nid}: feature {f}, children {kids}, leaf "
-                   f"{leaf} or counts out of range")
-        rows.append((f, r.real(p[3], "node threshold"), *kids, leaf, counts))
-    return table(tags, rows)
+    rows = r.rows(n_nodes)
+    rec = r.block("node", rows, [
+        ("id", np.int64), ("feature", np.int64), ("threshold", np.float64),
+        ("left", np.int64), ("right", np.int64), ("leaf", np.int64),
+        ("counts", np.int64, n_tags)])
+    core = TreeCore(tags, *(np.ascontiguousarray(rec[name]) for name in
+                            ("feature", "threshold", "left", "right", "leaf",
+                             "counts")))
+    f, left, right, leaf = core.feature, core.left, core.right, core.leaf
+    # preorder ids: a split's children come later in the file
+    ok = np.where(f == -1,
+                  (left == -1) & (right == -1) & (0 <= leaf) & (leaf < n_tags),
+                  (0 <= f) & (f < width) & (leaf == -1)
+                  & (np.arange(n_nodes) < np.minimum(left, right))
+                  & (np.maximum(left, right) < n_nodes))
+    ok &= (core.counts >= 0).all(axis=1)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        r.pos = rows[i] + 1
+        r.fail(f"node {i}: feature {f[i]}, children "
+               f"{(int(left[i]), int(right[i]))}, leaf {leaf[i]} or counts "
+               "out of range")
+    return core

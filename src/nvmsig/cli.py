@@ -33,7 +33,7 @@ from .chipsim import (
     load_catalog,
     new_chip,
 )
-from ._atomic import atomic_open, parse_int64, read_lines, read_table
+from ._atomic import atomic_open, parse_int64, read_columns, read_lines
 from .classifiers import KINDS, cross_validate, evaluate, load_model, save_model, train
 from .detector import (
     baseline_from_catalog,
@@ -261,8 +261,9 @@ def _load_probe(path) -> np.ndarray:
         return None if cells[-1] == "latency_us" else \
             "expected a trailing latency_us column"
 
-    return np.array(read_table(read_lines(path), header_fault,
-                               lambda cells: float(cells[-1])))
+    (lat,), _ = read_columns(read_lines(path), header_fault,
+                             [(np.float64, slice(-1, None))])
+    return lat[:, 0]
 
 
 def _catalog(cfg, tags=None):

@@ -14,10 +14,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._atomic import atomic_open, read_lines, read_table
+from ._atomic import atomic_open, read_columns, read_lines
 from .chipsim import ChipClassSpec, SpatialLatencyMap
 from .classifiers import TrainedModel, predict_detail
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 from .protocol import Side, latency_stats
 
 USED_THRESHOLD = 1.3
@@ -191,22 +191,23 @@ def save_map(latency_map: SpatialLatencyMap, path) -> None:
 
 def load_map(path) -> SpatialLatencyMap:
     """Two-column CSV (addr, latency_us) covering every address exactly once."""
-    pairs = {}
-
     def header_fault(cells):
         return None if cells == ["addr", "latency_us"] else \
             "expected header 'addr,latency_us'"
 
-    def parse_row(cells):
-        addr = int(cells[0])
-        if addr in pairs:
-            raise ValueError(f"duplicate address {addr}")
-        pairs[addr] = float(cells[1])
-
-    read_table(read_lines(path), header_fault, parse_row)
+    (addr, lat), linenos = read_columns(
+        read_lines(path), header_fault,
+        [(np.int64, slice(0, 1)), (np.float64, slice(1, 2))])
+    order = np.argsort(addr[:, 0], kind="stable")
+    ranked = addr[order, 0]
+    # a stable sort puts every repeat of an address after its first row
+    again = order[1:][ranked[1:] == ranked[:-1]]
+    if again.size:
+        raise ParseError(f"duplicate address {addr[again.min(), 0]}",
+                         line=linenos[again.min()])
     # distinct addresses with min 0 and max len - 1 leave no holes
-    n = max(pairs) + 1
-    if min(pairs) != 0 or n != len(pairs):
+    n = int(ranked[-1]) + 1
+    if ranked[0] != 0 or n != ranked.size:
         raise ValidationError(f"map must cover addresses 0..{n - 1} "
                               "with no holes")
-    return SpatialLatencyMap(np.array([pairs[a] for a in range(n)]))
+    return SpatialLatencyMap(lat[order, 0])

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._atomic import atomic_open, has_line_break, parse_int64, read_lines, read_table
+from ._atomic import atomic_open, has_line_break, read_columns, read_lines
 from ._rng import derive_seed
 from .chipsim import ChipClassSpec, latency_at, new_chip
 from .errors import ParseError, ValidationError
@@ -353,13 +353,7 @@ def load_dataset(path) -> Dataset:
             cells[4:] == _feature_columns(len(cells) - 4)
         return None if ok else "bad dataset header"
 
-    heads = []  # (class, chip_seed, addr, checkpoint) of each row
-
-    def parse_row(cells):
-        heads.append(tuple(map(parse_int64, cells[:4])))
-        return np.array(cells[4:], dtype=np.float64)
-
-    X = np.array(read_table(lines[first - 1:], header_fault, parse_row,
-                            first=first))
-    heads = np.array(heads, dtype=np.int64)
+    (heads, X), _ = read_columns(lines[first - 1:], header_fault,
+                                 [(np.int64, slice(0, 4)), (np.float64, slice(4, None))],
+                                 first=first)
     return Dataset(X, heads[:, 0], heads[:, 1:], class_names)
