@@ -3,7 +3,6 @@
 import contextlib
 import math
 import os
-from itertools import repeat
 
 import numpy as np
 
@@ -61,46 +60,36 @@ def number(text: str, integer: bool = False):
     return value
 
 
-def read_block(lines, linenos, parts, *, delimiter=None, width=None) -> list:
-    """One array per `(dtype, cols)` of `parts`: the cells at the columns
-    `cols` (all, when None) of each of `lines`, lines `linenos` of a file,
-    as one row (or record, when `dtype` has fields) per line, read by
-    np.loadtxt in one C pass.  A line of other than `width` cells, a cell
-    that `number` refuses or a NaN or infinite real is a ParseError at its
-    line, and so is a line that is not ASCII text, which never reaches
-    numpy: its int64 reader takes any character for a digit ('⥰' reads as
-    10560) and can crash on such text.  Only on a fault are the lines read
-    one at a time, since numpy's row count is not the file's line number."""
-    kinds = {}  # column -> "i" or "f", or another dtype kind for text
-    for dtype, cols in parts:
-        dtype = np.dtype(dtype)
-        flat = ("".join(dtype[n].base.kind * math.prod(dtype[n].shape)
-                        for n in dtype.names) if dtype.names
-                else dtype.kind * len(cols))
-        kinds.update(zip(cols or range(len(flat)), flat))
-    width = width or len(kinds)
-    # np.loadtxt skips the columns outside `cols`, so count them first
-    if all(map(str.isascii, lines)) and (not delimiter or sum(
-            map(str.count, lines, repeat(delimiter))) == (width - 1) * len(lines)):
+def read_block(lines, linenos, dtype, *, delimiter=None) -> np.ndarray:
+    """One record of the structured `dtype` from each of `lines`, lines
+    `linenos` of a file, read by np.loadtxt in one C pass, which refuses a
+    line of other than the record's cell count.  Such a line, a cell that
+    `number` refuses or a NaN or infinite real is a ParseError at its line,
+    and so is a line that is not ASCII text, which never reaches numpy: its
+    int64 reader takes any character for a digit ('⥰' reads as 10560) and
+    can crash on such text.  Only on a fault are the lines read one at a
+    time, since numpy's row count is not the file's line number."""
+    dtype = np.dtype(dtype)
+    if all(map(str.isascii, lines)):
         with contextlib.suppress(ValueError):
-            arrays = [np.loadtxt(lines, dtype, comments=None, delimiter=delimiter,
-                                 usecols=cols, ndmin=1 if cols is None else 2)
-                      for dtype, cols in parts]
-            # the real fields of each array, or all of it ([...]) if it has none
-            if all(len(a) == len(lines) and all(
-                    np.isfinite(a[n]).all() for n in a.dtype.names or [...]
-                    if a[n].dtype.kind == "f") for a in arrays):
-                return arrays
+            rec = np.loadtxt(lines, dtype, comments=None, delimiter=delimiter, ndmin=1)
+            if len(rec) == len(lines) and all(np.isfinite(rec[n]).all()
+                                              for n in dtype.names
+                                              if dtype[n].base.kind == "f"):
+                return rec
+    # the kind of each cell: "i" or "f", or another dtype kind for text
+    kinds = "".join(dtype[n].base.kind * math.prod(dtype[n].shape)
+                    for n in dtype.names)
     for line, lineno in zip(lines, linenos):
         cells = line.split(delimiter)
         try:
             if not line.isascii():
                 raise ValueError("a row of numbers must be ASCII text")
-            if len(cells) != width:
-                raise ValueError(f"expected {width} columns, got {len(cells)}")
-            for col, kind in kinds.items():
+            if len(cells) != len(kinds):
+                raise ValueError(f"expected {len(kinds)} columns, got {len(cells)}")
+            for cell, kind in zip(cells, kinds):
                 if kind in "if":
-                    number(cells[col], kind == "i")
+                    number(cell, kind == "i")
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
     raise ParseError("np.loadtxt refused a line of this block that number() reads",
@@ -129,12 +118,3 @@ def read_table(lines, header_fault, *, first=1, split=lambda line: line.split(",
         raise ParseError("no data rows", line=first)
     return header, rows, linenos
 
-
-def read_columns(lines, header_fault, parts, *, first=1):
-    """(arrays, row line numbers) of the comma-separated table in `lines`
-    (see `read_table`): `read_block`'s arrays for `parts`, whose columns are
-    slices of the header's."""
-    header, rows, linenos = read_table(lines, header_fault, first=first)
-    cols = range(len(header))
-    return read_block(rows, linenos, [(dtype, cols[s]) for dtype, s in parts],
-                      delimiter=",", width=len(header)), linenos

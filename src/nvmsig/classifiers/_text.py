@@ -60,7 +60,7 @@ class Reader:
         # a bytes field takes the prefix, so no line is copied to cut it;
         # 8 bytes keep the number fields aligned
         dtype = [("prefix", "S8"), *np.dtype(dtype).descr]
-        return read_block(lines, [i + 1 for i in rows], [(dtype, None)])[0]
+        return read_block(lines, [i + 1 for i in rows], dtype)
 
     def vector(self, prefix, n, dtype=np.float64):
         """The `n` values after `prefix` on the next line (see `block`)."""

@@ -218,11 +218,11 @@ def load(r, head, width, params):
                   (0 <= f) & (f < width) & (leaf == -1)
                   & (np.arange(n_nodes) < np.minimum(left, right))
                   & (np.maximum(left, right) < n_nodes))
-    ok &= (core.counts >= 0).all(axis=1)
+    ok &= (core.counts >= 0).all(axis=1) & (rec["id"] == np.arange(n_nodes))
     if not ok.all():
         i = int(np.argmin(ok))
         r.pos = rows[i] + 1
-        r.fail(f"node {i}: feature {f[i]}, children "
+        r.fail(f"node {i}: id {rec['id'][i]}, feature {f[i]}, children "
                f"{(int(left[i]), int(right[i]))}, leaf {leaf[i]} or counts "
                "out of range")
     return core

@@ -33,7 +33,7 @@ from .chipsim import (
     load_catalog,
     new_chip,
 )
-from ._atomic import atomic_open, parse_int64, read_columns, read_lines
+from ._atomic import atomic_open, parse_int64, read_block, read_lines, read_table
 from .classifiers import KINDS, cross_validate, evaluate, load_model, save_model, train
 from .detector import (
     baseline_from_catalog,
@@ -261,9 +261,11 @@ def _load_probe(path) -> np.ndarray:
         return None if cells[-1] == "latency_us" else \
             "expected a trailing latency_us column"
 
-    (lat,), _ = read_columns(read_lines(path), header_fault,
-                             [(np.float64, slice(-1, None))])
-    return lat[:, 0]
+    header, rows, linenos = read_table(read_lines(path), header_fault)
+    # the leading cells are counted, not read
+    rec = read_block(rows, linenos, [("rest", "S1", len(header) - 1),
+                                     ("lat", np.float64)], delimiter=",")
+    return np.ascontiguousarray(rec["lat"])
 
 
 def _catalog(cfg, tags=None):

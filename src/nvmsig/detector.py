@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._atomic import atomic_open, read_columns, read_lines
+from ._atomic import atomic_open, read_block, read_lines, read_table
 from .chipsim import ChipClassSpec, SpatialLatencyMap
 from .classifiers import TrainedModel, predict_detail
 from .errors import ParseError, ValidationError
@@ -195,19 +195,19 @@ def load_map(path) -> SpatialLatencyMap:
         return None if cells == ["addr", "latency_us"] else \
             "expected header 'addr,latency_us'"
 
-    (addr, lat), linenos = read_columns(
-        read_lines(path), header_fault,
-        [(np.int64, slice(0, 1)), (np.float64, slice(1, 2))])
-    order = np.argsort(addr[:, 0], kind="stable")
-    ranked = addr[order, 0]
+    _, rows, linenos = read_table(read_lines(path), header_fault)
+    rec = read_block(rows, linenos, [("addr", np.int64), ("lat", np.float64)],
+                     delimiter=",")
+    order = np.argsort(rec["addr"], kind="stable")
+    ranked = rec["addr"][order]
     # a stable sort puts every repeat of an address after its first row
     again = order[1:][ranked[1:] == ranked[:-1]]
     if again.size:
-        raise ParseError(f"duplicate address {addr[again.min(), 0]}",
+        raise ParseError(f"duplicate address {rec['addr'][again.min()]}",
                          line=linenos[again.min()])
     # distinct addresses with min 0 and max len - 1 leave no holes
     n = int(ranked[-1]) + 1
     if ranked[0] != 0 or n != ranked.size:
         raise ValidationError(f"map must cover addresses 0..{n - 1} "
                               "with no holes")
-    return SpatialLatencyMap(lat[order, 0])
+    return SpatialLatencyMap(rec["lat"][order])

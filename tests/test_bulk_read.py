@@ -136,8 +136,7 @@ def test_bulk_reals_equal_float_of_each_token(tmp_path_factory, values, fmt):
     texts = [_text(v, fmt) for v in values]
     want = np.array([float(t) for t in texts])
     # whitespace-separated, as in a model file's block
-    got = read_block([" ".join(texts)], [1],
-                     [([("v", np.float64, len(texts))], None)])[0]
+    got = read_block([" ".join(texts)], [1], [("v", np.float64, len(texts))])
     assert got["v"][0].tobytes() == want.tobytes()
     # comma-separated, as in a map
     path = tmp_path_factory.mktemp("reals") / "map.csv"
@@ -237,6 +236,22 @@ def test_numbers_outside_the_grammar_fail_at_their_line(tmp_path, loader):
             _set_cell(path, lineno, index, token)
             with pytest.raises(ParseError, match=f"^line {lineno}: "):
                 load(path)
+
+
+@pytest.mark.parametrize("extra", [1, -1], ids=["one-more", "one-fewer"])
+@pytest.mark.parametrize("loader", ["knn", "map", "probe", "dataset"])
+def test_a_row_of_the_wrong_width_fails_at_its_line(tmp_path, loader, extra):
+    load, path, cells = _files(tmp_path)[loader]
+    lineno = cells[0][0]
+    sep = " " if path.suffix == ".txt" else ","
+    lines = path.read_text(encoding="utf-8").splitlines()
+    width = len(lines[lineno - 1].split(sep))
+    lines[lineno - 1] = (lines[lineno - 1] + sep + "9" if extra > 0
+                         else lines[lineno - 1].rsplit(sep, 1)[0])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^line {lineno}: expected {width} "
+                                         f"columns, got {width + extra}$"):
+        load(path)
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])

@@ -562,6 +562,7 @@ def _set_field(line, pos, value):
     ("tree", "node 0 ", lambda ln, n: _set_field(ln, 2, "4")),  # width 4
     ("tree", "node 0 ", lambda ln, n: _set_field(ln, 6, "0")),
     ("tree", "core tree ", lambda ln, n: _set_field(ln, 2, "0")),
+    ("tree", "node 1 ", lambda ln, n: _set_field(ln, 1, "77")),
     ("knn", "indices ", lambda ln, n: _set_field(ln, 4, "7")),  # arity 4
     ("knn", "indices ", lambda ln, n: _set_field(ln, 4, "-1")),
     ("knn", "indices ", lambda ln, n: _set_field(ln, 4, "0")),
@@ -582,6 +583,7 @@ def _set_field(line, pos, value):
         "machine-tags-equal", "child-out-of-range", "child-not-after-parent",
         "leaf-tag-beyond-tags", "leaf-tag-negative", "count-negative",
         "feature-beyond-width", "split-with-leaf-tag", "no-nodes",
+        "node-id-not-its-row",
         "index-beyond-arity", "index-negative", "index-repeated",
         "bias-nan", "sv-coeff-inf", "sv-value-inf", "param-nan",
         "threshold-nan", "knn-row-inf", "int-param-inf", "mean-nan",

@@ -347,6 +347,30 @@ def test_dataset_class_names_with_commas_round_trip(tmp_path):
     assert load_dataset(path).class_names == ds.class_names
 
 
+def _with_class_names_line(tmp_path, body):
+    path = tmp_path / "ds.csv"
+    save_dataset(small_dataset(), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join([f"# class_names: {body}", *lines[1:]]) + "\n",
+                    encoding="utf-8")
+    return path
+
+
+# int() takes each of these tags
+@pytest.mark.parametrize("tag", ["0_0", "\u0660", "99999999999999999999999"],
+                         ids=["separator", "arabic-indic-digit", "beyond-int64"])
+def test_dataset_class_name_tag_follows_the_number_grammar(tmp_path, tag):
+    path = _with_class_names_line(tmp_path, f"{tag}=a")
+    with pytest.raises(ParseError, match="^line 1: bad class_names entry"):
+        load_dataset(path)
+
+
+def test_dataset_class_name_tag_given_twice_is_parse_error(tmp_path):
+    path = _with_class_names_line(tmp_path, "0=a,0=b")
+    with pytest.raises(ParseError, match="^line 1: repeated class_names tag 0$"):
+        load_dataset(path)
+
+
 @pytest.mark.parametrize("name", ["two\nlines", "carriage\r", "A,3=B", "A,-3=B"])
 def test_dataset_unstorable_class_name_rejected(tmp_path, name):
     ds = small_dataset()
