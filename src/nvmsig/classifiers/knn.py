@@ -41,23 +41,19 @@ def _neighbors(core: KnnCore, X):
     with distance ties crossing the k boundary get an exact redo.
     """
     d2 = _sq_dists(X, core.X)
-    n, k = core.X.shape[0], core.k
-    if k >= n:
-        part = np.tile(np.arange(n), (X.shape[0], 1))
-    else:
-        part = np.sort(np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
+    k = core.k
+    part = np.sort(np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
     pd = np.take_along_axis(d2, part, axis=1)
     order = np.argsort(pd, axis=1, kind="stable")
     nn = np.take_along_axis(part, order, axis=1)
     nd = np.take_along_axis(pd, order, axis=1)
-    if k < n:
-        dk = nd[:, -1]
-        ties = np.count_nonzero(d2 <= dk[:, None], axis=1) > k
-        for r in np.nonzero(ties)[0]:
-            cand = np.nonzero(d2[r] <= dk[r])[0]  # already index-ascending
-            sub = cand[np.argsort(d2[r, cand], kind="stable")][:k]
-            nn[r] = sub
-            nd[r] = d2[r, sub]
+    dk = nd[:, -1]
+    ties = np.count_nonzero(d2 <= dk[:, None], axis=1) > k
+    for r in np.nonzero(ties)[0]:
+        cand = np.nonzero(d2[r] <= dk[r])[0]  # already index-ascending
+        sub = cand[np.argsort(d2[r, cand], kind="stable")][:k]
+        nn[r] = sub
+        nd[r] = d2[r, sub]
     return nn, nd
 
 

@@ -16,6 +16,7 @@ equal inputs give equal machines.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -31,18 +32,14 @@ _STACK_BYTES = 64 << 20  # kernel stack of one solver batch (a pair always fits)
 
 
 @dataclass
-class PairMachine:
-    tag_pos: int
-    tag_neg: int
-    alpha_y: np.ndarray  # alpha_i * y_i over support rows
-    sv: np.ndarray
-    bias: float
-
-
-@dataclass
 class SvmCore:
+    """The model-file block: machine m owns the next counts[m] support rows."""
     tags: np.ndarray
-    machines: list
+    pairs: np.ndarray  # machines x 2 tags, the positive (lower) tag first
+    bias: np.ndarray
+    counts: np.ndarray
+    alpha_y: np.ndarray  # alpha_i * y_i of every support row
+    sv: np.ndarray
     gamma: float
 
 
@@ -165,19 +162,22 @@ def fit(X, y, C: float, gamma, tol: float) -> SvmCore:
     solved = []
     for s in range(0, len(pairs), batch):
         solved += smo_train_pairs(Xs[s:s + batch], ys[s:s + batch], C, g, tol)
-    machines = []
-    for (a, b), Xp, yp, (alpha, bias) in zip(pairs, Xs, ys, solved):
-        keep = alpha > 0
-        machines.append(PairMachine(a, b, (alpha * yp)[keep], Xp[keep],
-                                    float(bias)))
-    return SvmCore(tags, machines, g)
+    alphas, biases = zip(*solved)
+    keep = [alpha > 0 for alpha in alphas]
+    return SvmCore(tags, np.array(pairs), np.array(biases),
+                   np.array([k.sum() for k in keep]),
+                   np.concatenate([(a * yp)[k] for a, yp, k in zip(alphas, ys, keep)]),
+                   np.concatenate([Xp[k] for Xp, k in zip(Xs, keep)]), g)
 
 
-def _pair_decisions(machine: PairMachine, X, gamma):
-    if machine.sv.shape[0] == 0:
-        return np.full(X.shape[0], machine.bias)
-    d2 = _sq_dists(X, machine.sv)
-    return np.exp(-gamma * d2) @ machine.alpha_y + machine.bias
+def _decisions(core: SvmCore, X):
+    """probes x machines: one kernel block per machine on its run of `sv`;
+    a run of no rows adds 0 to its bias."""
+    F = np.empty((X.shape[0], core.bias.size))
+    stop = np.cumsum(core.counts)
+    for m, (a, b) in enumerate(zip(stop - core.counts, stop)):
+        F[:, m] = np.exp(-core.gamma * _sq_dists(X, core.sv[a:b])) @ core.alpha_y[a:b]
+    return F + core.bias
 
 
 def predict_detail(core: SvmCore, X):
@@ -187,14 +187,13 @@ def predict_detail(core: SvmCore, X):
     vote tie goes to the lowest tag.
     """
     X = np.asarray(X, dtype=np.float64)
-    scores = np.zeros((X.shape[0], core.tags.size), dtype=np.float64)
-    for m in core.machines:
-        f = _pair_decisions(m, X, core.gamma)
-        win_pos = f >= 0  # an exact zero sides with the lower tag
-        col_pos, col_neg = np.searchsorted(core.tags, (m.tag_pos, m.tag_neg))
-        scores[win_pos, col_pos] += 1.0
-        scores[~win_pos, col_neg] += 1.0
-    return core.tags[np.argmax(scores, axis=1)], scores
+    n, k = X.shape[0], core.tags.size
+    cols = np.searchsorted(core.tags, core.pairs)
+    # an exact zero sides with the lower tag
+    won = np.where(_decisions(core, X) >= 0, cols[:, 0], cols[:, 1])
+    won += k * np.arange(n)[:, None]
+    scores = np.bincount(won.ravel(), minlength=n * k).reshape(n, k)
+    return core.tags[np.argmax(scores, axis=1)], scores.astype(np.float64)
 
 
 def predict_scores(core: SvmCore, X) -> np.ndarray:
@@ -228,13 +227,13 @@ def rbf_kernel_matrix(X, gamma, out=None) -> np.ndarray:
 
 
 def dump(core: SvmCore):
-    out = [f"core svm {len(core.machines)} {len(core.tags)}",
+    out = [f"core svm {core.bias.size} {core.tags.size}",
            "tags " + " ".join(str(int(t)) for t in core.tags)]
-    for m in core.machines:
-        out.append(f"machine {m.tag_pos} {m.tag_neg} {m.sv.shape[0]} "
-                   f"{fmt(m.bias)}")
-        for coeff, row in zip(m.alpha_y, m.sv):
-            out.append(f"sv {fmt(coeff)} {fmt_vec(row)}")
+    rows = (f"sv {fmt(coeff)} {fmt_vec(row)}"
+            for coeff, row in zip(core.alpha_y, core.sv))
+    for (a, b), n, bias in zip(core.pairs, core.counts, core.bias):
+        out.append(f"machine {a} {b} {n} {fmt(bias)}")
+        out += islice(rows, n)
     return out
 
 
@@ -242,22 +241,21 @@ def load(r, head, width, params):
     """The core from the lines after `core svm <n_machines> <n_tags>`."""
     n_machines, n_tags = head
     tags = r.tags(n_tags)
-    heads, spans = [], []
+    pairs, bias, spans = [], [], []
     for _ in range(n_machines):
         parts = r.next("machine").split()
         a, b = number(parts[1], True), number(parts[2], True)
-        bias = number(parts[4])
         if a == b or a not in tags or b not in tags:
             r.fail(f"machine tags {a} and {b} are not two distinct model tags")
-        heads.append((a, b, bias))
+        pairs.append((a, b))
+        bias.append(number(parts[4]))
         spans.append(r.rows(number(parts[3], True)))
     # the sv lines of every machine, read in one pass
     rec = r.block("sv", [i for span in spans for i in span],
                   [("alpha_y", np.float64), ("sv", np.float64, width)])
-    ends = np.cumsum([len(span) for span in spans])[:-1]
-    machines = [PairMachine(a, b, np.ascontiguousarray(part["alpha_y"]),
-                            np.ascontiguousarray(part["sv"]), bias)
-                for (a, b, bias), part in zip(heads, np.split(rec, ends))]
     if "gamma" not in params:
         r.fail("svm model file lacks a gamma param")
-    return SvmCore(tags, machines, params["gamma"])
+    return SvmCore(tags, np.array(pairs, dtype=np.int64).reshape(-1, 2),
+                   np.array(bias), np.array(list(map(len, spans)), dtype=np.int64),
+                   np.ascontiguousarray(rec["alpha_y"]),
+                   np.ascontiguousarray(rec["sv"]), params["gamma"])

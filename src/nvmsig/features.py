@@ -201,10 +201,7 @@ def mrmr_select(train, k: int = DEFAULT_K, bins: int = DEFAULT_BINS) -> FeatureR
     redundancy_sum = np.zeros(d)
     remaining = np.ones(d, dtype=bool)
     for _ in range(k):
-        if selected:
-            score = relevance - redundancy_sum / len(selected)
-        else:
-            score = relevance.copy()
+        score = relevance - redundancy_sum / max(len(selected), 1)
         score[~remaining] = -np.inf
         best = int(np.argmax(score))  # argmax takes the lowest index on ties
         selected.append(best)
@@ -270,8 +267,8 @@ def nca_select(train, k: int = DEFAULT_K, iters: int = 200,
     d = X.shape[1]
     if not 1 <= k <= d:
         raise ValidationError(f"k must be in [1, {d}]")
-    if iters < 1 or learning_rate <= 0:
-        raise ValidationError("iters must be >= 1 and learning_rate > 0")
+    if iters < 1 or not 0 < learning_rate < np.inf:
+        raise ValidationError("iters must be >= 1 and learning_rate finite and > 0")
 
     w = np.ones(d)
     for it in range(iters):

@@ -37,10 +37,12 @@ def _reference_core(path, kind):
         return [np.array([int(r[0]) for r in rows], dtype=np.int64),
                 np.array([[float(v) for v in r[1:]] for r in rows])]
     if kind == "svm":
-        rows = _fields(path, "sv")
+        rows, heads = _fields(path, "sv"), _fields(path, "machine")
         return [np.array([float(r[0]) for r in rows]),
                 np.array([[float(v) for v in r[1:]] for r in rows]),
-                np.array([float(r[3]) for r in _fields(path, "machine")])]
+                np.array([float(r[3]) for r in heads]),
+                np.array([[int(r[0]), int(r[1])] for r in heads], dtype=np.int64),
+                np.array([int(r[2]) for r in heads], dtype=np.int64)]
     rows = _fields(path, "node")
     return [np.array([int(r[i]) for r in rows], dtype=np.int64)
             for i in (1, 3, 4, 5)] + [
@@ -53,9 +55,7 @@ def _core_arrays(model):
     if model.kind == "knn":
         return [core.y, core.X]
     if model.kind == "svm":
-        return [np.concatenate([m.alpha_y for m in core.machines]),
-                np.concatenate([m.sv for m in core.machines]),
-                np.array([m.bias for m in core.machines])]
+        return [core.alpha_y, core.sv, core.bias, core.pairs, core.counts]
     return [core.feature, core.left, core.right, core.leaf, core.threshold,
             core.counts]
 
@@ -96,7 +96,8 @@ def test_sweep_model_cores_equal_the_per_line_reading(lab1_sweep):
         if model.kind == "knn":
             assert model.core.X.flags.c_contiguous
         if model.kind == "svm":
-            assert all(m.sv.flags.c_contiguous for m in model.core.machines)
+            assert model.core.alpha_y.flags.c_contiguous
+            assert model.core.sv.flags.c_contiguous
 
 
 def test_default_split_datasets_equal_the_per_line_reading(tmp_path):

@@ -433,11 +433,11 @@ def test_svm_pairs_solved_together_match_pairs_solved_alone(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(svm_core, "_STACK_BYTES", 1)
             alone = svm_core.fit(ds.X, ds.y, C=2.0, gamma="auto", tol=1e-3)
-        assert len(together.machines) == len(alone.machines) == 6
-        for a, b in zip(together.machines, alone.machines):
-            assert (a.tag_pos, a.tag_neg, a.bias) == (b.tag_pos, b.tag_neg, b.bias)
-            assert np.array_equal(a.alpha_y, b.alpha_y)
-            assert np.array_equal(a.sv, b.sv)
+        assert together.pairs.shape == alone.pairs.shape == (6, 2)
+        for name in ("tags", "pairs", "bias", "counts", "alpha_y", "sv"):
+            assert np.array_equal(getattr(together, name),
+                                  getattr(alone, name)), name
+        assert together.gamma == alone.gamma
 
 
 def test_svm_separable_training_is_consistent():
@@ -461,9 +461,11 @@ def test_svm_pair_decisions_match_the_kernel_formula(n, m, d):
     alpha_y, gamma = rng.normal(size=m), 1.0 / d
     d2 = np.maximum((X * X).sum(axis=1)[:, None] + (sv * sv).sum(axis=1)[None, :]
                     - 2.0 * (X @ sv.T), 0.0)
-    machine = svm_core.PairMachine(0, 1, alpha_y, sv, 0.25)
-    assert np.array_equal(svm_core._pair_decisions(machine, X, gamma),
-                          np.exp(-gamma * d2) @ alpha_y + 0.25)
+    core = svm_core.SvmCore(np.array([0, 1]), np.array([[0, 1]]),
+                            np.array([0.25]), np.array([m]), alpha_y, sv, gamma)
+    F = svm_core._decisions(core, X)
+    assert F.shape == (n, 1)
+    assert np.array_equal(F[:, 0], np.exp(-gamma * d2) @ alpha_y + 0.25)
 
 
 def test_svm_training_is_deterministic(tmp_path):

@@ -17,7 +17,8 @@ from nvmsig import cli
 from nvmsig.chipsim import (BUILTIN_CATALOG, SpatialLatencyMap, dump_catalog,
                             full_chip_scan, load_catalog, new_chip)
 from nvmsig.classifiers import (KINDS, cross_validate, knn as knn_core,
-                                load_model, predict_detail, svm as svm_core,
+                                load_model, predict_detail, save_model,
+                                svm as svm_core,
                                 train_knn, train_svm, train_tree)
 from nvmsig.detector import (detect_recycled, load_map, locate_used_regions,
                              save_map)
@@ -433,6 +434,15 @@ def test_mrmr_bins_beyond_row_count_train(workdir, tmp_path):
                "--mrmr-bins", 10 ** 12, "--out-dir", tmp_path) == 0
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_nca_learning_rate_not_finite_exits_1(workdir, tmp_path, capsys, lr):
+    assert run("train", "--dataset", workdir / "two.train.csv",
+               "--selector", "nca", "--select-k", 4,
+               "--nca-lr", lr, "--out-dir", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "learning_rate" in err
+
+
 def test_mrmr_bins_beyond_2_53_is_validation_error(workdir, tmp_path, capsys):
     assert run("train", "--dataset", workdir / "two.train.csv",
                "--selector", "mrmr", "--select-k", 4,
@@ -464,7 +474,7 @@ def test_predict_with_model_index_out_of_range_exits_1(workdir, tmp_path,
 @pytest.fixture(scope="module")
 def lab1(tmp_path_factory):
     """The lab-seed-1 split, and a knn, tree and svm model trained on it
-    with the CLI defaults."""
+    with the CLI defaults, and an svm on the mRMR-25 columns."""
     root = tmp_path_factory.mktemp("lab1")
     assert run("dataset", "--seed", 1, "--chips-per-class", 2,
                "--locations-per-chip", 2, "--split", "--out-dir", root) == 0
@@ -472,16 +482,21 @@ def lab1(tmp_path_factory):
         assert run("train", "--kind", kind, "--dataset",
                    root / "dataset.train.csv", "--out-dir", root,
                    "--out", f"{kind}.model.txt") == 0
+    assert run("train", "--kind", "svm", "--selector", "mrmr", "--dataset",
+               root / "dataset.train.csv", "--out-dir", root,
+               "--out", "svm_mrmr.model.txt") == 0
     return root
 
 
 # sha256 of the model files trained on the lab-seed-1 dataset: knn and tree
 # as the linked-node tree code wrote them, svm as model.py wrote every core
-# block before each core module wrote its own
+# block before each core module wrote its own, and the mRMR-25 svm as it was
+# written from one object per pair machine
 _LAB1_MODEL_SHA256 = {
     "knn": "24f362f211f98a15ec985e2d182bc7bb72ef023a0a2d8afca7e5db68a51c7805",
     "tree": "f09d08dcfc8a5632907d0d9eb462210892f4fc285f64aa639aa346e6a988011e",
     "svm": "c7d8be1b66207338b609ce1f93b3d13a112dcad80ec12d2a04ba0e88e986c98a",
+    "svm_mrmr": "5101a46a8033e96a34618055daed4687d421a197a73f21f86c1230b739d7bcd7",
 }
 
 
@@ -494,10 +509,12 @@ def test_lab_seed_1_model_file_bytes_are_pinned(lab1):
 # sha256 of the int64 calls then the float64 scores that predict_detail
 # gives for each lab-seed-1 model, loaded from its file, on the lab-seed-1
 # test split, as computed while model.py handed each core its class axis
+# (the mRMR-25 svm: while the svm walked one object per pair machine)
 _LAB1_EVIDENCE_SHA256 = {
     "knn": "7b87fb14ba9fff4103548ea7d0d8952e9dda1fedb00d8a325dc5e9048f48c6fe",
     "tree": "f070094cac5d8ae05438478de3e3ffd49e16f75bfaa9e12fef26bf36fa031d97",
     "svm": "499bd3f9c33cfc91f2e39b8b77c097492fac82d29ae100f9ef83e21abf344f02",
+    "svm_mrmr": "866d4569b5900bf70d6f4bdb228f339d95a062ac2f0db15ffe1f5ac25e3d68dc",
 }
 
 
@@ -510,6 +527,33 @@ def test_lab_seed_1_evidence_is_pinned(lab1):
         assert scores.shape == (test.y.size, tags.size), kind
         assert hashlib.sha256(pred.tobytes() + scores.tobytes()).hexdigest() \
             == digest, kind
+
+
+# sha256 of the lab-seed-1 svm with tol 5, as written from one object per
+# pair machine: the solver starts at a KKT gap of 2, within tol, so every
+# alpha stays 0 and no machine keeps a support row
+_LAB1_EMPTY_SVM_SHA256 = \
+    "0154fc6c36f47c286f65e80180238e53e63b3e28ca5ae4d2083a55c52cb56889"
+
+
+def test_svm_machines_without_support_rows_vote_by_their_bias(lab1, tmp_path):
+    model = train_svm(load_dataset(lab1 / "dataset.train.csv"), tol=5.0)
+    assert model.core.counts.tolist() == [0] * 36
+    assert model.core.sv.shape == (0, 100)
+    assert not model.core.bias.any()
+    test = load_dataset(lab1 / "dataset.test.csv")
+    path, again = tmp_path / "empty.model.txt", tmp_path / "again.model.txt"
+    save_model(model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _LAB1_EMPTY_SVM_SHA256
+    loaded = load_model(path)
+    save_model(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+    for m in (model, loaded):
+        # every decision is an exact zero, which sides with the lower tag
+        pred, scores, tags = predict_detail(m, test.X)
+        assert np.array_equal(pred, np.zeros(test.y.size, dtype=np.int64))
+        assert np.array_equal(scores, np.tile(np.arange(8.0, -1.0, -1.0),
+                                              (test.y.size, 1)))
 
 
 # sha256 of the lab-seed-1 dataset files and of the default dataset, as

@@ -388,6 +388,12 @@ def test_nca_needs_two_classes():
         mrmr_select(ds, k=2)
 
 
+@pytest.mark.parametrize("lr", [math.nan, math.inf])
+def test_nca_refuses_a_learning_rate_that_is_not_finite(lr):
+    with pytest.raises(ValidationError, match="learning_rate"):
+        nca_select(toy(2, n=20, d=3), k=2, iters=5, learning_rate=lr)
+
+
 def test_nca_nonfinite_gradient_aborts():
     ds = toy(2, n=20, d=3)
     with pytest.raises(NumericError, match="iteration"):
