@@ -3,8 +3,8 @@
 A TrainedModel bundles the fitted core with everything a raw probe needs at
 prediction time: which feature columns to keep, the standardization fitted
 on those columns, and the class labels.  Models persist to a single text
-file with reals at 9 significant digits; training the same configuration
-twice yields byte-identical files.
+file with reals at 9 significant digits and integers written exactly;
+training the same configuration twice yields byte-identical files.
 """
 
 import time
@@ -164,8 +164,9 @@ def save_model(model: TrainedModel, path) -> None:
     lines.append("std " + fmt_vec(model.stats.std))
     # wall-clock fields stay in memory only: identical configurations must
     # reproduce this file byte for byte
-    for key in sorted(model.params):
-        lines.append(f"param {key} {fmt(model.params[key])}")
+    for key, val in sorted(model.params.items()):
+        val = int(val) if key in _INT_PARAMS else fmt(val)
+        lines.append(f"param {key} {val}")
     lines.extend(_CORES[model.kind].dump(model.core))
     lines.append("end")
     with atomic_open(path) as fh:
@@ -209,8 +210,7 @@ def _read_model(r: Reader) -> TrainedModel:
     line = r.next()
     while line.startswith("param "):
         _, key, val = line.split()
-        val = number(val)
-        params[key] = int(val) if key in _INT_PARAMS else val
+        params[key] = number(val, key in _INT_PARAMS)
         line = r.next()
     r.pos -= 1  # the non-param line heads the core block
     head = r.next("core").split()

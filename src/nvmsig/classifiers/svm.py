@@ -16,7 +16,7 @@ equal inputs give equal machines.
 """
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -154,7 +154,7 @@ def fit(X, y, C: float, gamma, tol: float) -> SvmCore:
     if len(tags) < 2:
         raise ValidationError("need at least 2 classes")
     g = resolve_gamma(X, gamma)
-    pairs = [(int(a), int(b)) for ia, a in enumerate(tags) for b in tags[ia + 1:]]
+    pairs = list(combinations(tags.tolist(), 2))  # one machine per pair
     masks = [(y == a) | (y == b) for a, b in pairs]
     Xs = [X[mask] for mask in masks]
     ys = [np.where(y[mask] == a, 1.0, -1.0) for (a, _), mask in zip(pairs, masks)]
@@ -238,23 +238,25 @@ def dump(core: SvmCore):
 
 
 def load(r, head, width, params):
-    """The core from the lines after `core svm <n_machines> <n_tags>`."""
+    """The core from the lines after `core svm <n_machines> <n_tags>`: one
+    machine per pair of tags, in the order `fit` writes them."""
     n_machines, n_tags = head
+    if n_machines != (need := n_tags * (n_tags - 1) // 2):
+        r.fail(f"{n_machines} machines, {n_tags} tags need {need}")
+    if not 0 < params.get("gamma", 0) < np.inf:
+        r.fail("svm model file needs a finite gamma param > 0")
     tags = r.tags(n_tags)
     pairs, bias, spans = [], [], []
-    for _ in range(n_machines):
+    for pair in combinations(tags.tolist(), 2):
         parts = r.next("machine").split()
-        a, b = number(parts[1], True), number(parts[2], True)
-        if a == b or a not in tags or b not in tags:
-            r.fail(f"machine tags {a} and {b} are not two distinct model tags")
-        pairs.append((a, b))
+        if (number(parts[1], True), number(parts[2], True)) != pair:
+            r.fail(f"expected the machine of tags {pair[0]} and {pair[1]}")
+        pairs.append(pair)
         bias.append(number(parts[4]))
         spans.append(r.rows(number(parts[3], True)))
     # the sv lines of every machine, read in one pass
     rec = r.block("sv", [i for span in spans for i in span],
                   [("alpha_y", np.float64), ("sv", np.float64, width)])
-    if "gamma" not in params:
-        r.fail("svm model file lacks a gamma param")
     return SvmCore(tags, np.array(pairs, dtype=np.int64).reshape(-1, 2),
                    np.array(bias), np.array(list(map(len, spans)), dtype=np.int64),
                    np.ascontiguousarray(rec["alpha_y"]),

@@ -8,7 +8,6 @@ distance-based, so run it on standardized features; the MI filter bins each
 feature over its own range and is unaffected by per-feature affine scaling.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,15 +107,15 @@ def _bin_rows(F, bins):
 def _occupied(binned):
     """(ranks, counts): each row's bin indices renumbered 0.. over the bins
     that row occupies, in ascending order, as the inverse of `np.unique`,
-    and the number of occupied bins per row."""
+    written over `binned`, and the number of occupied bins per row."""
     order = np.argsort(binned, axis=1)
-    rows = np.arange(len(binned))[:, None]
-    s = binned[rows, order]
-    rank = np.zeros(binned.shape, dtype=np.int64)
-    np.cumsum(s[:, 1:] != s[:, :-1], axis=1, out=rank[:, 1:])
-    ranks = np.empty_like(rank)
-    ranks[rows, order] = rank
-    return ranks, rank[:, -1] + 1
+    rank = np.take_along_axis(binned, order, axis=1)
+    # the sorted bins become their ranks: 0, then one more at each new bin
+    rank[:, 1:] = rank[:, 1:] != rank[:, :-1]
+    rank[:, 0] = 0
+    np.cumsum(rank, axis=1, out=rank)  # in place: no int64 copy of the flags
+    np.put_along_axis(binned, order, rank, axis=1)
+    return binned, rank[:, -1] + 1
 
 
 def mutual_information(feature, labels, bins: int = DEFAULT_BINS) -> float:
@@ -125,29 +124,24 @@ def mutual_information(feature, labels, bins: int = DEFAULT_BINS) -> float:
     bf = bin_feature(feature, bins)[None]
     if bf.shape[1] != labels.size:
         raise ValidationError("feature and labels lengths differ")
-    return float(_mi_rows(bf, lambda: _occupied(bf), labels, bins,
-                          np.arange(1))[0])
+    return float(_mi_rows(*_occupied(bf), labels, np.arange(1))[0])
 
 
-def _mi_rows(binned, occupied, labels, bins, rows) -> np.ndarray:
-    """MI in nats of each of `binned[rows]` against integer labels.
+def _mi_rows(codes, height, labels, rows) -> np.ndarray:
+    """MI in nats of each of `codes[rows]` against integer labels.
 
-    `binned` holds bin indices, one feature per row, and `occupied()`
-    returns its `_occupied`, called only when a table needs it.  Each row
-    has a joint table of bins x labels, or of its occupied bins x labels
-    once a row per bin would outgrow the data.  One bincount fills the
-    tables of a block of rows, stacked into one matrix, and the marginals
-    and log terms are computed over the whole block.  Each row's column
-    marginal and final sum run on that row's own table and cells, so every
-    sum adds the same numbers in the same order as a one-row call.
+    `codes` and `height` are an `_occupied` pair: each feature's bins
+    renumbered over the bins it occupies, one feature per row, and their
+    count.  Each row has a joint table of its occupied bins x labels.  One
+    bincount fills the tables of a block of rows, stacked into one matrix,
+    and the marginals and log terms are computed over the whole block.
+    Each row's column marginal and final sum run on that row's own table
+    and cells, so every sum adds the same numbers in the same order as a
+    one-row call.
     """
     _, li = np.unique(labels, return_inverse=True)
     n_l = int(li.max()) + 1
-    if bins * n_l > labels.size:  # give occupied bins a table row only
-        codes, height = occupied()
-        height = height[rows]
-    else:
-        codes, height = binned, np.full(len(rows), bins)
+    height = height[rows]
     out = np.empty(len(rows))
     block = max(1, _JOINT_CELLS // max(int(height.max()) * n_l, labels.size))
     for s in range(0, len(rows), block):
@@ -185,16 +179,16 @@ def mrmr_select(train, k: int = DEFAULT_K, bins: int = DEFAULT_BINS) -> FeatureR
 
     Picks argmax of MI(f, y) - mean MI(f, s) over already-selected s, ties
     broken toward the lowest feature index, so any shorter run is a prefix
-    of a longer one.  Each feature is binned once, and each pick's
-    redundancy against every remaining feature is one `_mi_rows` call.
+    of a longer one.  Each feature is binned and renumbered over its
+    occupied bins once, and each pick's redundancy against every remaining
+    feature is one `_mi_rows` call.
     """
     X, y = _train_xy(train)
     d = X.shape[1]
     if not 1 <= k <= d:
         raise ValidationError(f"k must be in [1, {d}]")
-    binned = _bin_rows(X.T, bins)
-    occupied = functools.cache(lambda: _occupied(binned))
-    relevance = _mi_rows(binned, occupied, y, bins, np.arange(d))
+    codes, height = _occupied(_bin_rows(X.T, bins))
+    relevance = _mi_rows(codes, height, y, np.arange(d))
 
     selected: list[int] = []
     scores: list[float] = []
@@ -209,8 +203,7 @@ def mrmr_select(train, k: int = DEFAULT_K, bins: int = DEFAULT_BINS) -> FeatureR
         remaining[best] = False
         if len(selected) < k:
             rest = np.nonzero(remaining)[0]
-            redundancy_sum[rest] += _mi_rows(binned, occupied, binned[best],
-                                             bins, rest)
+            redundancy_sum[rest] += _mi_rows(codes, height, codes[best], rest)
     return FeatureRanking("mrmr", np.array(selected), np.array(scores))
 
 

@@ -522,6 +522,17 @@ def test_model_file_is_self_describing(tmp_path):
     assert text.rstrip().endswith("end")
 
 
+def test_integer_params_are_written_and_read_exactly(tmp_path):
+    """Beyond 9 digits a `%.9g` max_depth would read back rounded."""
+    m = train_tree(toy(7, n=14, d=3), max_depth=12345678901)
+    save_model(m, tmp_path / "m.txt")
+    text = (tmp_path / "m.txt").read_text()
+    assert "\nparam max_depth 12345678901\n" in text
+    assert "\nparam min_leaf 1\n" in text
+    assert load_model(tmp_path / "m.txt").params == {"max_depth": 12345678901,
+                                                     "min_leaf": 1}
+
+
 def test_model_parse_errors_carry_line_numbers(tmp_path):
     ds = toy(7, n=10, d=3)
     save_model(train_knn(ds, k=3), tmp_path / "m.txt")
@@ -575,6 +586,7 @@ def _set_field(line, pos, value):
     ("tree", "node 0 ", lambda ln, n: _set_field(ln, 3, "nan")),
     ("knn", "row ", lambda ln, n: _set_field(ln, 2, "inf")),
     ("knn", "param k ", lambda ln, n: "param k inf"),
+    ("knn", "param k ", lambda ln, n: "param k 5.7"),
     ("knn", "mean ", lambda ln, n: _set_field(ln, 1, "nan")),
     ("knn", "std ", lambda ln, n: _set_field(ln, 2, "inf")),
     ("knn", "std ", lambda ln, n: _set_field(ln, 1, "-0.5")),
@@ -588,7 +600,8 @@ def _set_field(line, pos, value):
         "node-id-not-its-row",
         "index-beyond-arity", "index-negative", "index-repeated",
         "bias-nan", "sv-coeff-inf", "sv-value-inf", "param-nan",
-        "threshold-nan", "knn-row-inf", "int-param-inf", "mean-nan",
+        "threshold-nan", "knn-row-inf", "int-param-inf",
+        "int-param-fraction", "mean-nan",
         "std-inf", "std-negative", "tags-unsorted", "tags-repeated"])
 def test_malformed_model_field_is_parse_error_at_its_line(tmp_path, kind,
                                                           prefix, mutate):

@@ -556,6 +556,39 @@ def test_svm_machines_without_support_rows_vote_by_their_bias(lab1, tmp_path):
                                               (test.y.size, 1)))
 
 
+def _cut_last_machine(lines):
+    """`core svm 35 9`, and the last machine block gone."""
+    core = lines.index("core svm 36 9")
+    last = max(i for i, ln in enumerate(lines) if ln.startswith("machine "))
+    return lines[:core] + ["core svm 35 9"] + lines[core + 1:last] + ["end"]
+
+
+def _swap_first_machine(lines):
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("machine "))
+    lines[at] = lines[at].replace("machine 0 1 ", "machine 1 0 ", 1)
+    return lines
+
+
+def _gamma(value):
+    return lambda lines: [f"param gamma {value}" if ln.startswith("param gamma ")
+                          else ln for ln in lines]
+
+
+@pytest.mark.parametrize("edit,prefix,match", [
+    (_cut_last_machine, "core ", "35 machines, 9 tags need 36"),
+    (_swap_first_machine, "machine ", "machine of tags 0 and 1"),
+    (_gamma(-1), "core ", "gamma"),
+    (_gamma(0), "core ", "gamma"),
+], ids=["35-machines", "first-machine-1-0", "gamma-negative", "gamma-zero"])
+def test_svm_file_that_fit_could_not_write_is_parse_error(lab1, tmp_path,
+                                                         edit, prefix, match):
+    lines = edit((lab1 / "svm.model.txt").read_text().splitlines())
+    at = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+    (tmp_path / "bad.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=f"^line {at + 1}: .*{match}"):
+        load_model(tmp_path / "bad.txt")
+
+
 # sha256 of the lab-seed-1 dataset files and of the default dataset, as
 # written while build_dataset sampled its chips in a loop of its own
 _LAB1_DATASET_SHA256 = {

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 from types import SimpleNamespace
@@ -215,14 +216,11 @@ def test_mrmr_k_bounds():
 # ------- mrmr and MI against one joint table per feature and per call -------
 
 def mi_table_reference(feature, labels, bins):
-    """MI from this feature's own joint table: bins x labels, or occupied
-    bins x labels once a row per bin would outgrow the data."""
-    bf = bin_feature(feature, bins)
+    """MI from this feature's own joint table of occupied bins x labels."""
+    _, bf = np.unique(bin_feature(feature, bins), return_inverse=True)
     _, li = np.unique(labels, return_inverse=True)
     n_l = int(li.max()) + 1
-    if bins * n_l > bf.size:
-        _, bf = np.unique(bf, return_inverse=True)
-        bins = int(bf.max()) + 1
+    bins = int(bf.max()) + 1
     joint = np.bincount(bf * n_l + li, minlength=bins * n_l)
     joint = joint.reshape(bins, n_l) / bf.size
     px, py = joint.sum(axis=1), joint.sum(axis=0)
@@ -284,6 +282,26 @@ def test_mrmr_matches_mutual_information_loop_on_lab_seed_1(lab1_train, bins):
     indices, scores = mrmr_reference(lab1_train.X, lab1_train.y, 25, bins)
     assert np.array_equal(got.indices, indices)
     assert np.array_equal(got.scores, scores)
+
+
+# sha256 of the int64 indices then the float64 scores of mrmr_select(k=25),
+# as computed while a joint table had a row per bin whenever bins x labels
+# fitted in the row count: the lab-seed-1 train split at 16 bins had such
+# tables, at 64 bins (64 x 9 > 198 rows) tables of occupied bins only
+_MRMR_SHA256 = {
+    ("lab1", 16): "fb2a3d1d670e0a27068bb0152ac93391bdba15304f2781bcff608f7ded42c2f6",
+    ("lab1", 64): "940896806ba8b1da2537c8d7948a4589bc2f83e458d0d9f65b9e78c4de052c2d",
+    ("default", 16): "3ab03cbb2f4ef1df5aa77d243b193729ef878ced43ef811d8e585d97a7d48ad3",
+}
+
+
+@pytest.mark.parametrize("data,bins", list(_MRMR_SHA256))
+def test_mrmr_bits_are_pinned(lab1_train, data, bins):
+    train = (lab1_train if data == "lab1" else
+             split(build_dataset(load_catalog(), seed=1), seed=1)[0])
+    got = mrmr_select(train, k=25, bins=bins)
+    assert hashlib.sha256(got.indices.tobytes() + got.scores.tobytes()
+                          ).hexdigest() == _MRMR_SHA256[data, bins]
 
 
 @pytest.mark.parametrize("cells", [1 << 15, 1])
