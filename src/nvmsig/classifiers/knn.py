@@ -12,6 +12,8 @@ import numpy as np
 from ..errors import ValidationError
 from ._text import fmt_vec
 
+PARAMS = {"k": int}
+
 
 @dataclass
 class KnnCore:
@@ -99,10 +101,8 @@ def dump(core: KnnCore):
 
 def load(r, head, width, params):
     """The core from the rows after `core knn <n> <d>`."""
-    if "k" not in params:
-        r.fail("knn model file lacks a k param")
     if head[1] != width:
         r.fail("core width disagrees with selection width")
     rec = r.block("row", r.rows(head[0]), [("y", np.int64), ("X", np.float64, width)])
     return fit(np.ascontiguousarray(rec["X"]), np.ascontiguousarray(rec["y"]),
-               params["k"])
+               **params)

@@ -21,11 +21,10 @@ from . import tree as _tree
 from ._text import Reader, fmt, fmt_vec
 
 _FORMAT_HEADER = "nvmsig-model 1"
-_INT_PARAMS = ("k", "max_depth", "min_leaf")
-# the one place a classifier kind is chosen: each core module offers fit(Z,
-# y, **params), predict(core, Z), predict_detail(core, Z), and, for its
-# model-file block, dump(core) and load(reader, head, width, params) -> core,
-# `head` being the integers on the block's `core <kind>` line.
+# the one place a classifier kind is chosen: each core module offers PARAMS
+# (fit's keywords, typed as the model file stores them), fit(Z, y, **params),
+# predict(core, Z), predict_detail(core, Z), dump(core) and load(r, head,
+# width, params) -> core, `head` being the integers on its `core <kind>` line.
 # Every core holds `tags`, the sorted training labels that index its score
 # columns; they are the model's class axis.
 _CORES = {"knn": _knn, "tree": _tree, "svm": _svm}
@@ -164,9 +163,9 @@ def save_model(model: TrainedModel, path) -> None:
     lines.append("std " + fmt_vec(model.stats.std))
     # wall-clock fields stay in memory only: identical configurations must
     # reproduce this file byte for byte
-    for key, val in sorted(model.params.items()):
-        val = int(val) if key in _INT_PARAMS else fmt(val)
-        lines.append(f"param {key} {val}")
+    for key, typ in sorted(_CORES[model.kind].PARAMS.items()):
+        val = model.params[key]
+        lines.append(f"param {key} {int(val) if typ is int else fmt(val)}")
     lines.extend(_CORES[model.kind].dump(model.core))
     lines.append("end")
     with atomic_open(path) as fh:
@@ -207,17 +206,23 @@ def _read_model(r: Reader) -> TrainedModel:
     if (std < 0).any():
         r.fail("std must be non-negative")
     params = {}
-    line = r.next()
-    while line.startswith("param "):
-        _, key, val = line.split()
-        params[key] = number(val, key in _INT_PARAMS)
-        line = r.next()
-    r.pos -= 1  # the non-param line heads the core block
+    for key, typ in sorted(_CORES[kind].PARAMS.items()):
+        if not (line := r.next()).startswith(f"param {key} "):
+            r.fail(f"expected the {key} param")
+        params[key] = number(line.split(" ", 2)[2], typ is int)
     head = r.next("core").split()
+    core_line = r.pos
     if head[1] != kind:
         r.fail(f"core block is '{head[1]}', header says '{kind}'")
-    core = _CORES[kind].load(r, [number(h, True) for h in head[2:]], n_idx,
-                             params)
+    if bad := [key for key, val in params.items() if val <= 0]:
+        r.fail(f"the {bad[0]} param must be > 0")
+    try:
+        core = _CORES[kind].load(r, [number(h, True) for h in head[2:]],
+                                 n_idx, params)
+    except ParseError:
+        raise
+    except ValidationError as exc:  # a param the core's data cannot take
+        raise ParseError(str(exc), line=core_line) from None
     if r.next() != "end":
         r.fail("expected 'end'")
     if list(names) != core.tags.tolist():

@@ -29,6 +29,7 @@ from .knn import _sq_dists
 _MAX_ITER_PER_ROW = 1000
 _TAU = 1e-12  # floor of the curvature a_ij, reached by duplicate rows (K_ij = 1)
 _STACK_BYTES = 64 << 20  # kernel stack of one solver batch (a pair always fits)
+PARAMS = {"C": float, "gamma": float, "tol": float}
 
 
 @dataclass
@@ -243,8 +244,6 @@ def load(r, head, width, params):
     n_machines, n_tags = head
     if n_machines != (need := n_tags * (n_tags - 1) // 2):
         r.fail(f"{n_machines} machines, {n_tags} tags need {need}")
-    if not 0 < params.get("gamma", 0) < np.inf:
-        r.fail("svm model file needs a finite gamma param > 0")
     tags = r.tags(n_tags)
     pairs, bias, spans = [], [], []
     for pair in combinations(tags.tolist(), 2):

@@ -39,6 +39,7 @@ def table(tags, rows) -> TreeCore:
     return TreeCore(tags, *map(np.array, zip(*rows)))
 
 
+PARAMS = {"max_depth": int, "min_leaf": int}
 # byte cap on each int64 buffer (features x node rows) of one block of the
 # split search; a block holds at least one feature
 _BLOCK_BYTES = 1 << 18

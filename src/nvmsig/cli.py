@@ -8,10 +8,10 @@ reproduce byte for byte.  The evaluation reports (`*.confusion.csv` from
 eval and sweep, `*.report.txt` from eval) do carry the train, selection
 and inference times; only those lines differ between reruns.
 
-The whole surface is one table, `_COMMANDS`: each command's help line and
-the `_SCHEMA` keys it takes as flags.  `build_parser` builds the parser
-from it once per process; `main` merges defaults, config file and flags
-once and hands the result to the command's `cmd_<name>` function.
+The whole surface is one table, `_COMMANDS`: each command's help line, the
+`_SCHEMA` keys it takes as flags and those it requires.  `build_parser`
+builds the parser from it once per process; `main` merges defaults, config
+file and flags once, checks the required keys and passes all to `cmd_<name>`.
 """
 
 import argparse
@@ -212,11 +212,6 @@ def merge_config(args) -> SimpleNamespace:
     return SimpleNamespace(**values)
 
 
-def _require_seed(cfg, command: str) -> None:
-    if cfg.seed is None:
-        raise ValidationError(f"--seed is required for '{command}'")
-
-
 # ----------------------------------------------------------------- file I/O
 
 def _out_path(cfg, name: str) -> str:
@@ -336,7 +331,6 @@ def cmd_catalog(cfg) -> int:
 
 
 def cmd_simulate(cfg) -> int:
-    _require_seed(cfg, "simulate")
     if cfg.cycles < 1:
         raise ValidationError("cycles must be >= 1")
     spec, = _catalog(cfg, [cfg.class_tag])
@@ -358,7 +352,6 @@ def cmd_simulate(cfg) -> int:
 
 
 def cmd_dataset(cfg) -> int:
-    _require_seed(cfg, "dataset")
     ds = build_dataset(_catalog(cfg, cfg.classes),
                        chips_per_class=cfg.chips_per_class,
                        checkpoints=cfg.checkpoints, group=cfg.group,
@@ -386,8 +379,6 @@ def cmd_dataset(cfg) -> int:
 
 
 def cmd_train(cfg) -> int:
-    if cfg.dataset is None:
-        raise ValidationError("train needs --dataset")
     ds = load_dataset(cfg.dataset)
     ranking, sel_time = _select(cfg, ds, cfg.selector)
     model = train(cfg.kind, ds, ranking=ranking, selection_time_s=sel_time,
@@ -404,8 +395,6 @@ def cmd_train(cfg) -> int:
 
 
 def cmd_crossval(cfg) -> int:
-    if cfg.dataset is None:
-        raise ValidationError("crossval needs --dataset")
     ds = load_dataset(cfg.dataset)
     seed = cfg.seed if cfg.seed is not None else 0
     result = cross_validate(cfg.kind, ds, folds=cfg.folds, seed=seed,
@@ -427,8 +416,6 @@ def cmd_crossval(cfg) -> int:
 
 
 def cmd_eval(cfg) -> int:
-    if cfg.model is None or cfg.dataset is None:
-        raise ValidationError("eval needs --model and --dataset")
     model = load_model(cfg.model)
     test = load_dataset(cfg.dataset)
     report = evaluate(model, test)
@@ -444,15 +431,14 @@ def cmd_eval(cfg) -> int:
 
 
 def cmd_sweep(cfg) -> int:
-    _require_seed(cfg, "sweep")
-    if cfg.train is not None and cfg.test is not None:
+    if cfg.dataset is None and None not in (cfg.train, cfg.test):
         train_ds, test_ds = load_dataset(cfg.train), load_dataset(cfg.test)
-    elif cfg.dataset is not None:
+    elif cfg.dataset is not None and cfg.train is None and cfg.test is None:
         train_ds, test_ds = split(load_dataset(cfg.dataset),
                                   train_fraction=cfg.train_fraction,
                                   seed=cfg.split_seed)
     else:
-        raise ValidationError("sweep needs --dataset or --train/--test")
+        raise ValidationError("sweep takes --dataset, or --train and --test")
     # one selector fit serves all kinds; the `select=` time is that shared fit
     selected = {sel: _select(cfg, train_ds, sel) for sel in SELECTORS}
     # every cell is fitted before any file is written, so a cell that fails
@@ -479,8 +465,6 @@ def cmd_sweep(cfg) -> int:
 
 
 def cmd_predict(cfg) -> int:
-    if cfg.model is None or cfg.probe is None:
-        raise ValidationError("predict needs --model and --probe")
     model = load_model(cfg.model)
     probe = _load_probe(cfg.probe)
     baseline = baseline_from_catalog(_catalog(cfg))
@@ -498,9 +482,12 @@ def cmd_predict(cfg) -> int:
 
 def cmd_scan(cfg) -> int:
     if cfg.map is not None:
+        if cfg.map_out or cfg.spots:
+            raise ValidationError("--map takes neither --map-out nor --spots")
         latency_map = load_map(cfg.map)
     else:
-        _require_seed(cfg, "scan of a simulated chip")
+        if cfg.seed is None:
+            raise ValidationError("--seed is required for 'scan' without --map")
         spec, = _catalog(cfg, [cfg.class_tag])
         chip = new_chip(spec, cfg.seed)
         for addr, cycles in cfg.spots:
@@ -568,32 +555,35 @@ _MODEL_KEYS = ("kind", "k", "max_depth", "min_leaf", "c", "gamma", "tol",
                "selector", "select_k", "mrmr_bins", "nca_iters", "nca_lr")
 
 # command -> (help line, the _SCHEMA keys it takes besides --config and
-# --out-dir); each runs as cmd_<command>(cfg).  The simulate, train and
-# sweep manifests record their command's keys in this order
+# --out-dir, the keys, each its flag's name, that it cannot run without); each
+# runs as cmd_<command>(cfg).  Simulate, train, sweep manifests keep this order
 _COMMANDS = {
-    "catalog": ("dump the chip-class catalog as CSV", ("catalog", "out")),
+    "catalog": ("dump the chip-class catalog as CSV", ("catalog", "out"), ()),
     "simulate": ("per-cycle latency trace for one location",
-                 ("seed", "catalog", "class_tag", "addr", "cycles", "out")),
+                 ("seed", "catalog", "class_tag", "addr", "cycles", "out"),
+                 ("seed",)),
     "dataset": ("build a labeled latency-signature dataset",
                 ("seed", "catalog", "classes", "chips_per_class",
                  "checkpoints", "group", "locations_per_chip",
-                 "train_fraction", "split_seed", "out", "split")),
+                 "train_fraction", "split_seed", "out", "split"), ("seed",)),
     "train": ("train a classifier and save the model file",
-              ("seed", "dataset") + _MODEL_KEYS + ("out",)),
+              ("seed", "dataset") + _MODEL_KEYS + ("out",), ("dataset",)),
     "crossval": ("k-fold cross-validation accuracy table",
-                 ("seed", "dataset", "folds") + _MODEL_KEYS + ("out",)),
+                 ("seed", "dataset", "folds") + _MODEL_KEYS + ("out",),
+                 ("dataset",)),
     "eval": ("score a saved model on a labeled dataset",
-             ("model", "dataset", "out")),
+             ("model", "dataset", "out"), ("model", "dataset")),
     "sweep": ("all classifier x selector cells in one run",
               ("seed", "dataset", "train", "test", "train_fraction",
                "split_seed")
-              + tuple(k for k in _MODEL_KEYS if k not in ("kind", "selector"))),
+              + tuple(k for k in _MODEL_KEYS if k not in ("kind", "selector")),
+              ("seed",)),
     "predict": ("identify a probe and judge fresh vs used",
                 ("catalog", "model", "probe", "used_threshold",
-                 "fresh_threshold", "out")),
+                 "fresh_threshold", "out"), ("model", "probe")),
     "scan": ("locate used regions on a map or simulated chip",
              ("seed", "catalog", "map", "class_tag", "spots", "flag_ratio",
-              "map_out", "out")),
+              "map_out", "out"), ()),
 }
 
 
@@ -611,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--config", help="flat key = value config file")
     _add(common, "out_dir")
-    for command, (summary, keys) in _COMMANDS.items():
+    for command, (summary, keys, _) in _COMMANDS.items():
         p = sub.add_parser(command, parents=[common], help=summary)
         for key in keys:
             _add(p, key)
@@ -625,7 +615,11 @@ def main(argv=None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        return globals()[f"cmd_{args.command}"](merge_config(args))
+        cfg = merge_config(args)
+        for key in _COMMANDS[args.command][2]:
+            if getattr(cfg, key) is None:
+                raise ValidationError(f"--{key} is required for '{args.command}'")
+        return globals()[f"cmd_{args.command}"](cfg)
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

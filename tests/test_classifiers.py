@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import re
 import tracemalloc
 from collections import Counter
@@ -7,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from nvmsig import cli
 from nvmsig.chipsim import load_catalog
 from nvmsig.classifiers import (
     KINDS,
@@ -641,6 +644,22 @@ def test_class_header_that_disagrees_with_the_core_is_parse_error(tmp_path,
     (tmp_path / "bad.txt").write_text("\n".join(edit(lines, at)) + "\n")
     with pytest.raises(ParseError, match=f"^line {at + 1}: .*core"):
         load_model(tmp_path / "bad.txt")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_hyper_parameters_are_declared_once(kind):
+    """The core's PARAMS, which the model file's `param` block is read
+    against, name the same keys as every other place that passes them on."""
+    core = {"knn": knn_core, "tree": tree_core, "svm": svm_core}[kind]
+    trainer = {"knn": train_knn, "tree": train_tree, "svm": train_svm}[kind]
+    fit_keys = list(inspect.signature(core.fit).parameters)
+    assert fit_keys[:2] == ["X", "y"]
+    train_keys = set(inspect.signature(trainer).parameters) - {
+        "train", "ranking", "selection_time_s", "seed"}
+    cfg = cli.merge_config(argparse.Namespace(config=None))
+    assert set(core.PARAMS) == set(fit_keys[2:]) == train_keys \
+        == set(train(kind, toy(19, n=30, d=4)).params) \
+        == set(cli._hyper(cfg, kind))
 
 
 def test_knn_model_without_k_is_parse_error(tmp_path):

@@ -569,16 +569,33 @@ def _swap_first_machine(lines):
     return lines
 
 
-def _gamma(value):
-    return lambda lines: [f"param gamma {value}" if ln.startswith("param gamma ")
-                          else ln for ln in lines]
+def _param(key, *values):
+    """The `param <key>` line replaced by one line per value: none drops it,
+    two repeat it."""
+    def edit(lines):
+        at = next(i for i, ln in enumerate(lines)
+                  if ln.startswith(f"param {key} "))
+        return lines[:at] + [f"param {key} {v}" for v in values] + lines[at + 1:]
+    return edit
+
+
+def _insert_before(prefix, line):
+    def edit(lines):
+        at = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+        return lines[:at] + [line] + lines[at:]
+    return edit
+
+
+def _swap_params(lines):
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("param "))
+    return lines[:at] + [lines[at + 1], lines[at]] + lines[at + 2:]
 
 
 @pytest.mark.parametrize("edit,prefix,match", [
     (_cut_last_machine, "core ", "35 machines, 9 tags need 36"),
     (_swap_first_machine, "machine ", "machine of tags 0 and 1"),
-    (_gamma(-1), "core ", "gamma"),
-    (_gamma(0), "core ", "gamma"),
+    (_param("gamma", -1), "core ", "gamma"),
+    (_param("gamma", 0), "core ", "gamma"),
 ], ids=["35-machines", "first-machine-1-0", "gamma-negative", "gamma-zero"])
 def test_svm_file_that_fit_could_not_write_is_parse_error(lab1, tmp_path,
                                                          edit, prefix, match):
@@ -587,6 +604,41 @@ def test_svm_file_that_fit_could_not_write_is_parse_error(lab1, tmp_path,
     (tmp_path / "bad.txt").write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match=f"^line {at + 1}: .*{match}"):
         load_model(tmp_path / "bad.txt")
+
+
+# a fault in a value is reported at the `core` line, one in the keys at the
+# line that breaks the declared, sorted key list
+@pytest.mark.parametrize("name,edit,prefix,match", [
+    ("tree", _param("max_depth", -5), "core ", "max_depth param must be > 0"),
+    ("tree", _param("min_leaf", 0), "core ", "min_leaf param must be > 0"),
+    ("svm", _param("C", -3), "core ", "C param must be > 0"),
+    ("svm", _param("tol", 0), "core ", "tol param must be > 0"),
+    ("knn", _param("k", 0), "core ", "k param must be > 0"),
+    ("knn", _param("k", 500), "core ", r"k must be in \[1, 198\]"),
+    ("tree", _param("min_leaf"), "core ", "expected the min_leaf param"),
+    ("knn", _insert_before("param k ", "param foo 1"), "param foo ",
+     "expected the k param"),
+    ("knn", _param("k", 5, 3), "param k 3", "expected 'core"),
+    ("tree", _swap_params, "param min_leaf ", "expected the max_depth param"),
+    ("svm", _insert_before("param tol ", "param max_passes 10000"),
+     "param max_passes ", "expected the tol param"),
+], ids=["max-depth-negative", "min-leaf-zero", "c-negative", "tol-zero",
+        "k-zero", "k-beyond-rows", "min-leaf-missing", "unknown-key",
+        "k-repeated", "keys-unsorted", "retired-svm-key"])
+def test_param_block_fault_is_parse_error_at_its_line(lab1, tmp_path, capsys,
+                                                      name, edit, prefix,
+                                                      match):
+    lines = edit((lab1 / f"{name}.model.txt").read_text().splitlines())
+    at = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+    bad, probe = tmp_path / "bad.txt", tmp_path / "probe.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=f"^line {at + 1}: .*{match}"):
+        load_model(bad)
+    assert run("simulate", "--class", 4, "--cycles", 100, "--seed", 314,
+               "--out", probe) == 0
+    capsys.readouterr()
+    assert run("predict", "--model", bad, "--probe", probe) == 1
+    assert capsys.readouterr().err.startswith(f"error: line {at + 1}: ")
 
 
 # sha256 of the lab-seed-1 dataset files and of the default dataset, as
@@ -688,6 +740,43 @@ def test_out_of_memory_is_an_error_line_and_exit_1(workdir, tmp_path, capsys,
 def test_scan_needs_map_or_seed(capsys):
     assert run("scan") == 1
     assert "--seed is required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,missing", [
+    (["train"], "dataset"),
+    (["crossval"], "dataset"),
+    (["eval"], "model"),
+    (["eval", "--model", "{model}"], "dataset"),
+    (["predict", "--probe", "{model}"], "model"),
+    (["predict", "--model", "{model}"], "probe"),
+], ids=["train", "crossval", "eval", "eval-model-only", "predict",
+        "predict-model-only"])
+def test_command_without_a_required_input_names_its_flag(workdir, tmp_path,
+                                                         capsys, argv, missing):
+    argv = [a.format(model=workdir / "knn.model.txt") for a in argv]
+    assert run(*argv, "--out-dir", tmp_path / "out") == 1
+    assert capsys.readouterr().err == \
+        f"error: --{missing} is required for '{argv[0]}'\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--seed", 1, "--dataset", "{ds}.csv", "--train", "{ds}.test.csv"],
+    ["sweep", "--seed", 1, "--dataset", "{ds}.csv", "--test", "{ds}.test.csv"],
+    ["scan", "--map", "{map}", "--map-out", "copy.csv"],
+    ["scan", "--map", "{map}", "--spots", "5:100"],
+], ids=["sweep-dataset-and-train", "sweep-dataset-and-test", "scan-map-out",
+        "scan-map-spots"])
+def test_input_the_command_would_ignore_is_refused(workdir, tmp_path, capsys,
+                                                   argv):
+    """The command would run on --dataset or --map and drop the rest."""
+    path = tmp_path / "map.csv"
+    save_map(SpatialLatencyMap(np.full(64, 5.0)), path)
+    argv = [str(a).format(ds=workdir / "two", map=path) for a in argv]
+    assert run(*argv, "--out-dir", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 # ------------------------------------------------------ config and errors
