@@ -1,6 +1,7 @@
 from .evaluate import CrossValResult, EvalReport, cross_validate, evaluate, fold_assignments
 from .model import (
     KINDS,
+    PARAMS,
     TrainedModel,
     load_model,
     predict,
@@ -13,7 +14,7 @@ from .model import (
 )
 
 __all__ = [
-    "KINDS", "TrainedModel", "train", "train_knn", "train_tree", "train_svm",
+    "KINDS", "PARAMS", "TrainedModel", "train", "train_knn", "train_tree", "train_svm",
     "predict", "predict_detail", "save_model", "load_model",
     "evaluate", "cross_validate", "EvalReport", "CrossValResult",
     "fold_assignments",

@@ -29,6 +29,7 @@ _FORMAT_HEADER = "nvmsig-model 1"
 # columns; they are the model's class axis.
 _CORES = {"knn": _knn, "tree": _tree, "svm": _svm}
 KINDS = tuple(_CORES)
+PARAMS = {kind: core.PARAMS for kind, core in _CORES.items()}
 
 
 @dataclass

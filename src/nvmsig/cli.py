@@ -8,10 +8,10 @@ reproduce byte for byte.  The evaluation reports (`*.confusion.csv` from
 eval and sweep, `*.report.txt` from eval) do carry the train, selection
 and inference times; only those lines differ between reruns.
 
-The whole surface is one table, `_COMMANDS`: each command's help line, the
-`_SCHEMA` keys it takes as flags and those it requires.  `build_parser`
-builds the parser from it once per process; `main` merges defaults, config
-file and flags once, checks the required keys and passes all to `cmd_<name>`.
+The surface is `_COMMANDS` (each command's help line, `_SCHEMA` keys and
+required keys) and `_SWITCHES` (which keys act on a run, `_acting`).  `main`
+merges defaults, config file and flags, refuses idle flags, checks the
+acting required keys and passes all to `cmd_<name>`.
 """
 
 import argparse
@@ -34,7 +34,7 @@ from .chipsim import (
     new_chip,
 )
 from ._atomic import atomic_open, parse_int64, read_block, read_lines, read_table
-from .classifiers import KINDS, cross_validate, evaluate, load_model, save_model, train
+from .classifiers import KINDS, PARAMS, cross_validate, evaluate, load_model, save_model, train
 from .detector import (
     baseline_from_catalog,
     diagnose_probe,
@@ -90,6 +90,14 @@ def _parse_spots(text: str):
     return spots
 
 
+def _choice(*options):
+    def parse(text: str) -> str:
+        if text not in options:
+            raise ValueError(f"expected one of {', '.join(options)}, got {text!r}")
+        return text
+    return parse
+
+
 def _flag_type(parse):
     """`parse` as an argparse type: a ValueError becomes an
     ArgumentTypeError, so a bad flag shows the parser's reason, as a bad
@@ -121,14 +129,14 @@ _SCHEMA = {
     "split": _Field(_parse_bool, False, "also write .train/.test files"),
     "train_fraction": _Field(float, 0.8, "train share of the split"),
     "split_seed": _Field(parse_int64, None, "split stream seed (default: seed)"),
-    "kind": _Field(str, "knn", "classifier: knn, tree, or svm"),
+    "kind": _Field(_choice(*KINDS), "knn", "classifier: knn, tree, or svm"),
     "k": _Field(parse_int64, 5, "knn neighbor count"),
     "max_depth": _Field(parse_int64, 20, "tree depth limit"),
     "min_leaf": _Field(parse_int64, 1, "minimum samples per tree leaf"),
     "c": _Field(float, 1.0, "svm box constraint C"),
     "gamma": _Field(_parse_gamma, "auto", "svm RBF gamma, or 'auto'"),
     "tol": _Field(float, 1e-3, "svm KKT gap tolerance"),
-    "selector": _Field(str, "none", "feature selector: none, mrmr, or nca"),
+    "selector": _Field(_choice(*SELECTORS), "none", "feature selector: none, mrmr, or nca"),
     "select_k": _Field(parse_int64, 25, "features kept by the selector"),
     "mrmr_bins": _Field(parse_int64, 16, "histogram bins for mutual information"),
     "nca_iters": _Field(parse_int64, 200, "nca gradient steps"),
@@ -205,10 +213,6 @@ def merge_config(args) -> SimpleNamespace:
         values["split_seed"] = values["seed"]
     if values["out_dir"] is None:
         values["out_dir"] = os.environ.get(OUT_DIR_ENV, ".")
-    if values["selector"] not in SELECTORS:
-        raise ValidationError(f"selector must be one of {SELECTORS}")
-    if values["kind"] not in KINDS:
-        raise ValidationError(f"kind must be one of {KINDS}")
     return SimpleNamespace(**values)
 
 
@@ -240,13 +244,10 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _write_manifest(path: str, command: str, cfg, keys) -> None:
+def _write_manifest(path: str, command: str, cfg) -> None:
     lines = [f"# nvmsig {__version__} {command} manifest; rerun with --config"]
-    for key in keys:
-        value = getattr(cfg, key)
-        if value is None:
-            continue
-        lines.append(f"{key} = {_format_value(value)}")
+    lines += [f"{key} = {_format_value(value)}" for key in _acting(command, cfg)
+              if (value := getattr(cfg, key)) is not None]
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -297,9 +298,7 @@ def _select(cfg, ds, selector: str):
 
 def _hyper(cfg, kind: str) -> dict:
     """Trainer keyword arguments for `kind` from the config fields."""
-    return {"knn": {"k": cfg.k},
-            "tree": {"max_depth": cfg.max_depth, "min_leaf": cfg.min_leaf},
-            "svm": {"C": cfg.c, "gamma": cfg.gamma, "tol": cfg.tol}}[kind]
+    return {key: getattr(cfg, key.lower()) for key in PARAMS[kind]}
 
 
 def _table_row(kind: str, selector: str, n_features: int, report) -> str:
@@ -342,8 +341,7 @@ def cmd_simulate(cfg) -> int:
         with atomic_open(path) as fh:
             fh.write(head)
             fh.writelines(blocks)
-        _write_manifest(path + ".manifest", "simulate", cfg,
-                        _COMMANDS["simulate"][1])
+        _write_manifest(path + ".manifest", "simulate", cfg)
         print(f"wrote {path} ({cfg.cycles} rows)")
     else:
         sys.stdout.write(head)
@@ -357,24 +355,19 @@ def cmd_dataset(cfg) -> int:
                        checkpoints=cfg.checkpoints, group=cfg.group,
                        locations_per_chip=cfg.locations_per_chip,
                        seed=cfg.seed)
-    keys = ["seed", "catalog", "classes", "chips_per_class", "checkpoints",
-            "group", "locations_per_chip", "out"]
     rows = ()
     if cfg.split:
-        # split before any file or directory is made, so a bad split leaves
-        # nothing behind
+        # split first, so a bad split leaves no file or directory behind
         rows = split_rows(ds.y, train_fraction=cfg.train_fraction,
                           seed=cfg.split_seed)
-        keys += ["split", "train_fraction", "split_seed"]
-    name = cfg.out if cfg.out else "dataset.csv"
-    path = _out_path(cfg, name)
+    path = _out_path(cfg, cfg.out if cfg.out else "dataset.csv")
     stem = path[:-4] if path.endswith(".csv") else path
     parts = [(r, f"{stem}.{side}.csv") for r, side in zip(rows, ("train", "test"))]
     save_dataset(ds, path, parts)
     print(f"wrote {path} ({ds.y.size} samples, {len(ds.class_counts())} classes)")
     for r, part_path in parts:
         print(f"wrote {part_path} ({r.size} samples)")
-    _write_manifest(path + ".manifest", "dataset", cfg, keys)
+    _write_manifest(path + ".manifest", "dataset", cfg)
     return 0
 
 
@@ -383,10 +376,9 @@ def cmd_train(cfg) -> int:
     ranking, sel_time = _select(cfg, ds, cfg.selector)
     model = train(cfg.kind, ds, ranking=ranking, selection_time_s=sel_time,
                   **_hyper(cfg, cfg.kind))
-    name = cfg.out if cfg.out else "model.txt"
-    path = _out_path(cfg, name)
+    path = _out_path(cfg, cfg.out if cfg.out else "model.txt")
     save_model(model, path)
-    _write_manifest(path + ".manifest", "train", cfg, _COMMANDS["train"][1])
+    _write_manifest(path + ".manifest", "train", cfg)
     print(f"wrote {path}")
     print(f"kind={model.kind} selector={model.selection_method} "
           f"features={model.indices.size} samples={model.n_train} "
@@ -400,17 +392,14 @@ def cmd_crossval(cfg) -> int:
     result = cross_validate(cfg.kind, ds, folds=cfg.folds, seed=seed,
                             ranking_fn=lambda sub: _select(cfg, sub, cfg.selector)[0],
                             **_hyper(cfg, cfg.kind))
-    lines = [f"fold {i},{acc:.6f}" for i, acc in enumerate(result.accuracies)]
-    table = "\n".join(lines)
+    rows = [f"{i},{acc:.6f}\n" for i, acc in enumerate(result.accuracies)]
+    tail = f"mean,{result.mean_accuracy:.6f}\nstdev,{result.stdev_accuracy:.6f}\n"
     print(f"kind={cfg.kind} selector={cfg.selector} folds={cfg.folds} seed={seed}")
-    print(table.replace(",", ": "))
+    print("".join("fold " + row.replace(",", ": ") for row in rows), end="")
     print(f"mean={result.mean_accuracy:.6f} stdev={result.stdev_accuracy:.6f}")
     if cfg.out:
         path = _out_path(cfg, cfg.out)
-        csv = "fold,accuracy\n" + "".join(
-            f"{i},{acc:.6f}\n" for i, acc in enumerate(result.accuracies))
-        csv += f"mean,{result.mean_accuracy:.6f}\nstdev,{result.stdev_accuracy:.6f}\n"
-        _write_text(path, csv)
+        _write_text(path, "fold,accuracy\n" + "".join(rows) + tail)
         print(f"wrote {path}")
     return 0
 
@@ -431,14 +420,12 @@ def cmd_eval(cfg) -> int:
 
 
 def cmd_sweep(cfg) -> int:
-    if cfg.dataset is None and None not in (cfg.train, cfg.test):
+    if cfg.dataset is None:
         train_ds, test_ds = load_dataset(cfg.train), load_dataset(cfg.test)
-    elif cfg.dataset is not None and cfg.train is None and cfg.test is None:
+    else:
         train_ds, test_ds = split(load_dataset(cfg.dataset),
                                   train_fraction=cfg.train_fraction,
                                   seed=cfg.split_seed)
-    else:
-        raise ValidationError("sweep takes --dataset, or --train and --test")
     # one selector fit serves all kinds; the `select=` time is that shared fit
     selected = {sel: _select(cfg, train_ds, sel) for sel in SELECTORS}
     # every cell is fitted before any file is written, so a cell that fails
@@ -459,7 +446,7 @@ def cmd_sweep(cfg) -> int:
         _write_text(stem + ".confusion.csv", report.to_csv())
     path = _out_path(cfg, "sweep.csv")
     _write_text(path, "\n".join(rows) + "\n")
-    _write_manifest(path + ".manifest", "sweep", cfg, _COMMANDS["sweep"][1])
+    _write_manifest(path + ".manifest", "sweep", cfg)
     print(f"wrote {path}")
     return 0
 
@@ -482,12 +469,8 @@ def cmd_predict(cfg) -> int:
 
 def cmd_scan(cfg) -> int:
     if cfg.map is not None:
-        if cfg.map_out or cfg.spots:
-            raise ValidationError("--map takes neither --map-out nor --spots")
         latency_map = load_map(cfg.map)
     else:
-        if cfg.seed is None:
-            raise ValidationError("--seed is required for 'scan' without --map")
         spec, = _catalog(cfg, [cfg.class_tag])
         chip = new_chip(spec, cfg.seed)
         for addr, cycles in cfg.spots:
@@ -496,8 +479,7 @@ def cmd_scan(cfg) -> int:
         if cfg.map_out:
             path = _out_path(cfg, cfg.map_out)
             save_map(latency_map, path)
-            _write_manifest(path + ".manifest", "scan", cfg,
-                            ["seed", "catalog", "class_tag", "spots", "map_out"])
+            _write_manifest(path + ".manifest", "scan", cfg)
             print(f"wrote {path}")
     regions = locate_used_regions(latency_map, flag_ratio=cfg.flag_ratio)
     print(f"scanned {len(latency_map)} addresses at flag ratio {cfg.flag_ratio:g}")
@@ -526,8 +508,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-# schema key -> flag name where the flag keeps its config-file spelling
-_FLAG_NAMES = {key: name for name, key in _KEY_ALIASES.items()}
+def _flag(key: str) -> str:
+    """The flag of a schema key; an aliased key keeps its config spelling."""
+    return "--" + {v: k for k, v in _KEY_ALIASES.items()}.get(key, key).replace("_", "-")
 
 
 def _add(parser, key: str):
@@ -536,8 +519,7 @@ def _add(parser, key: str):
         kind = {"action": argparse.BooleanOptionalAction}
     else:
         kind = {"type": _flag_type(f.parse)}
-    parser.add_argument(f"--{_FLAG_NAMES.get(key, key).replace('_', '-')}",
-                        dest=key, default=None,
+    parser.add_argument(_flag(key), dest=key, default=None,
                         help=f"{f.help} (default: {_format_value(f.default)})",
                         **kind)
 
@@ -554,9 +536,8 @@ exit codes: 0 success, 1 validation error, 2 I/O error, 3 numeric failure.
 _MODEL_KEYS = ("kind", "k", "max_depth", "min_leaf", "c", "gamma", "tol",
                "selector", "select_k", "mrmr_bins", "nca_iters", "nca_lr")
 
-# command -> (help line, the _SCHEMA keys it takes besides --config and
-# --out-dir, the keys, each its flag's name, that it cannot run without); each
-# runs as cmd_<command>(cfg).  Simulate, train, sweep manifests keep this order
+# command -> (help line, the _SCHEMA keys it takes besides --config and --out-dir
+# in manifest order, the keys it cannot run without while they act)
 _COMMANDS = {
     "catalog": ("dump the chip-class catalog as CSV", ("catalog", "out"), ()),
     "simulate": ("per-cycle latency trace for one location",
@@ -564,8 +545,8 @@ _COMMANDS = {
                  ("seed",)),
     "dataset": ("build a labeled latency-signature dataset",
                 ("seed", "catalog", "classes", "chips_per_class",
-                 "checkpoints", "group", "locations_per_chip",
-                 "train_fraction", "split_seed", "out", "split"), ("seed",)),
+                 "checkpoints", "group", "locations_per_chip", "out",
+                 "split", "train_fraction", "split_seed"), ("seed",)),
     "train": ("train a classifier and save the model file",
               ("seed", "dataset") + _MODEL_KEYS + ("out",), ("dataset",)),
     "crossval": ("k-fold cross-validation accuracy table",
@@ -577,14 +558,41 @@ _COMMANDS = {
               ("seed", "dataset", "train", "test", "train_fraction",
                "split_seed")
               + tuple(k for k in _MODEL_KEYS if k not in ("kind", "selector")),
-              ("seed",)),
+              ("seed", "dataset", "train", "test")),
     "predict": ("identify a probe and judge fresh vs used",
                 ("catalog", "model", "probe", "used_threshold",
                  "fresh_threshold", "out"), ("model", "probe")),
     "scan": ("locate used regions on a map or simulated chip",
              ("seed", "catalog", "map", "class_tag", "spots", "flag_ratio",
-              "map_out", "out"), ()),
+              "map_out", "out"), ("seed",)),
 }
+
+_MODEL_SWITCHES = {"kind": {kind: tuple(key.lower() for key in params)
+                            for kind, params in PARAMS.items()},
+                   "selector": {"none": (), "mrmr": ("select_k", "mrmr_bins"),
+                                "nca": ("select_k", "nca_iters", "nca_lr")}}
+# command -> {switch key: {value: the keys that act only at that value}}, None
+# standing for the switch left unset; every other key of the command acts
+_SWITCHES = {
+    "dataset": {"split": {True: ("split", "train_fraction", "split_seed")}},
+    "train": _MODEL_SWITCHES, "crossval": _MODEL_SWITCHES,
+    "sweep": {"dataset": {None: ("train", "test")},
+              "train": {None: ("dataset", "train_fraction", "split_seed")}},
+    "scan": {"map": {None: ("seed", "catalog", "class_tag", "spots", "map_out")}},
+}
+
+
+def _idle(command: str, cfg) -> dict:
+    """Each key of `command` that a switch leaves idle in `cfg` -> that switch."""
+    return {key: switch for switch, by_value in _SWITCHES.get(command, {}).items()
+            for keys in by_value.values() for key in keys
+            if key not in by_value.get(getattr(cfg, switch), ())}
+
+
+def _acting(command: str, cfg) -> list:
+    """The keys of `command` that act on a run with `cfg`, in `_COMMANDS` order."""
+    idle = _idle(command, cfg)
+    return [key for key in _COMMANDS[command][1] if key not in idle]
 
 
 @functools.cache
@@ -616,8 +624,16 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             return 1
         cfg = merge_config(args)
+        idle = _idle(args.command, cfg)
+        for key, switch in idle.items():
+            # refused: an idle flag, or a switch that another switch idles; an
+            # idle config key is dropped.  `--no-split` idles only itself
+            source = cfg if key in _SWITCHES[args.command] else args
+            if switch != key and getattr(source, key) is not None:
+                raise ValidationError(f"{_flag(key)} has no effect with {_flag(switch)} "
+                                      f"{_format_value(getattr(cfg, switch))}")
         for key in _COMMANDS[args.command][2]:
-            if getattr(cfg, key) is None:
+            if key not in idle and getattr(cfg, key) is None:
                 raise ValidationError(f"--{key} is required for '{args.command}'")
         return globals()[f"cmd_{args.command}"](cfg)
     except NumericError as exc:

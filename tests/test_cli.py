@@ -211,6 +211,24 @@ def test_train_manifest_rerun_model_byte_identical(workdir, tmp_path):
                        shallow=False)
 
 
+@pytest.mark.parametrize("argv,model_keys", [
+    (["--kind", "knn"], ["kind", "k", "selector"]),
+    (["--kind", "tree", "--selector", "nca", "--select-k", 4, "--nca-iters", 5],
+     ["kind", "max_depth", "min_leaf", "selector", "select_k", "nca_iters",
+      "nca_lr"]),
+    (["--kind", "svm", "--selector", "mrmr", "--select-k", 4],
+     ["kind", "c", "gamma", "tol", "selector", "select_k", "mrmr_bins"]),
+], ids=["knn-none", "tree-nca", "svm-mrmr"])
+def test_train_manifest_holds_only_the_keys_that_act(workdir, tmp_path, argv,
+                                                     model_keys):
+    """No key of another kind or selector is recorded."""
+    assert run("train", "--seed", 2, "--dataset", workdir / "two.train.csv",
+               *argv, "--out-dir", tmp_path, "--out", "m.txt") == 0
+    lines = (tmp_path / "m.txt.manifest").read_text().splitlines()[1:]
+    assert [line.split(" = ")[0] for line in lines] == \
+        ["seed", "dataset", *model_keys, "out"]
+
+
 def test_manifest_with_retired_max_passes_reruns_byte_identical(workdir,
                                                                  tmp_path):
     """A knn train manifest in the format written while `max_passes` was a
@@ -324,6 +342,31 @@ def test_sweep_fits_each_selector_once(workdir, tmp_path, monkeypatch):
     assert calls == {"nca": 1, "mrmr": 1}
 
 
+def test_sweep_on_train_and_test_records_no_split_keys(workdir, tmp_path):
+    """The split keys act only on --dataset.  A manifest of the older format,
+    which carried them, reruns to the same models and sweep.csv and writes
+    the manifest the flags write."""
+    first, rerun = tmp_path / "first", tmp_path / "rerun"
+    train, test = workdir / "two.train.csv", workdir / "two.test.csv"
+    assert run("sweep", "--seed", 2, "--train", train, "--test", test,
+               "--select-k", 4, "--nca-iters", 10, "--out-dir", first) == 0
+    manifest = (first / "sweep.csv.manifest").read_text()
+    assert "train_fraction" not in manifest and "split_seed" not in manifest
+    old = tmp_path / "old.manifest"
+    old.write_text(
+        "# nvmsig 0.1.0 sweep manifest; rerun with --config\n"
+        f"seed = 2\ntrain = {train}\ntest = {test}\ntrain_fraction = 0.8\n"
+        "split_seed = 2\nk = 5\nmax_depth = 20\nmin_leaf = 1\nc = 1.0\n"
+        "gamma = auto\ntol = 0.001\nselect_k = 4\nmrmr_bins = 16\n"
+        "nca_iters = 10\nnca_lr = 0.01\n")
+    assert run("sweep", "--config", old, "--out-dir", rerun) == 0
+    names = ["sweep.csv", "sweep.csv.manifest"] + [
+        f"sweep_{kind}_{sel}.model.txt" for kind in KINDS
+        for sel in cli.SELECTORS]
+    for name in names:
+        assert (rerun / name).read_bytes() == (first / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("command", ["train", "crossval", "sweep"])
 def test_unknown_kind_is_validation_error(workdir, tmp_path, capsys, command):
     assert run(command, "--seed", 2, "--dataset", workdir / "two.csv",
@@ -394,6 +437,20 @@ def test_scan_manifest_reruns_byte_identical(tmp_path, spots):
     assert run("scan", "--config", first / "m.csv.manifest",
                "--out-dir", rerun) == 0
     for name in ("m.csv", "m.csv.manifest"):
+        assert (rerun / name).read_bytes() == (first / name).read_bytes()
+
+
+def test_scan_manifest_records_flag_ratio_and_out(tmp_path):
+    """Both shape the region listing, so a rerun rebuilds it too."""
+    first, rerun = tmp_path / "first", tmp_path / "rerun"
+    assert run("scan", "--seed", 5, "--class", 2, "--spots", "40:20000",
+               "--flag-ratio", 1.4, "--out-dir", first, "--map-out", "m.csv",
+               "--out", "regions.csv") == 0
+    lines = (first / "m.csv.manifest").read_text().splitlines()
+    assert "flag_ratio = 1.4" in lines and "out = regions.csv" in lines
+    assert run("scan", "--config", first / "m.csv.manifest",
+               "--out-dir", rerun) == 0
+    for name in ("m.csv", "m.csv.manifest", "regions.csv"):
         assert (rerun / name).read_bytes() == (first / name).read_bytes()
 
 
@@ -749,8 +806,11 @@ def test_scan_needs_map_or_seed(capsys):
     (["eval", "--model", "{model}"], "dataset"),
     (["predict", "--probe", "{model}"], "model"),
     (["predict", "--model", "{model}"], "probe"),
+    (["sweep", "--seed", "1"], "dataset"),
+    (["sweep", "--seed", "1", "--train", "{model}"], "test"),
+    (["scan"], "seed"),
 ], ids=["train", "crossval", "eval", "eval-model-only", "predict",
-        "predict-model-only"])
+        "predict-model-only", "sweep", "sweep-train-only", "scan"])
 def test_command_without_a_required_input_names_its_flag(workdir, tmp_path,
                                                          capsys, argv, missing):
     argv = [a.format(model=workdir / "knn.model.txt") for a in argv]
@@ -765,17 +825,85 @@ def test_command_without_a_required_input_names_its_flag(workdir, tmp_path,
     ["sweep", "--seed", 1, "--dataset", "{ds}.csv", "--test", "{ds}.test.csv"],
     ["scan", "--map", "{map}", "--map-out", "copy.csv"],
     ["scan", "--map", "{map}", "--spots", "5:100"],
+    ["dataset", "--seed", 1, "--train-fraction", 0.3],
+    ["sweep", "--seed", 1, "--train", "{ds}.train.csv",
+     "--test", "{ds}.test.csv", "--train-fraction", 0.3],
+    ["sweep", "--seed", 1, "--train", "{ds}.train.csv",
+     "--test", "{ds}.test.csv", "--split-seed", 5],
+    ["scan", "--map", "{map}", "--seed", 9],
+    ["scan", "--map", "{map}", "--class", 7],
+    ["scan", "--map", "{map}", "--catalog", "/nonexistent"],
+    ["train", "--dataset", "{ds}.train.csv", "--kind", "knn", "--c", 5],
+    ["crossval", "--dataset", "{ds}.csv", "--selector", "none",
+     "--select-k", 3],
 ], ids=["sweep-dataset-and-train", "sweep-dataset-and-test", "scan-map-out",
-        "scan-map-spots"])
+        "scan-map-spots", "dataset-train-fraction-without-split",
+        "sweep-train-test-and-train-fraction", "sweep-train-test-and-split-seed",
+        "scan-map-seed", "scan-map-class", "scan-map-catalog", "train-knn-c",
+        "crossval-none-select-k"])
 def test_input_the_command_would_ignore_is_refused(workdir, tmp_path, capsys,
                                                    argv):
-    """The command would run on --dataset or --map and drop the rest."""
+    """The last flag would not act on the run; the refusal names it."""
     path = tmp_path / "map.csv"
     save_map(SpatialLatencyMap(np.full(64, 5.0)), path)
     argv = [str(a).format(ds=workdir / "two", map=path) for a in argv]
+    flag = [a for a in argv if a.startswith("--")][-1]
     assert run(*argv, "--out-dir", tmp_path / "out") == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith(f"error: {flag} has no effect with ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_switch_names_keys_its_command_takes():
+    """A switch or listed key that its command does not take would leave
+    nothing idle."""
+    for command, switches in cli._SWITCHES.items():
+        takes = set(cli._COMMANDS[command][1])
+        for switch, by_value in switches.items():
+            assert switch in takes, (command, switch)
+            for keys in by_value.values():
+                assert set(keys) <= takes, (command, switch, keys)
+    for command in ("train", "crossval"):
+        assert set(cli._SWITCHES[command]["kind"]) == set(KINDS)
+        assert set(cli._SWITCHES[command]["selector"]) == set(cli.SELECTORS)
+
+
+def test_switches_that_idle_each_other_in_a_config_are_refused(workdir,
+                                                                tmp_path,
+                                                                capsys):
+    """An idle config key is dropped, but a config naming both inputs of a
+    sweep leaves neither acting, so nothing could record the run."""
+    config = tmp_path / "both.cfg"
+    config.write_text(f"seed = 1\ndataset = {workdir / 'two.csv'}\n"
+                      f"train = {workdir / 'two.train.csv'}\n"
+                      f"test = {workdir / 'two.test.csv'}\n")
+    assert run("sweep", "--config", config, "--out-dir", tmp_path / "out") == 1
+    assert capsys.readouterr().err.startswith("error: --train has no effect "
+                                              "with --dataset ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_switch_that_idles_only_itself_is_accepted(tmp_path):
+    assert run("dataset", "--seed", 2, "--classes", 4, "--chips-per-class", 1,
+               "--locations-per-chip", 2, "--checkpoints", "0,10000",
+               "--no-split", "--train-fraction", 0.5, "--out-dir", tmp_path,
+               "--out", "d.csv") == 1
+    assert run("dataset", "--seed", 2, "--classes", 4, "--chips-per-class", 1,
+               "--locations-per-chip", 2, "--checkpoints", "0,10000",
+               "--no-split", "--out-dir", tmp_path, "--out", "d.csv") == 0
+    assert "split" not in (tmp_path / "d.csv.manifest").read_text()
+
+
+@pytest.mark.parametrize("key", ["kind", "selector"])
+def test_bad_choice_in_config_is_parse_error_at_its_line(workdir, tmp_path,
+                                                         capsys, key):
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"dataset = {workdir / 'two.train.csv'}\n{key} = forest\n")
+    with pytest.raises(ParseError, match=f"^line 2: {key}: expected one of "):
+        cli.read_config(config)
+    assert run("train", "--config", config, "--out-dir", tmp_path / "out") == 1
+    assert "line 2" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
