@@ -3,10 +3,7 @@
 Every generation command records a manifest (flat key = value text) next
 to its artifact; running the same command with `--config <manifest>`
 rebuilds the artifact byte for byte.  Wall-clock timings are printed to
-stdout and kept out of datasets, models, maps and manifests, so those
-reproduce byte for byte.  The evaluation reports (`*.confusion.csv` from
-eval and sweep, `*.report.txt` from eval) do carry the train, selection
-and inference times; only those lines differ between reruns.
+stdout and kept out of every file, so every file reproduces byte for byte.
 
 The surface is `_COMMANDS` (each command's help line, `_SCHEMA` keys and
 required keys) and `_SWITCHES` (which keys act on a run, `_acting`).  `main`
@@ -301,10 +298,11 @@ def _hyper(cfg, kind: str) -> dict:
     return {key: getattr(cfg, key.lower()) for key in PARAMS[kind]}
 
 
-def _table_row(kind: str, selector: str, n_features: int, report) -> str:
-    return (f"{kind:<5} {selector:<5} features={n_features:<3} "
-            f"acc={report.accuracy:.4f} select={report.selection_time_s:.4f}s "
-            f"train={report.train_time_s:.4f}s infer={report.infer_time_s:.4f}s "
+def _table_row(model, report) -> str:
+    return (f"{model.kind:<5} {model.selection_method:<5} "
+            f"features={model.indices.size:<3} acc={report.accuracy:.4f} "
+            f"select={model.selection_time_s:.4f}s train={model.train_time_s:.4f}s "
+            f"infer={report.infer_time_s:.4f}s "
             f"per_sample={report.infer_time_per_sample_s:.6f}s")
 
 
@@ -413,8 +411,7 @@ def cmd_eval(cfg) -> int:
     _write_text(prefix + ".confusion.csv", report.to_csv())
     # loaded models carry no stored wall-clock, so train time prints as 0;
     # the sweep command reports in-process training times
-    print(_table_row(model.kind, model.selection_method, model.indices.size,
-                     report))
+    print(_table_row(model, report))
     print(f"wrote {prefix}.report.txt and {prefix}.confusion.csv")
     return 0
 
@@ -436,10 +433,11 @@ def cmd_sweep(cfg) -> int:
             ranking, sel_time = selected[sel]
             model = train(kind, train_ds, ranking=ranking,
                           selection_time_s=sel_time, **_hyper(cfg, kind))
-            cells.append((kind, sel, model, evaluate(model, test_ds)))
+            cells.append((model, evaluate(model, test_ds)))
     rows = ["method,selector,n_features,accuracy"]
-    for kind, sel, model, report in cells:
-        print(_table_row(kind, sel, model.indices.size, report))
+    for model, report in cells:
+        kind, sel = model.kind, model.selection_method
+        print(_table_row(model, report))
         rows.append(f"{kind},{sel},{model.indices.size},{report.accuracy:.6f}")
         stem = _out_path(cfg, f"sweep_{kind}_{sel}")
         save_model(model, stem + ".model.txt")
@@ -533,11 +531,18 @@ exit codes: 0 success, 1 validation error, 2 I/O error, 3 numeric failure.
 """
 
 
-_MODEL_KEYS = ("kind", "k", "max_depth", "min_leaf", "c", "gamma", "tol",
-               "selector", "select_k", "mrmr_bins", "nca_iters", "nca_lr")
+_MODEL_SWITCHES = {"kind": {kind: tuple(key.lower() for key in params)
+                            for kind, params in PARAMS.items()},
+                   "selector": {"none": (), "mrmr": ("select_k", "mrmr_bins"),
+                                "nca": ("select_k", "nca_iters", "nca_lr")}}
+# each switch, then the keys it switches, each once
+_MODEL_KEYS = tuple(dict.fromkeys(
+    key for switch, by_value in _MODEL_SWITCHES.items()
+    for key in (switch,) + sum(by_value.values(), ())))
 
 # command -> (help line, the _SCHEMA keys it takes besides --config and --out-dir
-# in manifest order, the keys it cannot run without while they act)
+# in manifest order, the keys it cannot run without while they act); only
+# sweep's split of --dataset draws at random, so sweep requires split_seed
 _COMMANDS = {
     "catalog": ("dump the chip-class catalog as CSV", ("catalog", "out"), ()),
     "simulate": ("per-cycle latency trace for one location",
@@ -558,7 +563,7 @@ _COMMANDS = {
               ("seed", "dataset", "train", "test", "train_fraction",
                "split_seed")
               + tuple(k for k in _MODEL_KEYS if k not in ("kind", "selector")),
-              ("seed", "dataset", "train", "test")),
+              ("split_seed", "dataset", "train", "test")),
     "predict": ("identify a probe and judge fresh vs used",
                 ("catalog", "model", "probe", "used_threshold",
                  "fresh_threshold", "out"), ("model", "probe")),
@@ -567,10 +572,6 @@ _COMMANDS = {
               "map_out", "out"), ("seed",)),
 }
 
-_MODEL_SWITCHES = {"kind": {kind: tuple(key.lower() for key in params)
-                            for kind, params in PARAMS.items()},
-                   "selector": {"none": (), "mrmr": ("select_k", "mrmr_bins"),
-                                "nca": ("select_k", "nca_iters", "nca_lr")}}
 # command -> {switch key: {value: the keys that act only at that value}}, None
 # standing for the switch left unset; every other key of the command acts
 _SWITCHES = {
@@ -634,7 +635,9 @@ def main(argv=None) -> int:
                                       f"{_format_value(getattr(cfg, switch))}")
         for key in _COMMANDS[args.command][2]:
             if key not in idle and getattr(cfg, key) is None:
-                raise ValidationError(f"--{key} is required for '{args.command}'")
+                # split_seed falls back to seed: unset, neither was given
+                flag = _flag("seed" if key == "split_seed" else key)
+                raise ValidationError(f"{flag} is required for '{args.command}'")
         return globals()[f"cmd_{args.command}"](cfg)
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,11 +24,22 @@ from nvmsig.detector import (detect_recycled, load_map, locate_used_regions,
                              save_map)
 from nvmsig.errors import ParseError
 from nvmsig.features import mrmr_select, nca_select
-from nvmsig.protocol import build_dataset, load_dataset, save_dataset, split
+from nvmsig.protocol import (build_dataset, load_dataset, save_dataset, split,
+                             split_rows)
 
 
 def run(*argv):
     return cli.main([str(a) for a in argv])
+
+
+def _differing_files(first, second):
+    """The relative paths that only one tree holds or that differ in bytes,
+    as `diff -r` lists them."""
+    def files(root):
+        return {p.relative_to(root): p.read_bytes()
+                for p in root.rglob("*") if p.is_file()}
+    a, b = files(first), files(second)
+    return sorted(str(p) for p in a.keys() | b.keys() if a.get(p) != b.get(p))
 
 
 @pytest.fixture(scope="module")
@@ -344,8 +355,8 @@ def test_sweep_fits_each_selector_once(workdir, tmp_path, monkeypatch):
 
 def test_sweep_on_train_and_test_records_no_split_keys(workdir, tmp_path):
     """The split keys act only on --dataset.  A manifest of the older format,
-    which carried them, reruns to the same models and sweep.csv and writes
-    the manifest the flags write."""
+    which carried them, reruns to every file the flags write: the models,
+    the confusion tables, sweep.csv and the manifest."""
     first, rerun = tmp_path / "first", tmp_path / "rerun"
     train, test = workdir / "two.train.csv", workdir / "two.test.csv"
     assert run("sweep", "--seed", 2, "--train", train, "--test", test,
@@ -361,10 +372,10 @@ def test_sweep_on_train_and_test_records_no_split_keys(workdir, tmp_path):
         "nca_iters = 10\nnca_lr = 0.01\n")
     assert run("sweep", "--config", old, "--out-dir", rerun) == 0
     names = ["sweep.csv", "sweep.csv.manifest"] + [
-        f"sweep_{kind}_{sel}.model.txt" for kind in KINDS
-        for sel in cli.SELECTORS]
-    for name in names:
-        assert (rerun / name).read_bytes() == (first / name).read_bytes(), name
+        f"sweep_{kind}_{sel}.{ext}" for kind in KINDS
+        for sel in cli.SELECTORS for ext in ("model.txt", "confusion.csv")]
+    assert sorted(p.name for p in first.iterdir()) == sorted(names)
+    assert _differing_files(first, rerun) == []
 
 
 @pytest.mark.parametrize("command", ["train", "crossval", "sweep"])
@@ -452,6 +463,45 @@ def test_scan_manifest_records_flag_ratio_and_out(tmp_path):
                "--out-dir", rerun) == 0
     for name in ("m.csv", "m.csv.manifest", "regions.csv"):
         assert (rerun / name).read_bytes() == (first / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv,manifest", [
+    (["simulate", "--seed", 3, "--class", 0, "--addr", 5, "--cycles", 50,
+      "--out", "t.csv"], "t.csv.manifest"),
+    (["dataset", "--seed", 2, "--classes", "4,6", "--chips-per-class", 1,
+      "--locations-per-chip", 2, "--checkpoints", "0,10000", "--split",
+      "--out", "d.csv"], "d.csv.manifest"),
+    (["train", "--dataset", "{root}/two.train.csv", "--kind", "tree",
+      "--selector", "mrmr", "--select-k", 4, "--out", "m.txt"],
+     "m.txt.manifest"),
+    (["sweep", "--seed", 2, "--dataset", "{root}/two.csv", "--select-k", 4,
+      "--nca-iters", 10], "sweep.csv.manifest"),
+    (["sweep", "--split-seed", 2, "--dataset", "{root}/two.csv",
+      "--select-k", 4, "--nca-iters", 10], "sweep.csv.manifest"),
+    (["sweep", "--seed", 2, "--train", "{root}/two.train.csv",
+      "--test", "{root}/two.test.csv", "--select-k", 4, "--nca-iters", 10],
+     "sweep.csv.manifest"),
+    (["sweep", "--train", "{root}/two.train.csv",
+      "--test", "{root}/two.test.csv", "--select-k", 4, "--nca-iters", 10],
+     "sweep.csv.manifest"),
+    (["scan", "--seed", 5, "--class", 2, "--spots", "40:20000",
+      "--map-out", "m.csv", "--out", "regions.csv"], "m.csv.manifest"),
+    (["eval", "--model", "{root}/knn.model.txt",
+      "--dataset", "{root}/two.test.csv", "--out", "e"], None),
+], ids=["simulate", "dataset-split", "train", "sweep-dataset",
+        "sweep-dataset-split-seed-only", "sweep-train-test",
+        "sweep-train-test-without-seed", "scan", "eval"])
+def test_every_file_of_a_run_reruns_byte_for_byte(workdir, tmp_path, argv,
+                                                  manifest):
+    """A manifest rerun, or for eval a second run, rewrites every file of the
+    first run byte for byte: no file carries a clock."""
+    argv = [str(a).format(root=workdir) for a in argv]
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run(*argv, "--out-dir", first) == 0
+    again = ["--config", first / manifest] if manifest else argv[1:]
+    assert run(argv[0], *again, "--out-dir", second) == 0
+    assert any(first.iterdir())
+    assert _differing_files(first, second) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -808,9 +858,13 @@ def test_scan_needs_map_or_seed(capsys):
     (["predict", "--model", "{model}"], "probe"),
     (["sweep", "--seed", "1"], "dataset"),
     (["sweep", "--seed", "1", "--train", "{model}"], "test"),
+    (["sweep"], "seed"),
+    (["sweep", "--dataset", "{model}"], "seed"),
+    (["sweep", "--train", "{model}"], "test"),
     (["scan"], "seed"),
 ], ids=["train", "crossval", "eval", "eval-model-only", "predict",
-        "predict-model-only", "sweep", "sweep-train-only", "scan"])
+        "predict-model-only", "sweep", "sweep-train-only", "sweep-bare",
+        "sweep-dataset-without-seed", "sweep-train-only-without-seed", "scan"])
 def test_command_without_a_required_input_names_its_flag(workdir, tmp_path,
                                                          capsys, argv, missing):
     argv = [a.format(model=workdir / "knn.model.txt") for a in argv]
@@ -1051,13 +1105,16 @@ def test_dataset_without_rows_after_class_names_fails_at_line_2(tmp_path, text):
         load_dataset(path)
 
 
-# (library function, its parameter, the config key that sets it)
+# (library function, its parameter, the config key that sets it); the
+# config keys' defaults are what `-h` prints
 _LIBRARY_DEFAULTS = [
+    (load_catalog, "path", "catalog"),
     (build_dataset, "chips_per_class", "chips_per_class"),
     (build_dataset, "group", "group"),
     (build_dataset, "locations_per_chip", "locations_per_chip"),
     (build_dataset, "checkpoints", "checkpoints"),
     (split, "train_fraction", "train_fraction"),
+    (split_rows, "train_fraction", "train_fraction"),
     (train_knn, "k", "k"),
     (train_tree, "max_depth", "max_depth"),
     (train_tree, "min_leaf", "min_leaf"),
