@@ -46,15 +46,20 @@ class Reader:
         self.pos += n
         return range(self.pos - n, self.pos)
 
-    def block(self, prefix, rows, dtype):
-        """One record of `dtype` from each line at the 0-based indices `rows`:
-        `prefix`, then the record's values separated by whitespace (see
-        `read_block`)."""
+    def prefixed(self, prefix, rows) -> list[str]:
+        """The lines at the 0-based indices `rows`, each `prefix` and a space."""
         lines = [self.lines[i] for i in rows]
         if not all(map(str.startswith, lines, repeat(prefix + " "))):
             self.pos = 1 + next(i for i, line in zip(rows, lines)
                                 if not line.startswith(prefix + " "))
             self.fail(f"expected '{prefix} ...'")
+        return lines
+
+    def block(self, prefix, rows, dtype):
+        """One record of `dtype` from each line at the 0-based indices `rows`:
+        `prefix`, then the record's values separated by whitespace (see
+        `read_block`)."""
+        lines = self.prefixed(prefix, rows)
         if not lines:
             return np.empty(0, dtype)
         # a bytes field takes the prefix, so no line is copied to cut it;

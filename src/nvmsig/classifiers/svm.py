@@ -13,17 +13,22 @@ a_ij = max(2 - 2 K_ij, 1e-12).  It stops once max_{I_up} v - min_{I_low} v is
 at most `tol`; with the bias at the mean v of the free rows, every row then
 meets its KKT condition within `tol`.  The solver draws nothing at random, so
 equal inputs give equal machines.
+
+A training row is a support row of up to k - 1 of the machines, so the core
+holds each one once, in a pool of distinct rows (LIBSVM stores each support
+vector once too: Chang & Lin, ACM TIST 2011).  The decisions of every machine
+are one kernel block of the probes against the pool times a pool x machines
+matrix of alpha * y.  The model file keeps one `sv` line per support row.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, islice
 
 import numpy as np
 
-from .._atomic import number
-from ..errors import NumericError, ValidationError
+from .._atomic import number, read_block
+from ..errors import NumericError, ParseError, ValidationError
 from ._text import fmt, fmt_vec
-from .knn import _sq_dists
 
 # a generous cap: default-dataset pairs converge in under one iteration per row
 _MAX_ITER_PER_ROW = 1000
@@ -34,14 +39,27 @@ PARAMS = {"C": float, "gamma": float, "tol": float}
 
 @dataclass
 class SvmCore:
-    """The model-file block: machine m owns the next counts[m] support rows."""
+    """The model-file block: machine m owns the next counts[m] support rows,
+    and support row i is pool row member[i].  A training row that several
+    machines keep is one pool row, held and compared with a probe once."""
     tags: np.ndarray
     pairs: np.ndarray  # machines x 2 tags, the positive (lower) tag first
     bias: np.ndarray
     counts: np.ndarray
-    alpha_y: np.ndarray  # alpha_i * y_i of every support row
-    sv: np.ndarray
+    alpha_y: np.ndarray  # alpha_i * y_i of every support row, in file order
+    member: np.ndarray
+    pool: np.ndarray  # the distinct support rows, by first support row
     gamma: float
+    coef: np.ndarray = field(init=False)  # pool x machines sums of alpha_y
+    kernel_side: np.ndarray = field(init=False)  # gamma [2 p, -1, -|p|^2] per pool row
+
+    def __post_init__(self):
+        machines = self.bias.size
+        cell = self.member * machines + np.repeat(np.arange(machines), self.counts)
+        coef = np.bincount(cell, self.alpha_y, len(self.pool) * machines)
+        # float also when no row is kept, where bincount gives int64
+        self.coef = coef.reshape(len(self.pool), machines).astype(np.float64, copy=False)
+        self.kernel_side = self.gamma * _halves(self.pool)[1]
 
 
 def resolve_gamma(X, gamma) -> float:
@@ -165,20 +183,24 @@ def fit(X, y, C: float, gamma, tol: float) -> SvmCore:
         solved += smo_train_pairs(Xs[s:s + batch], ys[s:s + batch], C, g, tol)
     alphas, biases = zip(*solved)
     keep = [alpha > 0 for alpha in alphas]
+    # the training row of each support row, in file order; the pool is
+    # ordered by first support row, as `load` finds it in the file
+    rows = np.concatenate([np.flatnonzero(mask)[k] for mask, k in zip(masks, keep)])
+    pool_rows = rows[np.sort(np.unique(rows, return_index=True)[1])]
+    slot = np.empty(len(X), dtype=np.int64)
+    slot[pool_rows] = np.arange(pool_rows.size)
     return SvmCore(tags, np.array(pairs), np.array(biases),
                    np.array([k.sum() for k in keep]),
                    np.concatenate([(a * yp)[k] for a, yp, k in zip(alphas, ys, keep)]),
-                   np.concatenate([Xp[k] for Xp, k in zip(Xs, keep)]), g)
+                   slot[rows], X[pool_rows], g)
 
 
 def _decisions(core: SvmCore, X):
-    """probes x machines: one kernel block per machine on its run of `sv`;
-    a run of no rows adds 0 to its bias."""
-    F = np.empty((X.shape[0], core.bias.size))
-    stop = np.cumsum(core.counts)
-    for m, (a, b) in enumerate(zip(stop - core.counts, stop)):
-        F[:, m] = np.exp(-core.gamma * _sq_dists(X, core.sv[a:b])) @ core.alpha_y[a:b]
-    return F + core.bias
+    """probes x machines: one kernel block on the pool and one product;
+    a machine of no rows adds 0 to its bias."""
+    K = _halves(X)[0] @ core.kernel_side.T  # -gamma |x - p|^2
+    np.minimum(K, 0.0, out=K)
+    return np.exp(K, out=K) @ core.coef + core.bias
 
 
 def predict_detail(core: SvmCore, X):
@@ -214,15 +236,21 @@ def dual_objective(alpha, y, K) -> float:
     return float(alpha.sum() - 0.5 * (ay @ K @ ay))
 
 
-def rbf_kernel_matrix(X, gamma, out=None) -> np.ndarray:
-    """The n x n RBF kernel of X's rows, written into `out` if given."""
+def _halves(X):
+    """([x, |x|^2, 1], [2 x, -1, -|x|^2]) of each row x of X: row i of the
+    first dotted with row j of the second is -|x_i - x_j|^2, so one matrix
+    product gives a whole block of squared distances, and the only passes
+    over the block left are the clip and the exp."""
     X = np.asarray(X, dtype=np.float64)
     sq = (X * X).sum(axis=1)[:, None]
     one = np.ones_like(sq)
-    # -gamma |x_i - x_j|^2 = [x_i, |x_i|^2, 1] . gamma [2 x_j, -1, -|x_j|^2]:
-    # one matrix product, so the only n x n passes left are the clip and exp
-    K = np.matmul(np.hstack([X, sq, one]),
-                  (gamma * np.hstack([2.0 * X, -one, -sq])).T, out=out)
+    return np.hstack([X, sq, one]), np.hstack([2.0 * X, -one, -sq])
+
+
+def rbf_kernel_matrix(X, gamma, out=None) -> np.ndarray:
+    """The n x n RBF kernel of X's rows, written into `out` if given."""
+    left, right = _halves(X)
+    K = np.matmul(left, (gamma * right).T, out=out)
     np.minimum(K, 0.0, out=K)
     return np.exp(K, out=K)
 
@@ -230,8 +258,9 @@ def rbf_kernel_matrix(X, gamma, out=None) -> np.ndarray:
 def dump(core: SvmCore):
     out = [f"core svm {core.bias.size} {core.tags.size}",
            "tags " + " ".join(str(int(t)) for t in core.tags)]
-    rows = (f"sv {fmt(coeff)} {fmt_vec(row)}"
-            for coeff, row in zip(core.alpha_y, core.sv))
+    text = [fmt_vec(row) for row in core.pool]  # each pool row formatted once
+    rows = (f"sv {fmt(coeff)} {text[p]}"
+            for coeff, p in zip(core.alpha_y.tolist(), core.member.tolist()))
     for (a, b), n, bias in zip(core.pairs, core.counts, core.bias):
         out.append(f"machine {a} {b} {n} {fmt(bias)}")
         out += islice(rows, n)
@@ -253,10 +282,33 @@ def load(r, head, width, params):
         pairs.append(pair)
         bias.append(number(parts[4]))
         spans.append(r.rows(number(parts[3], True)))
-    # the sv lines of every machine, read in one pass
-    rec = r.block("sv", [i for span in spans for i in span],
-                  [("alpha_y", np.float64), ("sv", np.float64, width)])
+    # `sv <alpha_y> <row>`: each distinct row text is read once, at the first
+    # line that holds it.  str.split() also cuts at non-ASCII spaces such as
+    # '\xa0', so a non-ASCII line is left whole, for read_block to refuse
+    rows = [i for span in spans for i in span]
+    coefs, texts = [], []
+    for line in r.prefixed("sv", rows):
+        cells = line.split(None, 2) if line.isascii() else []
+        coefs.append(cells[1] if len(cells) > 1 else line)
+        texts.append(cells[2] if len(cells) > 2 else line)
+    pool_of = {}
+    member = np.array([pool_of.setdefault(t, len(pool_of)) for t in texts],
+                      dtype=np.int64)
+    first = np.unique(member, return_index=True)[1]
+    faults = []  # of the two reads, the fault at the earlier line is named
+    try:
+        pool = r.block("sv", [rows[i] for i in first],
+                       [("alpha_y", np.float64), ("sv", np.float64, width)])["sv"]
+    except ParseError as exc:
+        faults.append(exc)
+    try:
+        alpha_y = (read_block(coefs, [i + 1 for i in rows], [("a", np.float64)])["a"]
+                   if rows else np.empty(0))
+    except ParseError as exc:
+        faults.append(exc)
+    if faults:
+        raise min(faults, key=lambda exc: exc.line)
     return SvmCore(tags, np.array(pairs, dtype=np.int64).reshape(-1, 2),
                    np.array(bias), np.array(list(map(len, spans)), dtype=np.int64),
-                   np.ascontiguousarray(rec["alpha_y"]),
-                   np.ascontiguousarray(rec["sv"]), params["gamma"])
+                   np.ascontiguousarray(alpha_y), member,
+                   np.ascontiguousarray(pool), params["gamma"])

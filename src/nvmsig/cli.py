@@ -517,8 +517,9 @@ def _add(parser, key: str):
         kind = {"action": argparse.BooleanOptionalAction}
     else:
         kind = {"type": _flag_type(f.parse)}
-    parser.add_argument(_flag(key), dest=key, default=None,
-                        help=f"{f.help} (default: {_format_value(f.default)})",
+    # a None default is worked out by merge_config, and the help says how
+    shown = "" if f.default is None else f" (default: {_format_value(f.default)})"
+    parser.add_argument(_flag(key), dest=key, default=None, help=f.help + shown,
                         **kind)
 
 

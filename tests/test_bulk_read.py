@@ -55,7 +55,8 @@ def _core_arrays(model):
     if model.kind == "knn":
         return [core.y, core.X]
     if model.kind == "svm":
-        return [core.alpha_y, core.sv, core.bias, core.pairs, core.counts]
+        return [core.alpha_y, core.pool[core.member], core.bias, core.pairs,
+                core.counts]
     return [core.feature, core.left, core.right, core.leaf, core.threshold,
             core.counts]
 
@@ -97,7 +98,7 @@ def test_sweep_model_cores_equal_the_per_line_reading(lab1_sweep):
             assert model.core.X.flags.c_contiguous
         if model.kind == "svm":
             assert model.core.alpha_y.flags.c_contiguous
-            assert model.core.sv.flags.c_contiguous
+            assert model.core.pool.flags.c_contiguous
 
 
 def test_default_split_datasets_equal_the_per_line_reading(tmp_path):
@@ -253,6 +254,87 @@ def test_a_row_of_the_wrong_width_fails_at_its_line(tmp_path, loader, extra):
     with pytest.raises(ParseError, match=f"^line {lineno}: expected {width} "
                                          f"columns, got {width + extra}$"):
         load(path)
+
+
+def _svm_repeats(root):
+    """(path, lines, [line numbers of one row text]) of a saved svm whose
+    `sv <alpha_y> <row>` lines repeat row texts: every row text that two or
+    more machines keep, with its lines in file order."""
+    path = _model_file(root, "svm")
+    lines = path.read_text().splitlines()
+    at = {}
+    for n, line in enumerate(lines, 1):
+        if line.startswith("sv "):
+            at.setdefault(line.split(" ", 2)[2], []).append(n)
+    repeats = [ns for ns in at.values() if len(ns) > 1]
+    assert len(repeats) >= 3
+    return path, lines, repeats
+
+
+def _write_with(path, lines, edits):
+    """`lines`, with `token` as cell `index` of each line in `edits`, a
+    {line number: (index, token)}."""
+    lines = list(lines)
+    for lineno, (index, token) in edits.items():
+        cells = lines[lineno - 1].split(" ")
+        cells[index] = token
+        lines[lineno - 1] = " ".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("token", ["nan", "٣", "1_0"])
+def test_svm_row_cell_fault_is_named_at_the_first_line_of_its_row(tmp_path,
+                                                                  token):
+    path, lines, repeats = _svm_repeats(tmp_path)
+    for ns in repeats:
+        for index in (2, 5):  # the row's first and last of its 4 cells
+            # the row text, fault and all, repeats on later lines
+            _write_with(path, lines, {n: (index, token) for n in ns})
+            with pytest.raises(ParseError, match=f"^line {ns[0]}: "):
+                load_model(path)
+            # the fault on a later line only: its row text starts there
+            _write_with(path, lines, {ns[-1]: (index, token)})
+            with pytest.raises(ParseError, match=f"^line {ns[-1]}: "):
+                load_model(path)
+
+
+@pytest.mark.parametrize("token", ["nan", "٣", "1_0", "inf", "", "3\xa0"])
+def test_svm_coefficient_fault_on_a_repeated_row_is_named_at_its_line(tmp_path,
+                                                                      token):
+    path, lines, repeats = _svm_repeats(tmp_path)
+    for ns in repeats:
+        for n in ns[1:]:
+            _write_with(path, lines, {n: (1, token)})
+            with pytest.raises(ParseError, match=f"^line {n}: "):
+                load_model(path)
+
+
+def test_a_non_ascii_space_in_a_repeated_sv_line_is_named_at_its_line(tmp_path):
+    # str.split() would take '\xa0' for the space it replaces
+    path, lines, repeats = _svm_repeats(tmp_path)
+    for ns in repeats:
+        # after `sv`, after the coefficient
+        for sep, match in ((1, "expected 'sv ...'"), (2, "a row of numbers must be ASCII")):
+            bad = list(lines)
+            cells = bad[ns[-1] - 1].split(" ")
+            bad[ns[-1] - 1] = " ".join(cells[:sep]) + "\xa0" + " ".join(cells[sep:])
+            path.write_text("\n".join(bad) + "\n", encoding="utf-8")
+            with pytest.raises(ParseError, match=f"^line {ns[-1]}: {match}"):
+                load_model(path)
+
+
+def test_of_an_svm_coefficient_and_row_fault_the_earlier_line_is_named(tmp_path):
+    path, lines, repeats = _svm_repeats(tmp_path)
+    first = next(n for n, line in enumerate(lines, 1) if line.startswith("sv "))
+    last = max(n for ns in repeats for n in ns)
+    n = repeats[0][1]  # a coefficient read on its own
+    assert first < n < last
+    _write_with(path, lines, {n: (1, "nan"), last: (3, "nan")})
+    with pytest.raises(ParseError, match=f"^line {n}: "):
+        load_model(path)
+    _write_with(path, lines, {n: (1, "nan"), first: (3, "nan")})
+    with pytest.raises(ParseError, match=f"^line {first}: "):
+        load_model(path)
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])

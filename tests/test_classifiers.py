@@ -1,4 +1,5 @@
 import argparse
+import functools
 import inspect
 import re
 import tracemalloc
@@ -28,8 +29,9 @@ from nvmsig.classifiers import (
 from nvmsig.classifiers import knn as knn_core
 from nvmsig.classifiers import svm as svm_core
 from nvmsig.classifiers import tree as tree_core
+from nvmsig.classifiers._text import fmt
 from nvmsig.errors import ParseError, ValidationError
-from nvmsig.features import apply_standardizer, fit_standardizer, mrmr_select
+from nvmsig.features import apply_standardizer, fit_standardizer, mrmr_select, nca_select
 from nvmsig.protocol import build_dataset, split
 
 
@@ -437,7 +439,8 @@ def test_svm_pairs_solved_together_match_pairs_solved_alone(monkeypatch):
             m.setattr(svm_core, "_STACK_BYTES", 1)
             alone = svm_core.fit(ds.X, ds.y, C=2.0, gamma="auto", tol=1e-3)
         assert together.pairs.shape == alone.pairs.shape == (6, 2)
-        for name in ("tags", "pairs", "bias", "counts", "alpha_y", "sv"):
+        for name in ("tags", "pairs", "bias", "counts", "alpha_y", "member",
+                     "pool", "coef"):
             assert np.array_equal(getattr(together, name),
                                   getattr(alone, name)), name
         assert together.gamma == alone.gamma
@@ -457,18 +460,101 @@ def test_svm_votes_and_tags():
     assert np.all(scores.sum(axis=1) == 6)  # 4 classes -> 6 pair votes
 
 
-@pytest.mark.parametrize("n,m,d", [(450, 300, 25), (1, 500, 100), (37, 9, 3)])
-def test_svm_pair_decisions_match_the_kernel_formula(n, m, d):
-    rng = np.random.default_rng(n + m + d)
-    X, sv = rng.normal(size=(n, d)), rng.normal(size=(m, d))
-    alpha_y, gamma = rng.normal(size=m), 1.0 / d
-    d2 = np.maximum((X * X).sum(axis=1)[:, None] + (sv * sv).sum(axis=1)[None, :]
-                    - 2.0 * (X @ sv.T), 0.0)
-    core = svm_core.SvmCore(np.array([0, 1]), np.array([[0, 1]]),
-                            np.array([0.25]), np.array([m]), alpha_y, sv, gamma)
+@pytest.mark.parametrize("n,p,d", [(450, 300, 25), (1, 500, 100), (37, 9, 3)])
+def test_svm_pair_decisions_match_the_kernel_formula(n, p, d):
+    """Three machines on one pool of p rows: machine 0 keeps the even rows,
+    machine 1 none and machine 2 every third row, so rows 0, 6, 12, ... are
+    shared by two machines."""
+    rng = np.random.default_rng(n + p + d)
+    X, pool = rng.normal(size=(n, d)), rng.normal(size=(p, d))
+    runs = [np.arange(0, p, 2), np.arange(0), np.arange(0, p, 3)]
+    member = np.concatenate(runs)
+    alpha_y, gamma = rng.normal(size=member.size), 1.0 / d
+    bias = np.array([0.25, -0.5, 0.0])
+    core = svm_core.SvmCore(np.array([0, 1, 2]),
+                            np.array([[0, 1], [0, 2], [1, 2]]), bias,
+                            np.array([run.size for run in runs]), alpha_y,
+                            member, pool, gamma)
+    own = np.split(alpha_y, np.cumsum(core.counts)[:-1])  # each machine's alpha_y
+    coef = np.zeros((p, 3))
+    for k, run in enumerate(runs):
+        coef[run, k] = own[k]
+    assert np.array_equal(core.coef, coef)
+    d2 = np.maximum((X * X).sum(axis=1)[:, None] + (pool * pool).sum(axis=1)[None, :]
+                    - 2.0 * (X @ pool.T), 0.0)
     F = svm_core._decisions(core, X)
-    assert F.shape == (n, 1)
-    assert np.array_equal(F[:, 0], np.exp(-gamma * d2) @ alpha_y + 0.25)
+    assert F.shape == (n, 3)
+    # each machine is the kernel formula on its own support rows, up to
+    # rounding; a machine of no rows decides by its bias alone
+    for k, run in enumerate(runs):
+        want = np.exp(-gamma * d2[:, run]) @ own[k] + bias[k]
+        np.testing.assert_allclose(F[:, k], want, rtol=0,
+                                   atol=1e-12 * (1 + np.abs(own[k]).sum()))
+    assert (F[:, 1] == -0.5).all()
+
+
+@functools.cache
+def _svm_split(data):
+    """(train, test): lab seed 1 (2 chips x 2 locations per class) or the
+    default dataset, split 80/20 with seed 1, as `nvmsig sweep --seed 1`."""
+    size = {"lab1": {"chips_per_class": 2, "locations_per_chip": 2},
+            "default": {}}[data]
+    return split(build_dataset(load_catalog(), seed=1, **size),
+                 train_fraction=0.8, seed=1)
+
+
+def _ranking(selector, train):
+    if selector == "none":
+        return None
+    if selector == "mrmr":
+        return mrmr_select(train, k=25)
+    z = apply_standardizer(fit_standardizer(train.X), train.X)
+    return nca_select(SimpleNamespace(X=z, y=train.y), k=25)
+
+
+def _as_written(a):
+    """`a` as its model file reads back: each value at 9 significant digits."""
+    return np.array([float(fmt(v)) for v in a.ravel()]).reshape(a.shape)
+
+
+@pytest.mark.parametrize("data,selector", [
+    ("lab1", "none"), ("lab1", "mrmr"), ("lab1", "nca"), ("default", "mrmr")])
+def test_svm_pool_holds_each_support_row_once(tmp_path, data, selector):
+    train, test = _svm_split(data)
+    model = train_svm(train, ranking=_ranking(selector, train))
+    core = model.core
+    assert len(np.unique(core.pool, axis=0)) == len(core.pool)
+    assert np.unique(core.member).tolist() == list(range(len(core.pool)))
+    # pool[member] is the support rows of each machine solved on its own
+    Z = apply_standardizer(model.stats, train.X[:, model.indices])
+    runs = np.split(np.arange(core.member.size), np.cumsum(core.counts)[:-1])
+    for (a, b), run, bias in zip(core.pairs, runs, core.bias):
+        mask = (train.y == a) | (train.y == b)
+        y = np.where(train.y[mask] == a, 1.0, -1.0)
+        alpha, alone = svm_core.smo_train(Z[mask], y, 1.0, core.gamma, 1e-3)
+        assert np.array_equal(core.pool[core.member[run]], Z[mask][alpha > 0])
+        assert np.array_equal(core.alpha_y[run], (alpha * y)[alpha > 0])
+        assert alone == bias
+    # one coefficient cell per support row
+    assert np.count_nonzero(core.coef) == core.member.size
+    path, again = tmp_path / "svm.model.txt", tmp_path / "again.model.txt"
+    save_model(model, path)
+    loaded = load_model(path)
+    for name in ("member", "pool", "alpha_y", "coef"):
+        got, want = getattr(loaded.core, name), getattr(core, name)
+        if name != "member":
+            want = _as_written(want)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert np.array_equal(got, want), name
+    save_model(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+    # the loaded model votes as the one in memory, in a batch and probe by probe
+    want = predict_detail(model, test.X)
+    for m in (model, loaded):
+        assert all(map(np.array_equal, predict_detail(m, test.X), want))
+        for i in range(len(test.X)):
+            pred, scores, _ = predict_detail(m, test.X[i:i + 1])
+            assert pred[0] == want[0][i] and np.array_equal(scores[0], want[1][i])
 
 
 def test_svm_training_is_deterministic(tmp_path):

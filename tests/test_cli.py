@@ -646,7 +646,8 @@ _LAB1_EMPTY_SVM_SHA256 = \
 def test_svm_machines_without_support_rows_vote_by_their_bias(lab1, tmp_path):
     model = train_svm(load_dataset(lab1 / "dataset.train.csv"), tol=5.0)
     assert model.core.counts.tolist() == [0] * 36
-    assert model.core.sv.shape == (0, 100)
+    assert model.core.pool.shape == (0, 100)
+    assert model.core.coef.shape == (0, 36)
     assert not model.core.bias.any()
     test = load_dataset(lab1 / "dataset.test.csv")
     path, again = tmp_path / "empty.model.txt", tmp_path / "again.model.txt"
@@ -1189,6 +1190,25 @@ def test_command_surface_is_unchanged():
                 for name, p in sub.choices.items()}
     assert accepted == {name: _COMMON_FLAGS | flags
                         for name, flags in _SURFACE.items()}
+
+
+@pytest.mark.parametrize("command", sorted(_SURFACE))
+def test_no_flag_states_two_defaults(command):
+    """A key whose default merge_config works out (--out-dir, --split-seed)
+    says so in its own help, with no `(default: None)` after it."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    text = sub.choices[command].format_help()
+    assert "(default: None)" not in text
+    # one entry per flag: a line that starts with two spaces and a dash
+    entries = text.split("options:\n", 1)[1].split("\n  -")
+    assert len(entries) == len(_COMMON_FLAGS | _SURFACE[command]) - 1 \
+        - ("--split" in _SURFACE[command])  # --[no-]split is one entry
+    assert [e.split()[0] for e in entries if e.count("(default") > 1] == []
+    flat = " ".join(text.split())
+    assert "output directory (default $NVMSIG_OUT or '.')" in flat
+    if command in ("sweep", "dataset"):
+        assert "split stream seed (default: seed)" in flat
 
 
 def test_dispatch_finds_the_handler_at_call_time(tmp_path, monkeypatch):
