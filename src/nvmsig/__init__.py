@@ -40,7 +40,6 @@ from .detector import (
     RecycledVerdict,
     UsedRegion,
     baseline_from_catalog,
-    baseline_from_simulation,
     detect_recycled,
     diagnose_probe,
     identify_manufacturer,

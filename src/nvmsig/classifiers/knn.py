@@ -3,6 +3,13 @@
 Neighbor order is total: by distance, then by training-row index, so every
 prediction is reproducible.  Vote ties go to the tied class with the nearest
 member; an exact distance tie after that falls back to the lowest tag.
+
+The core keeps its rows' half of the distance product once, `side`, with
+[-2 x, 1, |x|^2] per training row x.  The squared distances of a block of
+probes are then one product of the probes' half [p, |p|^2, 1] (from
+`_dist._halves`, as in the svm core) with `side`, clipped at 0.  They are
+exact on small integers; elsewhere they can differ from |p - x|^2 in the
+last bits, and the tie rules act on the distances as computed.
 """
 
 from dataclasses import dataclass, field
@@ -10,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ValidationError
+from ._dist import _halves
 from ._text import fmt_vec
 
 PARAMS = {"k": int}
@@ -21,11 +29,13 @@ class KnnCore:
     y: np.ndarray
     k: int
     tags: np.ndarray = field(init=False)  # the sorted labels of y
+    side: np.ndarray = field(init=False)  # [-2 x, 1, |x|^2] per training row
 
     def __post_init__(self):
         if self.k < 1 or self.k > self.X.shape[0]:
             raise ValidationError(f"k must be in [1, {self.X.shape[0]}]")
         self.tags = np.unique(self.y)
+        self.side = -_halves(self.X)[1]
 
 
 def fit(X, y, k: int) -> KnnCore:
@@ -42,7 +52,8 @@ def _neighbors(core: KnnCore, X):
     block before a stable distance sort restores the total order, and rows
     with distance ties crossing the k boundary get an exact redo.
     """
-    d2 = _sq_dists(X, core.X)
+    d2 = _halves(X)[0] @ core.side.T
+    np.maximum(d2, 0.0, out=d2)
     k = core.k
     part = np.sort(np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
     pd = np.take_along_axis(d2, part, axis=1)
@@ -82,16 +93,6 @@ def predict_scores(core: KnnCore, X) -> np.ndarray:
 
 def predict(core: KnnCore, X) -> np.ndarray:
     return predict_detail(core, X)[0]
-
-
-def _sq_dists(A, B):
-    aa = (A * A).sum(axis=1)[:, None]
-    bb = (B * B).sum(axis=1)[None, :]
-    ab2 = A @ B.T
-    ab2 *= 2.0
-    d2 = aa + bb  # aa + bb - 2 A.B, in place on two n x m buffers
-    d2 -= ab2
-    return np.maximum(d2, 0.0, out=d2)
 
 
 def dump(core: KnnCore):

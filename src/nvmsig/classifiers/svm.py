@@ -19,6 +19,9 @@ holds each one once, in a pool of distinct rows (LIBSVM stores each support
 vector once too: Chang & Lin, ACM TIST 2011).  The decisions of every machine
 are one kernel block of the probes against the pool times a pool x machines
 matrix of alpha * y.  The model file keeps one `sv` line per support row.
+
+Every kernel block, in training and in decisions, is exp of one product of
+the halves from `_dist._halves`, which the knn core's distances share.
 """
 
 from dataclasses import dataclass, field
@@ -28,6 +31,7 @@ import numpy as np
 
 from .._atomic import number, read_block
 from ..errors import NumericError, ParseError, ValidationError
+from ._dist import _halves
 from ._text import fmt, fmt_vec
 
 # a generous cap: default-dataset pairs converge in under one iteration per row
@@ -234,17 +238,6 @@ def dual_objective(alpha, y, K) -> float:
     y = np.asarray(y, dtype=np.float64)
     ay = alpha * y
     return float(alpha.sum() - 0.5 * (ay @ K @ ay))
-
-
-def _halves(X):
-    """([x, |x|^2, 1], [2 x, -1, -|x|^2]) of each row x of X: row i of the
-    first dotted with row j of the second is -|x_i - x_j|^2, so one matrix
-    product gives a whole block of squared distances, and the only passes
-    over the block left are the clip and the exp."""
-    X = np.asarray(X, dtype=np.float64)
-    sq = (X * X).sum(axis=1)[:, None]
-    one = np.ones_like(sq)
-    return np.hstack([X, sq, one]), np.hstack([2.0 * X, -one, -sq])
 
 
 def rbf_kernel_matrix(X, gamma, out=None) -> np.ndarray:

@@ -18,12 +18,10 @@ from ._atomic import atomic_open, read_block, read_lines, read_table
 from .chipsim import ChipClassSpec, SpatialLatencyMap
 from .classifiers import TrainedModel, predict_detail
 from .errors import ParseError, ValidationError
-from .protocol import Side, latency_stats
 
 USED_THRESHOLD = 1.3
 FRESH_THRESHOLD = 1.1
 DEFAULT_FLAG_RATIO = 1.5
-_FRESH_WINDOW = 50
 
 
 class RecycledVerdict(Enum):
@@ -56,20 +54,6 @@ def baseline_from_catalog(specs) -> FreshBaseline:
     specs = [specs] if isinstance(specs, ChipClassSpec) else list(specs)
     return FreshBaseline({s.class_tag: s.base_latency_us for s in specs},
                          {s.class_tag: 0.0 for s in specs})
-
-
-def baseline_from_simulation(specs, chips: int = 2, locations: int = 5,
-                             seed: int = 0) -> FreshBaseline:
-    """Measured baseline: mean/stdev over each class's first 50 cycles."""
-    stats = latency_stats(specs, chips=chips, locations=locations,
-                          checkpoints=[_FRESH_WINDOW], span=_FRESH_WINDOW,
-                          seed=seed)
-    mean, stdev = {}, {}
-    for w in stats:
-        if w.side is Side.BEFORE:
-            mean[w.class_tag] = w.mean
-            stdev[w.class_tag] = w.stdev
-    return FreshBaseline(mean, stdev)
 
 
 def _check_probe(probe) -> np.ndarray:

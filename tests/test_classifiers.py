@@ -98,6 +98,25 @@ def test_knn_vote_tie_prefers_nearer_class():
     assert knn_core.predict(core, np.array([[4.4]]))[0] == 1
 
 
+def test_knn_tie_rules_hold_on_inexact_distances():
+    # non-dyadic values, where d^2 from one product is not exact; row 1
+    # repeats row 0 under a lower tag, so the two tie exactly
+    X = np.array([[0.1, 0.7], [0.1, 0.7], [0.7, 0.3]])
+    y = np.array([7, 3, 7])
+    probes = np.array([[0.3, 0.6], [0.2, 0.9], [-0.4, 0.5]])
+    for k, want in ((1, 7), (2, 3)):  # k=1: the lower training index
+        core = knn_core.fit(X, y, k)
+        assert knn_core.predict(core, probes).tolist() == [want] * 3
+        for p in probes:
+            assert knn_core.predict(core, p[None, :]).tolist() == [want]
+    # a 2:2 vote tie goes to the nearer class, here the higher tag
+    X = np.array([[0.1, 0.7], [0.7, 0.1], [2.3, 1.9], [2.9, 1.3]])
+    core = knn_core.fit(X, np.array([3, 3, 7, 7]), 4)
+    pred, scores = knn_core.predict_detail(core, np.array([[1.9, 1.3]]))
+    assert pred.tolist() == [7]
+    assert scores.tolist() == [[2.0, 2.0]]
+
+
 def test_knn_scores_are_vote_counts():
     ds = toy(5, n=15, classes=3)
     m = train_knn(ds, k=5)

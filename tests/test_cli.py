@@ -828,7 +828,7 @@ def test_class_header_that_disagrees_with_the_core_exits_1(lab1, tmp_path,
 
 @pytest.mark.parametrize("command,core,func,message", [
     ("train", svm_core, "smo_train_pairs", "Unable to allocate 298. GiB"),
-    ("eval", knn_core, "_sq_dists", ""),
+    ("eval", knn_core, "_neighbors", ""),
 ], ids=["train-svm", "eval-knn"])
 def test_out_of_memory_is_an_error_line_and_exit_1(workdir, tmp_path, capsys,
                                                    monkeypatch, command, core,

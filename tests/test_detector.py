@@ -1,7 +1,6 @@
 """Identification, recycled verdicts, and used-region localization."""
 
 import csv
-import hashlib
 import io
 
 import numpy as np
@@ -24,7 +23,6 @@ from nvmsig.detector import (
     RecycledVerdict,
     UsedRegion,
     baseline_from_catalog,
-    baseline_from_simulation,
     detect_recycled,
     diagnose_probe,
     identify_manufacturer,
@@ -350,37 +348,3 @@ def test_map_blank_lines_are_skipped(tmp_path):
         load_map(path)
     path.write_text("addr,latency_us\n\n0,1.5\n \n1,2.5\n\n")
     assert load_map(path).latencies.tolist() == [1.5, 2.5]
-
-
-# ----------------------------------------------------------- fresh baseline
-
-def test_simulated_baseline_tracks_catalog():
-    sim = baseline_from_simulation(CATALOG)
-    cat = baseline_from_catalog(CATALOG)
-    assert sorted(sim.mean) == sorted(cat.mean)
-    for tag in sim.mean:
-        assert sim.mean[tag] == pytest.approx(cat.mean[tag], rel=0.02)
-        assert sim.stdev[tag] >= 0.0
-
-
-def test_simulated_baseline_is_pinned():
-    # sha256 of the tags as int64, then each tag's (mean, stdev) as float64,
-    # as computed while latency_stats sampled its chips in a loop of its own
-    base = baseline_from_simulation(CATALOG, seed=4)
-    tags = sorted(base.mean)
-    assert tags == list(range(9))
-    values = np.array([(base.mean[t], base.stdev[t]) for t in tags])
-    assert hashlib.sha256(np.array(tags, dtype=np.int64).tobytes()
-                          + values.tobytes()).hexdigest() == \
-        "1d3fa6765f5ad97bbd445037659e5b8032fa9b56d9a8f9fed7c0a108c35b42c1"
-
-
-def test_simulated_baseline_too_large_to_allocate_is_validation_error():
-    with pytest.raises(ValidationError, match="cannot allocate"):
-        baseline_from_simulation(CATALOG, chips=(1 << 63) - 1)
-
-
-def test_simulated_baseline_gives_fresh_verdicts():
-    base = baseline_from_simulation([SPEC[1]])
-    verdict, _ = detect_recycled(fresh_probe(1, 88, addr=2), 1, base)
-    assert verdict is RecycledVerdict.FRESH
