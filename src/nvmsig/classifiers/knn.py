@@ -1,8 +1,9 @@
 """k-nearest-neighbor core on squared Euclidean distance.
 
-Neighbor order is total: by distance, then by training-row index, so every
-prediction is reproducible.  Vote ties go to the tied class with the nearest
-member; an exact distance tie after that falls back to the lowest tag.
+Neighbor order is total: by distance, then by training-row index, found in
+one exact pass, so every prediction is reproducible.  Vote ties go to the
+tied class with the nearest member; an exact distance tie after that falls
+back to the lowest tag.
 
 The core keeps its rows' half of the distance product once, `side`, with
 [-2 x, 1, |x|^2] per training row x.  The squared distances of a block of
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import NumericError, ValidationError
 from ._dist import _halves
 from ._text import fmt_vec
 
@@ -45,29 +46,26 @@ def fit(X, y, k: int) -> KnnCore:
 
 
 def _neighbors(core: KnnCore, X):
-    """(nn, nd): the k nearest training rows per probe, exactly ordered by
+    """(nn, nd): the k nearest training rows per probe, ordered by
     (distance, training index), plus their distances.
 
-    argpartition does the O(n) heavy lifting; index-sorting the candidate
-    block before a stable distance sort restores the total order, and rows
-    with distance ties crossing the k boundary get an exact redo.
+    One exact pass for ties and non-ties alike: a probe's candidates are
+    the rows no farther than its k-th distance, listed in training order,
+    and one stable sort by (probe, distance) puts its k neighbors first.
+    A probe with fewer than k comparable (non-NaN) distances: NumericError.
     """
     d2 = _halves(X)[0] @ core.side.T
     np.maximum(d2, 0.0, out=d2)
     k = core.k
-    part = np.sort(np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
-    pd = np.take_along_axis(d2, part, axis=1)
-    order = np.argsort(pd, axis=1, kind="stable")
-    nn = np.take_along_axis(part, order, axis=1)
-    nd = np.take_along_axis(pd, order, axis=1)
-    dk = nd[:, -1]
-    ties = np.count_nonzero(d2 <= dk[:, None], axis=1) > k
-    for r in np.nonzero(ties)[0]:
-        cand = np.nonzero(d2[r] <= dk[r])[0]  # already index-ascending
-        sub = cand[np.argsort(d2[r, cand], kind="stable")][:k]
-        nn[r] = sub
-        nd[r] = d2[r, sub]
-    return nn, nd
+    dk = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+    if np.isnan(dk).any():
+        raise NumericError(f"a probe has fewer than {k} comparable distances")
+    row, col = np.divmod(np.flatnonzero(d2 <= dk), d2.shape[1])
+    d = d2[row, col]
+    order = np.lexsort((d, row))
+    first = np.searchsorted(row, np.arange(d2.shape[0]))
+    take = order[first[:, None] + np.arange(k)]
+    return col[take], d[take]
 
 
 def predict_detail(core: KnnCore, X):

@@ -43,7 +43,6 @@ class TrainedModel:
     core: object
     params: dict
     train_time_s: float = 0.0
-    selection_time_s: float = 0.0
     n_train: int = 0
 
     @property
@@ -77,33 +76,31 @@ def _prepare(train, ranking):
     return Z, y.astype(np.int64), arity, indices, method, stats, names
 
 
-def _train(kind, train, ranking, selection_time_s, params):
+def _train(kind, train, ranking, params):
     t0 = time.perf_counter()
     Z, y, arity, idx, method, stats, names = _prepare(train, ranking)
     core = _CORES[kind].fit(Z, y, **params)
     dt = time.perf_counter() - t0
     return TrainedModel(kind, arity, idx, method, stats, names, core, params,
-                        dt, selection_time_s, len(y))
+                        dt, len(y))
 
 
-def train_knn(train, k: int = 5, ranking: FeatureRanking | None = None,
-              selection_time_s: float = 0.0) -> TrainedModel:
-    return _train("knn", train, ranking, selection_time_s, {"k": int(k)})
+def train_knn(train, k: int = 5,
+              ranking: FeatureRanking | None = None) -> TrainedModel:
+    return _train("knn", train, ranking, {"k": int(k)})
 
 
 def train_tree(train, max_depth: int = 20, min_leaf: int = 1,
-               ranking: FeatureRanking | None = None,
-               selection_time_s: float = 0.0) -> TrainedModel:
-    return _train("tree", train, ranking, selection_time_s,
+               ranking: FeatureRanking | None = None) -> TrainedModel:
+    return _train("tree", train, ranking,
                   {"max_depth": int(max_depth), "min_leaf": int(min_leaf)})
 
 
 def train_svm(train, C: float = 1.0, gamma="auto", tol: float = 1e-3,
-              ranking: FeatureRanking | None = None,
-              selection_time_s: float = 0.0, seed=None) -> TrainedModel:
+              ranking: FeatureRanking | None = None, seed=None) -> TrainedModel:
     """`seed` is accepted for old callers and ignored: the solver draws
     nothing at random, and no seed is stored in the model."""
-    model = _train("svm", train, ranking, selection_time_s,
+    model = _train("svm", train, ranking,
                    {"C": float(C), "gamma": gamma, "tol": float(tol)})
     # "auto" resolves on the selected, standardized training features
     model.params["gamma"] = model.core.gamma
@@ -231,4 +228,4 @@ def _read_model(r: Reader) -> TrainedModel:
                          f"block holds {core.tags.tolist()}", line=classes_line)
     return TrainedModel(kind, arity, indices, method,
                         StandardizationStats(mean, std), names, core, params,
-                        0.0, 0.0, n_train)
+                        0.0, n_train)

@@ -298,10 +298,10 @@ def _hyper(cfg, kind: str) -> dict:
     return {key: getattr(cfg, key.lower()) for key in PARAMS[kind]}
 
 
-def _table_row(model, report) -> str:
+def _table_row(model, report, sel_time: float) -> str:
     return (f"{model.kind:<5} {model.selection_method:<5} "
             f"features={model.indices.size:<3} acc={report.accuracy:.4f} "
-            f"select={model.selection_time_s:.4f}s train={model.train_time_s:.4f}s "
+            f"select={sel_time:.4f}s train={model.train_time_s:.4f}s "
             f"infer={report.infer_time_s:.4f}s "
             f"per_sample={report.infer_time_per_sample_s:.6f}s")
 
@@ -372,15 +372,14 @@ def cmd_dataset(cfg) -> int:
 def cmd_train(cfg) -> int:
     ds = load_dataset(cfg.dataset)
     ranking, sel_time = _select(cfg, ds, cfg.selector)
-    model = train(cfg.kind, ds, ranking=ranking, selection_time_s=sel_time,
-                  **_hyper(cfg, cfg.kind))
+    model = train(cfg.kind, ds, ranking=ranking, **_hyper(cfg, cfg.kind))
     path = _out_path(cfg, cfg.out if cfg.out else "model.txt")
     save_model(model, path)
     _write_manifest(path + ".manifest", "train", cfg)
     print(f"wrote {path}")
     print(f"kind={model.kind} selector={model.selection_method} "
           f"features={model.indices.size} samples={model.n_train} "
-          f"select={model.selection_time_s:.4f}s train={model.train_time_s:.4f}s")
+          f"select={sel_time:.4f}s train={model.train_time_s:.4f}s")
     return 0
 
 
@@ -409,9 +408,9 @@ def cmd_eval(cfg) -> int:
     prefix = _out_path(cfg, cfg.out if cfg.out else "eval")
     _write_text(prefix + ".report.txt", report.to_text())
     _write_text(prefix + ".confusion.csv", report.to_csv())
-    # loaded models carry no stored wall-clock, so train time prints as 0;
-    # the sweep command reports in-process training times
-    print(_table_row(model, report))
+    # loaded models carry no stored wall-clock, so select and train times
+    # print as 0; the sweep command reports in-process times
+    print(_table_row(model, report, 0.0))
     print(f"wrote {prefix}.report.txt and {prefix}.confusion.csv")
     return 0
 
@@ -430,14 +429,13 @@ def cmd_sweep(cfg) -> int:
     cells = []
     for kind in KINDS:
         for sel in SELECTORS:
-            ranking, sel_time = selected[sel]
-            model = train(kind, train_ds, ranking=ranking,
-                          selection_time_s=sel_time, **_hyper(cfg, kind))
+            model = train(kind, train_ds, ranking=selected[sel][0],
+                          **_hyper(cfg, kind))
             cells.append((model, evaluate(model, test_ds)))
     rows = ["method,selector,n_features,accuracy"]
     for model, report in cells:
         kind, sel = model.kind, model.selection_method
-        print(_table_row(model, report))
+        print(_table_row(model, report, selected[sel][1]))
         rows.append(f"{kind},{sel},{model.indices.size},{report.accuracy:.6f}")
         stem = _out_path(cfg, f"sweep_{kind}_{sel}")
         save_model(model, stem + ".model.txt")

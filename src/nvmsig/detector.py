@@ -38,22 +38,20 @@ class UsedRegion(NamedTuple):
 
 @dataclass(frozen=True)
 class FreshBaseline:
-    """Per-class fresh-latency statistics (mean and stdev in µs)."""
+    """Per-class fresh-latency means in µs."""
     mean: dict
-    stdev: dict
 
     def for_tag(self, tag: int):
         tag = int(tag)
         if tag not in self.mean:
             raise ValidationError(f"no fresh baseline for class tag {tag}")
-        return self.mean[tag], self.stdev[tag]
+        return self.mean[tag]
 
 
 def baseline_from_catalog(specs) -> FreshBaseline:
     """Noise-free baseline: the fresh mean is each class's base latency."""
     specs = [specs] if isinstance(specs, ChipClassSpec) else list(specs)
-    return FreshBaseline({s.class_tag: s.base_latency_us for s in specs},
-                         {s.class_tag: 0.0 for s in specs})
+    return FreshBaseline({s.class_tag: s.base_latency_us for s in specs})
 
 
 def _check_probe(probe) -> np.ndarray:
@@ -89,7 +87,7 @@ def detect_recycled(probe, predicted_class: int, baseline: FreshBaseline,
     if not (0 < fresh_threshold < used_threshold < np.inf):
         raise ValidationError("need finite thresholds with "
                               "0 < fresh_threshold < used_threshold")
-    fresh_mean, _ = baseline.for_tag(predicted_class)
+    fresh_mean = baseline.for_tag(predicted_class)
     if fresh_mean <= 0:
         raise ValidationError(f"baseline mean for tag {predicted_class} "
                               "must be positive")

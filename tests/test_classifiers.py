@@ -29,8 +29,9 @@ from nvmsig.classifiers import (
 from nvmsig.classifiers import knn as knn_core
 from nvmsig.classifiers import svm as svm_core
 from nvmsig.classifiers import tree as tree_core
+from nvmsig.classifiers._dist import _halves
 from nvmsig.classifiers._text import fmt
-from nvmsig.errors import ParseError, ValidationError
+from nvmsig.errors import NumericError, ParseError, ValidationError
 from nvmsig.features import apply_standardizer, fit_standardizer, mrmr_select, nca_select
 from nvmsig.protocol import build_dataset, split
 
@@ -115,6 +116,43 @@ def test_knn_tie_rules_hold_on_inexact_distances():
     pred, scores = knn_core.predict_detail(core, np.array([[1.9, 1.3]]))
     assert pred.tolist() == [7]
     assert scores.tolist() == [[2.0, 2.0]]
+
+
+def test_knn_neighbors_are_ordered_by_distance_then_index():
+    """`_neighbors` against a full sort of each probe's clipped d^2 by
+    (distance, training index), on integer toys whose ties cross the k
+    boundary, for k = 1, k = n and a k between, and for 0, 1 and 9 probes."""
+    rng = np.random.default_rng(27)
+    crossing = 0
+    for trial in range(40):
+        n = int(rng.integers(1, 25))
+        X = rng.integers(0, 3, size=(n, 2)).astype(float)
+        y = rng.integers(0, 3, size=n)
+        for k in sorted({1, n, int(rng.integers(1, n + 1))}):
+            core = knn_core.fit(X, y, k)
+            for m in (0, 1, 9):
+                P = rng.integers(0, 3, size=(m, 2)).astype(float)
+                d2 = np.maximum(_halves(P)[0] @ core.side.T, 0.0)
+                want = np.array([np.lexsort((np.arange(n), row))[:k]
+                                 for row in d2], dtype=np.int64).reshape(m, k)
+                nn, nd = knn_core._neighbors(core, P)
+                assert nn.tolist() == want.tolist()
+                assert nd.tolist() == np.take_along_axis(d2, want, axis=1).tolist()
+                kth = np.take_along_axis(d2, want[:, -1:], axis=1)
+                crossing += int(((d2 <= kth).sum(axis=1) > k).sum())
+    assert crossing > 0
+
+
+def test_knn_without_k_comparable_distances_is_numeric_error():
+    core = knn_core.fit(np.eye(3), np.array([0, 1, 2]), 3)
+    core.side[1] = np.nan  # one row of three cannot be compared: k = 3 fails
+    with pytest.raises(NumericError):
+        knn_core.predict(core, np.zeros((2, 3)))
+    core.side[:] = np.nan
+    for k in (1, 3):
+        core.k = k
+        with pytest.raises(NumericError):
+            knn_core._neighbors(core, np.zeros((1, 3)))
 
 
 def test_knn_scores_are_vote_counts():
@@ -760,7 +798,7 @@ def test_hyper_parameters_are_declared_once(kind):
     fit_keys = list(inspect.signature(core.fit).parameters)
     assert fit_keys[:2] == ["X", "y"]
     train_keys = set(inspect.signature(trainer).parameters) - {
-        "train", "ranking", "selection_time_s", "seed"}
+        "train", "ranking", "seed"}
     cfg = cli.merge_config(argparse.Namespace(config=None))
     assert set(core.PARAMS) == set(fit_keys[2:]) == train_keys \
         == set(train(kind, toy(19, n=30, d=4)).params) \

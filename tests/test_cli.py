@@ -595,6 +595,30 @@ def lab1(tmp_path_factory):
     return root
 
 
+@pytest.mark.parametrize("kind", ["knn", "svm"])
+def test_values_beyond_the_distance_range_are_an_error_line(lab1, tmp_path,
+                                                             capsys, kind):
+    """A probe, or a model row, whose squared norm overflows float64 exits 1
+    with an error line, where it once printed an overflow warning and a
+    verdict; a model row is named at its core line."""
+    probe = tmp_path / "probe.csv"
+    probe.write_text("cycle,latency_us\n" + "".join(
+        f"{i},{1.7e308 if i % 2 == 0 else 1e-300!r}\n" for i in range(100)))
+    model = lab1 / f"{kind}.model.txt"
+    assert run("predict", "--model", model, "--probe", probe) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    lines = model.read_text().splitlines()
+    core = next(i for i, ln in enumerate(lines) if ln.startswith("core "))
+    row = next(i for i, ln in enumerate(lines) if ln.startswith(("row ", "sv ")))
+    lines[row] = lines[row].rsplit(" ", 1)[0] + " 1e300"
+    bad = tmp_path / "bad.model.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    probe.write_text("cycle,latency_us\n" + "".join(
+        f"{i},400\n" for i in range(100)))
+    assert run("predict", "--model", bad, "--probe", probe) == 1
+    assert capsys.readouterr().err.startswith(f"error: line {core + 1}: ")
+
+
 # sha256 of the model files trained on the lab-seed-1 dataset: knn and tree
 # as the linked-node tree code wrote them, svm as model.py wrote every core
 # block before each core module wrote its own, and the mRMR-25 svm as it was

@@ -119,14 +119,14 @@ def test_detect_precycled_probe_is_used():
 
 
 def test_detect_ratio_1_2_is_indeterminate():
-    base = FreshBaseline({3: 100.0}, {3: 0.0})
+    base = FreshBaseline({3: 100.0})
     verdict, ratio = detect_recycled(np.full(100, 120.0), 3, base)
     assert verdict is RecycledVerdict.INDETERMINATE
     assert ratio == pytest.approx(1.2)
 
 
 def test_detect_band_edges_belong_to_outer_verdicts():
-    base = FreshBaseline({0: 1.0}, {0: 0.0})
+    base = FreshBaseline({0: 1.0})
     assert detect_recycled(np.full(100, 1.1), 0, base)[0] is RecycledVerdict.FRESH
     assert detect_recycled(np.full(100, 1.3), 0, base)[0] is RecycledVerdict.USED
 
@@ -137,21 +137,21 @@ def test_detect_unknown_class_tag_rejected():
 
 
 def test_detect_threshold_order_validated():
-    base = FreshBaseline({0: 1.0}, {0: 0.0})
+    base = FreshBaseline({0: 1.0})
     with pytest.raises(ValidationError):
         detect_recycled(np.ones(100), 0, base,
                         used_threshold=1.1, fresh_threshold=1.3)
 
 
 def test_detect_custom_thresholds_respected():
-    base = FreshBaseline({0: 1.0}, {0: 0.0})
+    base = FreshBaseline({0: 1.0})
     verdict, _ = detect_recycled(np.full(100, 1.2), 0, base,
                                  used_threshold=1.15, fresh_threshold=1.05)
     assert verdict is RecycledVerdict.USED
 
 
 def test_verdict_monotone_in_elevation():
-    base = FreshBaseline({0: 1.0}, {0: 0.0})
+    base = FreshBaseline({0: 1.0})
     rank = {RecycledVerdict.FRESH: 0, RecycledVerdict.INDETERMINATE: 1,
             RecycledVerdict.USED: 2}
     last = -1
