@@ -25,6 +25,137 @@ def atomic_open(path):
         raise
 
 
+_U8 = np.uint64
+# a cell is built in little-endian 8-byte words, so that its first digit
+# sits at the lowest address whatever the machine's byte order
+_WORD = np.dtype("<u8")
+_BYTES = _U8(0x0101010101010101)  # a mask word that keeps all 8 bytes
+
+
+def format_rows(ints, reals) -> str:
+    """The text `"%d,...,%d,%.6f,...,%.6f\\n" % row` of each row of the
+    int64 columns `ints` (n, >= 1) followed by the float64 columns `reals`
+    (n, >= 1).
+
+    Built in numpy as one byte matrix per call when every real is on the
+    micro grid: finite, |x| < 2**31 and rint(x * 1e6) / 1e6 == x.  Then
+    `%.6f` is exactly the integer m = rint(|x| * 1e6) with a point before
+    its last six digits, and `-` when signbit(x): the division is
+    correctly rounded, so the check is exact, and below 2**31 x lies
+    within half an ulp (under 1.2e-7) of m / 10**6, so six decimals round
+    it to m / 10**6.  Every latency the simulator makes and every value
+    read back from such a file is on the grid.  Any other call (NaN,
+    ±inf, 1e300, off-grid values) formats row by row with the `%`
+    template."""
+    ints = np.asarray(ints, np.int64)
+    reals = np.asarray(reals, np.float64)
+    if not len(ints):
+        return ""
+    cells = _grid_cells(ints, reals)
+    if cells is None:
+        return _template_rows(ints, reals)
+    text, keep = cells
+    return str(text[keep], "ascii")
+
+
+def _grid_cells(ints, reals):
+    """(bytes, mask): the rows of format_rows as a byte matrix with each
+    cell right-aligned in whole words, and the mask of the bytes that are
+    text; None if a real is off the micro grid."""
+    # 1e300 overflows and a signalling NaN (any bit pattern may come in)
+    # is invalid in these steps; both are off the grid
+    with np.errstate(over="ignore", invalid="ignore"):
+        micros = reals * 1e6
+        np.rint(micros, out=micros)
+        on_grid = micros / 1e6 == reals
+        on_grid &= np.abs(reals) < 2.0 ** 31
+    if not on_grid.all():
+        return None
+    micros = np.abs(micros).astype(_U8)
+    whole = micros // _U8(10**6)
+    micros -= whole * _U8(10**6)
+    # each real's tail word ".dddddd," from its last six digits "00dddddd":
+    # drop one zero, make the other a point
+    _ascii8(micros)
+    micros >>= _U8(8)
+    micros += _U8((ord(",") << 56) - (ord("0") - ord(".")))
+    mag = ints.astype(_U8)  # wraps a negative to 2**64 - |v| ...
+    np.negative(mag, out=mag, where=ints < 0)  # ... and back to |v|
+    # a cell is k words of sign and digits, then one word that ends in its
+    # separator; its mask words hold 1 in each byte that is text
+    ki, kr = (-(-(len(str(int(m.max()))) + 1) // 8) for m in (mag, whole))
+    n, split = len(ints), ints.shape[1] * (ki + 1)
+    words = np.empty((n, split + reals.shape[1] * (kr + 1)), _WORD)
+    keep = np.empty_like(words)
+    words[:, ki:split:ki + 1] = ord(",")
+    keep[:, ki:split:ki + 1] = _U8(1)
+    words[:, split + kr::kr + 1] = micros
+    keep[:, split + kr::kr + 1] = _BYTES
+    del micros  # before the digits, which set a block's peak memory
+    for cols, k, m, neg in ((slice(None, split), ki, mag, ints < 0),
+                            (slice(split, None), kr, whole, np.signbit(reals))):
+        _digit_words(words[:, cols].reshape(n, -1, k + 1)[..., :k],
+                     keep[:, cols].reshape(n, -1, k + 1)[..., :k], m, neg)
+    text = words.view(np.uint8)
+    text[:, -1] = ord("\n")  # the last real's separator
+    return text, keep.view(np.uint8).view(bool)
+
+
+def _template_rows(ints, reals) -> str:
+    """format_rows' text, one `%` template per row: the fallback for reals
+    off the micro grid."""
+    template = ",".join(["%d"] * ints.shape[1] + ["%.6f"] * reals.shape[1]) + "\n"
+    return "".join([template % (*i, *r) for i, r in zip(ints.tolist(), reals.tolist())])
+
+
+def _ascii8(x):
+    """The 8 zero-padded ASCII digits of each x < 10**8 as one word, in
+    place.  x is split into two lanes of 4 digits, then four of 2, then
+    eight of 1: each lane's high part `hi` comes from a multiply-shift
+    that divides exactly below the lane's bound, and the lane becomes
+    (x << lane) + hi * (1 - (div << lane)), which is
+    hi | (x - div * hi) << lane modulo 2**64."""
+    hi = np.empty_like(x)
+    for mul, shift, mask, div, lane in (
+            (109951163, 40, 0x3FFF, 10000, 32),
+            (10486, 20, 0x0000007F0000007F, 100, 16),
+            (103, 10, 0x000F000F000F000F, 10, 8)):
+        np.multiply(x, _U8(mul), out=hi)
+        hi >>= _U8(shift)
+        hi &= _U8(mask)
+        hi *= _U8((1 - (div << lane)) % 2**64)
+        x <<= _U8(lane)
+        x += hi
+    x += _U8(0x3030303030303030)
+    return x
+
+
+def _digit_words(cells, kept, mag, neg) -> None:
+    """Write the decimal digits of `mag` (which it may overwrite),
+    right-aligned, into the k words of each cell of `cells` (..., k), with
+    `-` before them where `neg`, and the mask words of the bytes from the
+    sign or first digit on into `kept` (..., k)."""
+    k = cells.shape[-1]
+    first = 8 * k - 1 - neg.astype(np.uint8)  # the byte of the sign or first digit
+    top, power = int(mag.max()), 10
+    while power <= top:
+        first -= mag >= _U8(power)
+        power *= 10
+    for w in range(k - 1, 0, -1):
+        rest = mag // _U8(10**8)
+        cells[..., w] = _ascii8(mag - rest * _U8(10**8))
+        mag = rest
+    cells[..., 0] = _ascii8(mag)
+    for w in range(k):
+        shift = np.clip(first, 8 * w, 8 * w + 8)
+        shift -= 8 * w
+        shift <<= 3
+        np.left_shift(_BYTES, shift, out=kept[..., w])
+    if neg.any():
+        at = np.nonzero(neg)
+        cells.view(np.uint8)[at + (first[at],)] = ord("-")
+
+
 def read_lines(path) -> list[str]:
     """The lines of a UTF-8 text file, split at `\\n`, `\\r\\n` or `\\r`.
     A byte sequence that is not UTF-8 is a ParseError at its line."""

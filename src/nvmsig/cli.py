@@ -30,7 +30,7 @@ from .chipsim import (
     load_catalog,
     new_chip,
 )
-from ._atomic import atomic_open, parse_int64, read_block, read_lines, read_table
+from ._atomic import atomic_open, format_rows, parse_int64, read_block, read_lines, read_table
 from .classifiers import KINDS, PARAMS, cross_validate, evaluate, load_model, save_model, train
 from .detector import (
     baseline_from_catalog,
@@ -311,7 +311,7 @@ def _trace_blocks(chip, addr: int, cycles: int):
     so a trace of any length is written in flat memory."""
     for start in range(0, cycles, _TRACE_BLOCK):
         lat = latency_block(chip, addr, min(_TRACE_BLOCK, cycles - start))
-        yield "".join(f"{i},{v:.6f}\n" for i, v in enumerate(lat.tolist(), start))
+        yield format_rows(np.arange(start, start + lat.size)[:, None], lat[:, None])
 
 
 # ---------------------------------------------------------------- commands

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._atomic import atomic_open, read_block, read_lines, read_table
+from ._atomic import atomic_open, format_rows, read_block, read_lines, read_table
 from .chipsim import ChipClassSpec, SpatialLatencyMap
 from .classifiers import TrainedModel, predict_detail
 from .errors import ParseError, ValidationError
@@ -63,6 +63,17 @@ def _check_probe(probe) -> np.ndarray:
     return probe
 
 
+def _finite_median(values, what: str) -> float:
+    """np.median of `values`, which averages the two middle values of an
+    even count: near the float64 limit that mean overflows, which is a
+    ValidationError rather than an infinite baseline."""
+    with np.errstate(over="ignore"):
+        median = float(np.median(values))
+    if not np.isfinite(median):
+        raise ValidationError(f"{what} latencies too large: their median overflows")
+    return median
+
+
 def identify_manufacturer(probe, model: TrainedModel):
     """(tag, {tag: score}): classify one probe and show the evidence.
 
@@ -91,7 +102,7 @@ def detect_recycled(probe, predicted_class: int, baseline: FreshBaseline,
     if fresh_mean <= 0:
         raise ValidationError(f"baseline mean for tag {predicted_class} "
                               "must be positive")
-    ratio = float(np.median(probe)) / fresh_mean
+    ratio = _finite_median(probe, "probe") / fresh_mean
     if ratio >= used_threshold:
         return RecycledVerdict.USED, ratio
     if ratio <= fresh_threshold:
@@ -115,7 +126,7 @@ def locate_used_regions(latency_map: SpatialLatencyMap,
         raise ValidationError("map latencies must be positive and finite")
     if not 1.0 < flag_ratio < np.inf:
         raise ValidationError("flag_ratio must be a finite real > 1")
-    base = float(np.median(lat))
+    base = _finite_median(lat, "map")
     flagged = np.nonzero(lat >= flag_ratio * base)[0]
     regions = []
     for addr in flagged:
@@ -165,10 +176,10 @@ def diagnose_probe(probe, model: TrainedModel, baseline: FreshBaseline,
 # ------------------------------------------------------------------- map I/O
 
 def save_map(latency_map: SpatialLatencyMap, path) -> None:
+    lat = np.asarray(latency_map.latencies, dtype=np.float64)
     with atomic_open(path) as fh:
         fh.write("addr,latency_us\n")
-        for addr, lat in enumerate(latency_map.latencies):
-            fh.write(f"{addr},{lat:.6f}\n")
+        fh.write(format_rows(np.arange(lat.size)[:, None], lat[:, None]))
 
 
 def load_map(path) -> SpatialLatencyMap:

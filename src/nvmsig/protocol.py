@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._atomic import (atomic_open, has_line_break, number, read_block, read_lines,
-                      read_table)
+from ._atomic import (atomic_open, format_rows, has_line_break, number, read_block,
+                      read_lines, read_table)
 from ._rng import derive_seed
 from .chipsim import ChipClassSpec, latency_at, new_chip
 from .errors import ParseError, ValidationError
@@ -51,10 +51,11 @@ _STREAM_SPLIT = 0x5B
 # chip seeds ride in an int64 metadata column, so keep them to 63 bits
 _SEED_MASK = (1 << 63) - 1
 
-# rows per write in save_dataset: enough to amortise the call, few enough
-# that one block of text (about 70 kB at 100 features) adds no peak memory.
-# Split parts keep one copy of the row text, so their peak is about the
-# full file's size
+# rows per format_rows call in save_dataset: enough to amortise its fixed
+# cost of about 0.2 ms, few enough that its working arrays (about 0.4 MB
+# at 100 features, five times the block's text) add little peak memory
+# to the one copy of the file's text that split parts keep, which
+# tests/test_protocol.py bounds at 1.3 times the file's size
 _SAVE_BLOCK = 64
 
 
@@ -281,13 +282,13 @@ _NAME_SEP = re.compile(r",(?=-?\d+=)")
 def save_dataset(ds: Dataset, path, parts=()) -> None:
     """CSV with one row per sample; latencies as fixed 6-decimal µs.
 
-    Rows are formatted with one `%`-template per row and written in blocks
-    of `_SAVE_BLOCK` rows; `%d` and `%.6f` give the same text as `str` of
-    an int64 and `f"{v:.6f}"` of a float64.  For each `(rows, part_path)`
-    of `parts`, `part_path` gets the same header and the rows of `ds` at
-    index array `rows`, in that order, from the text already formatted for
-    `path`: the bytes `save_dataset(ds.subset(rows), part_path)` writes.
-    Everything is checked before the first file is opened.
+    Rows are formatted by `format_rows`, `_SAVE_BLOCK` rows per call, with
+    the text of `str` of an int64 and `f"{v:.6f}"` of a float64.  For
+    each `(rows, part_path)` of `parts`, `part_path` gets the same header
+    and the rows of `ds` at index array `rows`, in that order, cut from
+    the text already formatted for `path`: the bytes
+    `save_dataset(ds.subset(rows), part_path)` writes.  Everything is
+    checked before the first file is opened.
     """
     for tag, name in ds.class_names.items():
         if has_line_break(name) or _NAME_SEP.search(name):
@@ -304,23 +305,29 @@ def save_dataset(ds: Dataset, path, parts=()) -> None:
                          for t in sorted(ds.class_names))
         head_lines = f"# class_names: {names}\n"
     head_lines += ",".join(_BASE_COLUMNS + _feature_columns(ds.arity)) + "\n"
-    template = "%d,%d,%d,%d" + ",%.6f" * ds.arity + "\n"
     head = np.column_stack((ds.y, ds.meta))
-    kept = []  # each row's text, kept only for the parts
+    blocks = []  # each block's text and row offsets, kept only for the parts
     with atomic_open(path) as fh:
         fh.write(head_lines)
         for start in range(0, len(ds), _SAVE_BLOCK):
-            stop = start + _SAVE_BLOCK
-            text = [template % (*h, *x) for h, x in
-                    zip(head[start:stop].tolist(), ds.X[start:stop].tolist())]
-            fh.write("".join(text))
+            text = format_rows(head[start:start + _SAVE_BLOCK],
+                               ds.X[start:start + _SAVE_BLOCK])
+            fh.write(text)
             if parts:
-                kept += text
+                ends = np.flatnonzero(np.frombuffer(text.encode("ascii"), np.uint8)
+                                      == ord("\n")) + 1
+                blocks.append((text, [0, *ends.tolist()]))
+
+    def row_text(r):
+        text, at = blocks[r // _SAVE_BLOCK]
+        i = r % _SAVE_BLOCK
+        return text[at[i]:at[i + 1]]
+
     for rows, part_path in parts:
         with atomic_open(part_path) as fh:
             fh.write(head_lines)
             for start in range(0, len(rows), _SAVE_BLOCK):
-                fh.write("".join([kept[i] for i in rows[start:start + _SAVE_BLOCK]]))
+                fh.write("".join(map(row_text, rows[start:start + _SAVE_BLOCK])))
 
 
 def _part_rows(rows, n) -> list[int]:

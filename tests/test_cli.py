@@ -619,6 +619,26 @@ def test_values_beyond_the_distance_range_are_an_error_line(lab1, tmp_path,
     assert capsys.readouterr().err.startswith(f"error: line {core + 1}: ")
 
 
+def test_median_beyond_the_float_range_is_an_error_line(lab1, tmp_path, capsys):
+    """A probe or map whose median overflows float64 exits 1 with one error
+    line, where `predict` on a tree model once printed numpy's overflow
+    warning, a USED verdict at an infinite ratio and exited 0, and `scan`
+    reported no regions."""
+    probe = tmp_path / "probe.csv"
+    probe.write_text("cycle,latency_us\n" + "".join(
+        f"{i},{1.7e308!r}\n" for i in range(100)))
+    assert run("predict", "--model", lab1 / "tree.model.txt", "--probe", probe) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: probe latencies too large") and err.count("\n") == 1
+    assert "verdict" not in out
+    path = tmp_path / "map.csv"
+    save_map(SpatialLatencyMap(np.full(64, 1.7e308)), path)
+    assert run("scan", "--map", path) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: map latencies too large") and err.count("\n") == 1
+    assert out == ""
+
+
 # sha256 of the model files trained on the lab-seed-1 dataset: knn and tree
 # as the linked-node tree code wrote them, svm as model.py wrote every core
 # block before each core module wrote its own, and the mRMR-25 svm as it was

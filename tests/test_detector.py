@@ -162,6 +162,18 @@ def test_verdict_monotone_in_elevation():
         last = rank[verdict]
 
 
+def test_detect_probe_whose_median_overflows_is_validation_error():
+    """An even count's median averages its two middle values, which
+    overflows near the float64 limit: an error, not a USED verdict at an
+    infinite ratio.  An odd count takes its middle value and stays exact."""
+    base = FreshBaseline({0: 100.0})
+    with np.errstate(all="raise"):
+        with pytest.raises(ValidationError, match="probe latencies too large"):
+            detect_recycled(np.full(100, 1.7e308), 0, base)
+        verdict, ratio = detect_recycled(np.full(99, 1.7e308), 0, base)
+    assert verdict is RecycledVerdict.USED and ratio == pytest.approx(1.7e306)
+
+
 # ------------------------------------------------------------- localization
 
 def test_locate_uniform_map_empty():
@@ -199,6 +211,16 @@ def test_locate_validations():
         locate_used_regions(SpatialLatencyMap(np.ones(4)), flag_ratio=1.0)
     with pytest.raises(ValidationError):
         locate_used_regions(SpatialLatencyMap(np.array([1.0, -2.0])))
+
+
+def test_locate_map_whose_median_overflows_is_validation_error():
+    with np.errstate(all="raise"):
+        with pytest.raises(ValidationError, match="map latencies too large"):
+            locate_used_regions(SpatialLatencyMap(np.full(64, 1.7e308)))
+        lat = np.full(65, 1e300)
+        lat[7] = 1.7e308
+        assert locate_used_regions(SpatialLatencyMap(lat)) == \
+            [UsedRegion(7, 7, 1.7e308 / 1e300)]
 
 
 def _random_spot_map(seed, n=400):

@@ -6,18 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvmsig._atomic import atomic_open, read_lines
+from nvmsig import _atomic, protocol
+from nvmsig._atomic import atomic_open, format_rows, read_lines
 from nvmsig._rng import derive_seed
 from nvmsig.chipsim import (
     BUILTIN_CATALOG,
     ChipClassSpec,
     OpKind,
+    SpatialLatencyMap,
     Technology,
     cycle_location,
+    full_chip_scan,
     latency_at,
     latency_block,
     new_chip,
 )
+from nvmsig.detector import save_map
 from nvmsig.errors import ParseError, ValidationError
 from nvmsig.protocol import (
     DEFAULT_CHECKPOINTS,
@@ -547,3 +551,105 @@ def test_save_load_round_trip_of_rounded_values(tmp_path_factory, ds):
     assert np.array_equal(back.y, ds.y)
     assert np.array_equal(back.meta, ds.meta)
     assert back.class_names == ds.class_names
+
+
+@st.composite
+def _rows(draw):
+    """(ints, reals) of 1-300 rows: int64 columns of every width and sign,
+    and float64 columns drawn from a random subset of four sources: every
+    bit pattern, 6-decimal values across the micro grid's range, 2-decimal
+    latencies and the edge values above.  So some draws lie wholly on the
+    grid and some mix every kind."""
+    n = draw(st.integers(1, 300))
+    a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = sorted(draw(st.sets(st.integers(0, 3), min_size=1)))
+    sources = np.stack([
+        rng.integers(0, 2**64, (n, b), dtype=np.uint64).view(np.float64),
+        np.round(rng.uniform(-2**31, 2**31, (n, b)), 6),
+        np.round(rng.uniform(0, 5000, (n, b)), 2),
+        rng.choice(_EDGE_FLOATS, (n, b)),
+    ])
+    reals = np.take_along_axis(sources, rng.choice(kinds, (1, n, b)), 0)[0]
+    ints = rng.integers(-2**63, 2**63 - 1, (n, a), dtype=np.int64, endpoint=True)
+    return ints >> rng.integers(0, 64, (n, a)), reals
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_rows())
+def test_format_rows_equals_the_per_row_template(rows):
+    ints, reals = rows
+    template = ",".join(["%d"] * ints.shape[1] + ["%.6f"] * reals.shape[1]) + "\n"
+    with np.errstate(all="raise"):
+        text = format_rows(ints, reals)
+    assert text == "".join(template % (*i, *r)
+                           for i, r in zip(ints.tolist(), reals.tolist()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=_rows())
+def test_save_map_bytes_equal_per_value_formatting(tmp_path_factory, rows):
+    lat = rows[1][:, 0]
+    path = tmp_path_factory.mktemp("map") / "map.csv"
+    with np.errstate(all="raise"):
+        save_map(SpatialLatencyMap(lat), path)
+    assert path.read_bytes() == ("addr,latency_us\n" + "".join(
+        f"{addr},{v:.6f}\n" for addr, v in enumerate(lat))).encode()
+
+
+def test_save_dataset_blocks_on_and_off_the_grid_equal_per_value_formatting(
+        tmp_path, monkeypatch):
+    """Four write blocks: the second holds a value of every kind the micro
+    grid refuses, and the third one value past 2**31 that passes the
+    rint check but whose `%.6f` differs from the grid's digits, so those
+    two blocks alone are formatted row by row; the fourth holds the
+    grid's extremes.  The full file and its parts, whose rows come
+    shuffled, equal the reference and the saves of the subsets."""
+    block = protocol._SAVE_BLOCK
+    rng = np.random.default_rng(5)
+    n = 3 * block + 7
+    X = np.round(rng.uniform(50, 1500, (n, 6)), 2)
+    X[block + 3] = [0.1 + 0.2, np.nan, 1e300, -0.0, 2**31 - 1e-6, -(2**31 - 1e-6)]
+    X[block + 9, :2] = [2**31, -2**31]
+    X[2 * block + 4, 1] = 17179869184.384167  # the grid would write .384166
+    X[3 * block + 2] = [-0.0, 2**31 - 1e-6, -(2**31 - 1e-6), 0.0, 1e-6, -1e-6]
+    y = rng.integers(-2**63, 2**63 - 1, n, dtype=np.int64, endpoint=True)
+    meta = rng.integers(-2**63, 2**63 - 1, (n, 3), dtype=np.int64, endpoint=True)
+    meta[::5] = [0, -1, 9]
+    ds = Dataset(X, y, meta, {2: "two"})
+    order = rng.permutation(n)
+    parts = [order[:n // 3], order[n // 3:]]
+    per_row, template_rows = [], _atomic._template_rows
+    monkeypatch.setattr(_atomic, "_template_rows", lambda ints, reals: (
+        per_row.append(len(ints)) or template_rows(ints, reals)))
+    with np.errstate(all="raise"):
+        save_dataset(ds, tmp_path / "full.csv",
+                     [(r, tmp_path / f"part{i}.csv") for i, r in enumerate(parts)])
+    assert per_row == [block, block]
+    _reference_save(ds, tmp_path / "ref.csv")
+    assert (tmp_path / "full.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    for i, r in enumerate(parts):
+        got = (tmp_path / f"part{i}.csv").read_bytes()
+        _reference_save(ds.subset(r), tmp_path / "ref.csv")
+        save_dataset(ds.subset(r), tmp_path / "sub.csv")
+        assert got == (tmp_path / "ref.csv").read_bytes() == (tmp_path / "sub.csv").read_bytes()
+
+
+def test_simulated_latencies_never_reach_the_per_row_template(tmp_path, monkeypatch):
+    """Every latency the simulator makes is on the micro grid, and so is
+    every value read back from a dataset file, so the writer's fast path
+    is the only one these files take."""
+    def refuse(ints, reals):
+        raise AssertionError("a row was formatted by the per-row template")
+
+    ds = build_dataset(BUILTIN_CATALOG, chips_per_class=2, locations_per_chip=2, seed=1)
+    tr_idx, te_idx = split_rows(ds.y, 0.8, seed=1)
+    _reference_save(ds, tmp_path / "ref.csv")
+    monkeypatch.setattr(_atomic, "_template_rows", refuse)
+    with np.errstate(all="raise"):
+        save_dataset(ds, tmp_path / "ds.csv", [(tr_idx, tmp_path / "ds.train.csv"),
+                                               (te_idx, tmp_path / "ds.test.csv")])
+        save_dataset(load_dataset(tmp_path / "ds.csv"), tmp_path / "again.csv")
+        save_map(full_chip_scan(new_chip(BUILTIN_CATALOG[2], 5)), tmp_path / "map.csv")
+    assert (tmp_path / "ds.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes() \
+        == (tmp_path / "again.csv").read_bytes()
