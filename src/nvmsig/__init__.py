@@ -11,12 +11,10 @@ from .chipsim import (
     BUILTIN_CATALOG,
     ChipClassSpec,
     ChipInstance,
-    SpatialLatencyMap,
     cycle_location,
     dump_catalog,
     full_chip_scan,
     latency_block,
-    latency_sample,
     load_catalog,
     mean_latency_curve,
     new_chip,
@@ -36,7 +34,6 @@ from .classifiers import (
 )
 from .detector import (
     DetectionReport,
-    FreshBaseline,
     RecycledVerdict,
     UsedRegion,
     baseline_from_catalog,

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._atomic import atomic_open, parse_int64, read_lines, read_table
+from ._atomic import parse_int64, read_lines, read_table
 from ._rng import hashed_normal
 from .errors import ParseError, ValidationError
 
@@ -39,13 +39,11 @@ __all__ = [
     "OpKind",
     "ChipClassSpec",
     "ChipInstance",
-    "SpatialLatencyMap",
     "BUILTIN_CATALOG",
     "load_catalog",
     "dump_catalog",
     "new_chip",
     "latency_at",
-    "latency_sample",
     "latency_block",
     "cycle_location",
     "full_chip_scan",
@@ -184,18 +182,14 @@ _CELL_PARSERS = [_cell_parser(hint)
                  for hint in typing.get_type_hints(ChipClassSpec).values()]
 
 
-def dump_catalog(specs, path=None) -> str:
-    """Render a catalog as CSV; write it to `path` when given."""
+def dump_catalog(specs) -> str:
+    """Render a catalog as CSV."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(_CATALOG_FIELDS)
     for s in specs:
         w.writerow([_cell_text(getattr(s, name)) for name in _CATALOG_FIELDS])
-    text = buf.getvalue()
-    if path is not None:
-        with atomic_open(path) as fh:
-            fh.write(text)
-    return text
+    return buf.getvalue()
 
 
 def load_catalog(path="builtin") -> list[ChipClassSpec]:
@@ -287,16 +281,11 @@ def latency_at(chip: ChipInstance, addr, wear) -> np.ndarray:
     return np.round(noiseless / QUANTUM_US) / (1.0 / QUANTUM_US)
 
 
-def latency_sample(chip: ChipInstance, addr: int) -> float:
-    """One latency measurement at `addr`; increments its wear."""
-    return float(latency_block(chip, addr, 1)[0])
-
-
 def latency_block(chip: ChipInstance, addr: int, n: int) -> np.ndarray:
     """`n` consecutive measurements at one address, vectorized.
 
-    Equivalent to calling latency_sample `n` times: the wear at `addr`
-    grows by `n`.
+    The same values as `n` calls of one measurement each: the wear at
+    `addr` grows by `n`.
     """
     _check_addr(chip, addr)
     if n < 1:
@@ -329,22 +318,13 @@ def _check_wear_room(chip: ChipInstance, addr: int, n: int) -> None:
                               "the int64 wear counter")
 
 
-@dataclass
-class SpatialLatencyMap:
-    """One latency per address over a whole chip."""
-
-    latencies: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.latencies)
-
-
-def full_chip_scan(chip: ChipInstance) -> SpatialLatencyMap:
-    """One advancing operation on every location, in address order."""
+def full_chip_scan(chip: ChipInstance) -> np.ndarray:
+    """One advancing operation on every location, in address order: the
+    chip's float64 latency map, one µs value per address."""
     addrs = np.arange(chip.spec.num_locations)
     lat = latency_at(chip, addrs, chip.wear)
     chip.wear += 1
-    return SpatialLatencyMap(lat)
+    return lat
 
 
 def expected_latency(chip: ChipInstance, addr, wear) -> np.ndarray:

@@ -15,7 +15,6 @@ from typing import NamedTuple
 import numpy as np
 
 from ._atomic import atomic_open, format_rows, read_block, read_lines, read_table
-from .chipsim import ChipClassSpec, SpatialLatencyMap
 from .classifiers import TrainedModel, predict_detail
 from .errors import ParseError, ValidationError
 
@@ -36,22 +35,10 @@ class UsedRegion(NamedTuple):
     peak_ratio: float
 
 
-@dataclass(frozen=True)
-class FreshBaseline:
-    """Per-class fresh-latency means in µs."""
-    mean: dict
-
-    def for_tag(self, tag: int):
-        tag = int(tag)
-        if tag not in self.mean:
-            raise ValidationError(f"no fresh baseline for class tag {tag}")
-        return self.mean[tag]
-
-
-def baseline_from_catalog(specs) -> FreshBaseline:
-    """Noise-free baseline: the fresh mean is each class's base latency."""
-    specs = [specs] if isinstance(specs, ChipClassSpec) else list(specs)
-    return FreshBaseline({s.class_tag: s.base_latency_us for s in specs})
+def baseline_from_catalog(specs) -> dict:
+    """Noise-free fresh baseline `{class_tag: mean µs}` of an iterable of
+    specs: the fresh mean is each class's base latency."""
+    return {s.class_tag: s.base_latency_us for s in specs}
 
 
 def _check_probe(probe) -> np.ndarray:
@@ -85,24 +72,33 @@ def identify_manufacturer(probe, model: TrainedModel):
     return int(pred[0]), detail
 
 
-def detect_recycled(probe, predicted_class: int, baseline: FreshBaseline,
+def detect_recycled(probe, predicted_class: int, baseline: dict,
                     used_threshold: float = USED_THRESHOLD,
                     fresh_threshold: float = FRESH_THRESHOLD):
     """(verdict, elevation_ratio) for a probe against its class baseline.
 
-    elevation_ratio = median(probe) / fresh mean.  The verdict is monotone
-    in the ratio: USED at or above `used_threshold`, FRESH at or below
-    `fresh_threshold`, INDETERMINATE in the band between.
+    `baseline` is a `{class_tag: fresh mean µs}` dict, as
+    `baseline_from_catalog` gives.  elevation_ratio = median(probe) / fresh
+    mean, and a ratio beyond float64 is a ValidationError.  The verdict is
+    monotone in the ratio: USED at or above `used_threshold`, FRESH at or
+    below `fresh_threshold`, INDETERMINATE in the band between.
     """
     probe = _check_probe(probe)
     if not (0 < fresh_threshold < used_threshold < np.inf):
         raise ValidationError("need finite thresholds with "
                               "0 < fresh_threshold < used_threshold")
-    fresh_mean = baseline.for_tag(predicted_class)
+    tag = int(predicted_class)
+    if tag not in baseline:
+        raise ValidationError(f"no fresh baseline for class tag {tag}")
+    fresh_mean = baseline[tag]
     if fresh_mean <= 0:
-        raise ValidationError(f"baseline mean for tag {predicted_class} "
+        raise ValidationError(f"baseline mean for tag {tag} "
                               "must be positive")
-    ratio = _finite_median(probe, "probe") / fresh_mean
+    median = _finite_median(probe, "probe")
+    ratio = median / fresh_mean
+    if not np.isfinite(ratio):
+        raise ValidationError(f"elevation ratio overflows: median {median!r} "
+                              f"over fresh mean {fresh_mean!r}")
     if ratio >= used_threshold:
         return RecycledVerdict.USED, ratio
     if ratio <= fresh_threshold:
@@ -110,16 +106,17 @@ def detect_recycled(probe, predicted_class: int, baseline: FreshBaseline,
     return RecycledVerdict.INDETERMINATE, ratio
 
 
-def locate_used_regions(latency_map: SpatialLatencyMap,
-                        flag_ratio: float = DEFAULT_FLAG_RATIO):
+def locate_used_regions(latencies, flag_ratio: float = DEFAULT_FLAG_RATIO):
     """Merge addresses elevated >= flag_ratio x map median into regions.
 
-    The chip-wide median is the baseline, so the rule is invariant under
-    uniform scaling of the map.  Flagged addresses separated by a gap of
-    at most one unflagged address join the same region; each region
-    reports its peak elevation ratio.
+    `latencies` is a latency map: one float64 µs value per address, as
+    `full_chip_scan` and `load_map` give.  The chip-wide median is the
+    baseline, so the rule is invariant under uniform scaling of the map.
+    Flagged addresses separated by a gap of at most one unflagged address
+    join the same region; each region reports its peak elevation ratio,
+    and a ratio beyond float64 is a ValidationError.
     """
-    lat = np.asarray(latency_map.latencies, dtype=np.float64)
+    lat = np.asarray(latencies, dtype=np.float64)
     if lat.ndim != 1 or lat.size == 0:
         raise ValidationError("latency map is empty")
     if not np.all(np.isfinite(lat)) or np.any(lat <= 0):
@@ -134,8 +131,12 @@ def locate_used_regions(latency_map: SpatialLatencyMap,
             regions[-1][1] = int(addr)
         else:
             regions.append([int(addr), int(addr)])
-    return [UsedRegion(s, e, float(lat[s:e + 1].max() / base))
-            for s, e in regions]
+    with np.errstate(over="ignore"):
+        peaks = [lat[s:e + 1].max() / base for s, e in regions]
+    if not np.all(np.isfinite(peaks)):
+        raise ValidationError("peak ratio overflows: a peak over the map "
+                              f"median {base!r} is beyond float64")
+    return [UsedRegion(s, e, float(p)) for (s, e), p in zip(regions, peaks)]
 
 
 @dataclass
@@ -163,7 +164,7 @@ class DetectionReport:
         return out.getvalue()
 
 
-def diagnose_probe(probe, model: TrainedModel, baseline: FreshBaseline,
+def diagnose_probe(probe, model: TrainedModel, baseline: dict,
                    used_threshold: float = USED_THRESHOLD,
                    fresh_threshold: float = FRESH_THRESHOLD) -> DetectionReport:
     """Identification plus recycled check for one probe; no spatial scan."""
@@ -175,15 +176,18 @@ def diagnose_probe(probe, model: TrainedModel, baseline: FreshBaseline,
 
 # ------------------------------------------------------------------- map I/O
 
-def save_map(latency_map: SpatialLatencyMap, path) -> None:
-    lat = np.asarray(latency_map.latencies, dtype=np.float64)
+def save_map(latencies, path) -> None:
+    """Write a latency map, one float64 µs value per address, as the
+    two-column CSV that `load_map` reads."""
+    lat = np.asarray(latencies, dtype=np.float64)
     with atomic_open(path) as fh:
         fh.write("addr,latency_us\n")
         fh.write(format_rows(np.arange(lat.size)[:, None], lat[:, None]))
 
 
-def load_map(path) -> SpatialLatencyMap:
-    """Two-column CSV (addr, latency_us) covering every address exactly once."""
+def load_map(path) -> np.ndarray:
+    """The float64 latency map, indexed by address, of a two-column CSV
+    (addr, latency_us) that covers every address exactly once."""
     def header_fault(cells):
         return None if cells == ["addr", "latency_us"] else \
             "expected header 'addr,latency_us'"
@@ -203,4 +207,4 @@ def load_map(path) -> SpatialLatencyMap:
     if ranked[0] != 0 or n != ranked.size:
         raise ValidationError(f"map must cover addresses 0..{n - 1} "
                               "with no holes")
-    return SpatialLatencyMap(rec["lat"][order])
+    return rec["lat"][order]

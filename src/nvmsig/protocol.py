@@ -18,7 +18,7 @@ import numpy as np
 from ._atomic import (atomic_open, format_rows, has_line_break, number, read_block,
                       read_lines, read_table)
 from ._rng import derive_seed
-from .chipsim import ChipClassSpec, latency_at, new_chip
+from .chipsim import latency_at, new_chip
 from .errors import ParseError, ValidationError
 
 __all__ = [
@@ -240,7 +240,8 @@ def split(ds: Dataset, train_fraction: float = 0.8, seed: int = 1):
 def latency_stats(specs, chips: int = 2, locations: int = 5,
                   checkpoints=DEFAULT_STATS_CHECKPOINTS, span: int = 50,
                   seed: int = 0) -> list[WindowStats]:
-    """Before/after window statistics around wear checkpoints.
+    """Before/after window statistics around wear checkpoints, for each
+    spec of the iterable `specs`.
 
     For every checkpoint c the BEFORE window covers cycles (c-span, c] and
     AFTER covers (c, c+span], pooled over `chips` chips with `locations`
@@ -248,8 +249,6 @@ def latency_stats(specs, chips: int = 2, locations: int = 5,
     """
     if span < 1:
         raise ValidationError("span must be >= 1")
-    if isinstance(specs, ChipClassSpec):
-        specs = [specs]
     specs = list(specs)
     # the windows of checkpoint ck cover wears ck-span .. ck+span-1
     lat, _, _, ckpts = _sample(

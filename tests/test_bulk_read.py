@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from nvmsig import cli
 from nvmsig._atomic import number, read_block
-from nvmsig.chipsim import BUILTIN_CATALOG, SpatialLatencyMap
+from nvmsig.chipsim import BUILTIN_CATALOG
 from nvmsig.classifiers import load_model, save_model, train
 from nvmsig.detector import load_map, save_map
 from nvmsig.errors import ParseError
@@ -115,9 +115,9 @@ def test_default_split_datasets_equal_the_per_line_reading(tmp_path):
 
 def test_map_and_probe_equal_the_per_line_reading(tmp_path):
     lat = np.random.default_rng(5).uniform(0.5, 900.0, 1000)
-    save_map(SpatialLatencyMap(lat), tmp_path / "map.csv")
+    save_map(lat, tmp_path / "map.csv")
     want = [float(r[1]) for r in _reference_table(tmp_path / "map.csv")]
-    _assert_same_bytes([load_map(tmp_path / "map.csv").latencies],
+    _assert_same_bytes([load_map(tmp_path / "map.csv")],
                        [np.array(want)])
     assert run("simulate", "--class", 4, "--cycles", 300, "--seed", 7,
                "--out", tmp_path / "probe.csv") == 0
@@ -144,7 +144,7 @@ def test_bulk_reals_equal_float_of_each_token(tmp_path_factory, values, fmt):
     path = tmp_path_factory.mktemp("reals") / "map.csv"
     path.write_text("addr,latency_us\n" + "".join(
         f"{i},{t}\n" for i, t in enumerate(texts)), encoding="utf-8")
-    assert load_map(path).latencies.tobytes() == want.tobytes()
+    assert load_map(path).tobytes() == want.tobytes()
 
 
 _DIGITS = "0123456789+-.eE_ infatyINFAYx\t\x1f"
@@ -202,7 +202,7 @@ def _files(root):
         lines = path.read_text().splitlines()
         at = [i + 1 for i, ln in enumerate(lines) if ln.startswith(prefix)][-1]
         files[kind] = (load_model, path, [(at, c) for c in cells])
-    save_map(SpatialLatencyMap(np.linspace(1.0, 2.0, 8)), root / "map.csv")
+    save_map(np.linspace(1.0, 2.0, 8), root / "map.csv")
     files["map"] = (load_map, root / "map.csv", [(4, 0), (4, 1)])
     (root / "probe.csv").write_text("cycle,latency_us\n0,3.5\n1,4.5\n2,5.5\n")
     files["probe"] = (cli._load_probe, root / "probe.csv", [(3, 1)])
@@ -355,7 +355,7 @@ def _tables(root):
                        checkpoints=[0], locations_per_chip=2)
     ds.class_names = {t: f"c{t}" for t in np.unique(ds.y).tolist()}
     save_dataset(ds, root / "ds.csv")
-    save_map(SpatialLatencyMap(np.linspace(1.0, 2.0, 5)), root / "map.csv")
+    save_map(np.linspace(1.0, 2.0, 5), root / "map.csv")
     return {"dataset": (load_dataset, (root / "ds.csv").read_text(), 2),
             "map": (load_map, (root / "map.csv").read_text(), 1),
             "probe": (cli._load_probe,
@@ -365,8 +365,6 @@ def _tables(root):
 def _arrays(loaded):
     if isinstance(loaded, np.ndarray):
         return [loaded]
-    if isinstance(loaded, SpatialLatencyMap):
-        return [loaded.latencies]
     return [loaded.X, loaded.y, loaded.meta]
 
 

@@ -17,7 +17,6 @@ from nvmsig.chipsim import (
     expected_latency,
     full_chip_scan,
     latency_block,
-    latency_sample,
     load_catalog,
     mean_latency_curve,
     new_chip,
@@ -76,7 +75,7 @@ def test_spec_validation_rejects(bad):
 
 def test_catalog_round_trip(tmp_path):
     path = tmp_path / "cat.csv"
-    dump_catalog(BUILTIN_CATALOG, path)
+    path.write_text(dump_catalog(BUILTIN_CATALOG), encoding="utf-8")
     assert load_catalog(path) == list(BUILTIN_CATALOG)
 
 
@@ -91,7 +90,8 @@ def test_catalog_round_trip_quotes_a_comma_and_a_quote(tmp_path):
                       step_factor=1.25),
              toy_spec(class_tag=1, capacity_label="2,048kb")]
     path = tmp_path / "cat.csv"
-    text = dump_catalog(specs, path)
+    text = dump_catalog(specs)
+    path.write_text(text, encoding="utf-8")
     assert '"Acme, ""Labs"" Inc."' in text and '"2,048kb"' in text
     assert load_catalog(path) == specs
 
@@ -189,7 +189,7 @@ def test_noise_free_latency_matches_formula():
     assert fresh[0] == pytest.approx(100.0, abs=0.011)  # no drift at wear 0
     cycle_location(chip, 5, 10000)
     # drift term: 1 + 1.0 * (10000/10000)**1.0 = 2.0
-    assert latency_sample(chip, 5) == pytest.approx(200.0, abs=0.011)
+    assert latency_block(chip, 5, 1)[0] == pytest.approx(200.0, abs=0.011)
 
 
 def test_step_applies_at_threshold():
@@ -197,9 +197,9 @@ def test_step_applies_at_threshold():
                     drift_amplitude=0.0, step_cycles=1000, step_factor=1.5)
     chip = new_chip(spec, 1)
     cycle_location(chip, 0, 999)
-    assert latency_sample(chip, 0) == pytest.approx(100.0, abs=0.011)
+    assert latency_block(chip, 0, 1)[0] == pytest.approx(100.0, abs=0.011)
     # wear is now exactly 1000
-    assert latency_sample(chip, 0) == pytest.approx(150.0, abs=0.011)
+    assert latency_block(chip, 0, 1)[0] == pytest.approx(150.0, abs=0.011)
 
 
 def test_expected_latency_matches_sample_when_noiseless():
@@ -207,20 +207,20 @@ def test_expected_latency_matches_sample_when_noiseless():
     chip = new_chip(spec, 11)
     cycle_location(chip, 3, 5000)
     want = expected_latency(chip, 3, 5000)
-    assert latency_sample(chip, 3) == pytest.approx(float(want), abs=0.006)
+    assert latency_block(chip, 3, 1)[0] == pytest.approx(float(want), abs=0.006)
 
 
 def test_sampling_is_order_independent():
     spec = BUILTIN_CATALOG[4]
     c1 = new_chip(spec, 42)
     c2 = new_chip(spec, 42)
-    a1 = [latency_sample(c1, 0) for _ in range(5)]
-    b1 = [latency_sample(c1, 9) for _ in range(5)]
+    a1 = [latency_block(c1, 0, 1)[0] for _ in range(5)]
+    b1 = [latency_block(c1, 9, 1)[0] for _ in range(5)]
     # interleave in the other chip
     b2, a2 = [], []
     for _ in range(5):
-        b2.append(latency_sample(c2, 9))
-        a2.append(latency_sample(c2, 0))
+        b2.append(latency_block(c2, 9, 1)[0])
+        a2.append(latency_block(c2, 0, 1)[0])
     assert a1 == a2
     assert b1 == b2
 
@@ -232,7 +232,7 @@ def test_latency_block_equals_repeated_samples():
     cycle_location(c1, 7, 998)
     cycle_location(c2, 7, 998)
     block = latency_block(c1, 7, 50)
-    singles = np.array([latency_sample(c2, 7) for _ in range(50)])
+    singles = np.concatenate([latency_block(c2, 7, 1) for _ in range(50)])
     assert np.array_equal(block, singles)
     assert c1.wear[7] == c2.wear[7] == 1048
 
@@ -245,14 +245,14 @@ def test_cycle_location_is_additive():
     cycle_location(c1, 0, 300)
     cycle_location(c2, 0, 1000)
     assert c1.wear[0] == c2.wear[0]
-    assert latency_sample(c1, 0) == latency_sample(c2, 0)
+    assert latency_block(c1, 0, 1)[0] == latency_block(c2, 0, 1)[0]
 
 
 def test_full_chip_scan_advances_every_location():
     chip = new_chip(BUILTIN_CATALOG[0], 17)
     cycle_location(chip, 4, 50)
     scan = full_chip_scan(chip)
-    assert len(scan) == chip.spec.num_locations
+    assert scan.dtype == np.float64 and scan.shape == (chip.spec.num_locations,)
     want = np.ones(chip.spec.num_locations, dtype=np.int64)
     want[4] += 50
     assert np.array_equal(chip.wear, want)
@@ -262,13 +262,13 @@ def test_scan_peaks_at_highest_loc_factor_when_noiseless():
     spec = toy_spec(noise_sigma=0.0, loc_sigma=0.05)
     chip = new_chip(spec, 21)
     scan = full_chip_scan(chip)
-    assert int(np.argmax(scan.latencies)) == int(np.argmax(chip.loc_factor))
+    assert int(np.argmax(scan)) == int(np.argmax(chip.loc_factor))
 
 
 def test_address_bounds_checked():
     chip = new_chip(BUILTIN_CATALOG[5], 1)
     with pytest.raises(ValidationError):
-        latency_sample(chip, chip.spec.num_locations)
+        latency_block(chip, chip.spec.num_locations, 1)
     with pytest.raises(ValidationError):
         latency_block(chip, chip.spec.num_locations, 5)
     with pytest.raises(ValidationError):
@@ -313,7 +313,7 @@ def test_latency_sample_cannot_pass_int64():
     chip = new_chip(BUILTIN_CATALOG[5], 1)
     cycle_location(chip, 3, (1 << 63) - 1)
     with pytest.raises(ValidationError, match="int64"):
-        latency_sample(chip, 3)
+        latency_block(chip, 3, 1)
     assert chip.wear[3] == (1 << 63) - 1
 
 
@@ -331,7 +331,7 @@ def test_noise_magnitude_statistics():
                     num_locations=4096)
     chip = new_chip(spec, 31)
     scan = full_chip_scan(chip)
-    sd = np.log(scan.latencies).std(ddof=1)
+    sd = np.log(scan).std(ddof=1)
     assert 0.025 <= sd <= 0.035
 
 
@@ -341,7 +341,7 @@ def test_noise_magnitude_statistics():
 def test_quantization_and_positivity(seed, addr, wear):
     chip = new_chip(BUILTIN_CATALOG[7] if addr < 32 else BUILTIN_CATALOG[8], seed)
     cycle_location(chip, addr, wear)
-    lat = latency_sample(chip, addr)
+    lat = float(latency_block(chip, addr, 1)[0])
     assert lat > 0
     scaled = lat / chipsim.QUANTUM_US
     assert abs(scaled - round(scaled)) < 1e-6

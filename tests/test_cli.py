@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import filecmp
 import hashlib
 import inspect
@@ -14,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvmsig import cli
-from nvmsig.chipsim import (BUILTIN_CATALOG, SpatialLatencyMap, dump_catalog,
-                            full_chip_scan, load_catalog, new_chip)
+from nvmsig.chipsim import (BUILTIN_CATALOG, dump_catalog, full_chip_scan,
+                            load_catalog, new_chip)
 from nvmsig.classifiers import (KINDS, cross_validate, knn as knn_core,
                                 load_model, predict_detail, save_model,
                                 svm as svm_core,
@@ -421,7 +422,7 @@ def test_probe_blank_lines_are_skipped(tmp_path):
 
 def test_scan_uniform_map_reports_none(tmp_path, capsys):
     path = tmp_path / "flat.csv"
-    save_map(SpatialLatencyMap(np.full(64, 5.0)), path)
+    save_map(np.full(64, 5.0), path)
     assert run("scan", "--map", path) == 0
     assert "no used regions" in capsys.readouterr().out
 
@@ -632,10 +633,41 @@ def test_median_beyond_the_float_range_is_an_error_line(lab1, tmp_path, capsys):
     assert err.startswith("error: probe latencies too large") and err.count("\n") == 1
     assert "verdict" not in out
     path = tmp_path / "map.csv"
-    save_map(SpatialLatencyMap(np.full(64, 1.7e308)), path)
+    save_map(np.full(64, 1.7e308), path)
     assert run("scan", "--map", path) == 1
     out, err = capsys.readouterr()
     assert err.startswith("error: map latencies too large") and err.count("\n") == 1
+    assert out == ""
+
+
+def test_elevation_ratio_beyond_the_float_range_is_an_error_line(lab1, tmp_path,
+                                                                 capsys):
+    """A catalog whose fresh means are 1e-307 µs puts a plain probe's ratio
+    beyond float64: exit 1 with one error line, where `predict` once
+    printed a USED verdict at an infinite ratio and exited 0."""
+    catalog = tmp_path / "catalog.csv"
+    catalog.write_text(dump_catalog(
+        [dataclasses.replace(s, base_latency_us=1e-307) for s in BUILTIN_CATALOG]))
+    probe = tmp_path / "probe.csv"
+    probe.write_text("cycle,latency_us\n" + "".join(
+        f"{i},400\n" for i in range(100)))
+    assert run("predict", "--model", lab1 / "tree.model.txt", "--probe", probe,
+               "--catalog", catalog) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: elevation ratio overflows") and err.count("\n") == 1
+    assert out == ""
+
+
+def test_peak_ratio_beyond_the_float_range_is_an_error_line(tmp_path, capsys):
+    """A map of 1e-300 µs with one address at 1e10 µs: exit 1 with one
+    error line, where `scan` once printed numpy's overflow warning and a
+    region at an infinite peak ratio, and exited 0."""
+    path = tmp_path / "map.csv"
+    path.write_text("addr,latency_us\n" + "".join(
+        f"{i},{1e10 if i == 5 else 1e-300!r}\n" for i in range(64)))
+    assert run("scan", "--map", path) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: peak ratio overflows") and err.count("\n") == 1
     assert out == ""
 
 
@@ -678,6 +710,101 @@ def test_lab_seed_1_evidence_is_pinned(lab1):
         assert scores.shape == (test.y.size, tags.size), kind
         assert hashlib.sha256(pred.tobytes() + scores.tobytes()).hexdigest() \
             == digest, kind
+
+
+def _field_outputs(lab1, root, capsys):
+    """{name: bytes} of the field commands: two `scan` runs with seeded
+    spots (map, manifest, regions CSV and stdout, the out dir read as
+    `<out>`), and the `predict --out` report of a fresh and a worn probe
+    against each lab-seed-1 model."""
+    files = {}
+    for seed, tag, spots in ((5, 2, "40:20000,900:50000"),
+                             (6, 7, "3:30000,4:30000,500:8000")):
+        out = root / f"scan{seed}"
+        capsys.readouterr()
+        assert run("scan", "--seed", seed, "--class", tag, "--spots", spots,
+                   "--map-out", "m.csv", "--out", "r.csv", "--out-dir", out) == 0
+        files[f"scan{seed}/stdout"] = \
+            capsys.readouterr().out.replace(str(out), "<out>").encode()
+        for name in ("m.csv", "m.csv.manifest", "r.csv"):
+            files[f"scan{seed}/{name}"] = (out / name).read_bytes()
+    # the worn probe is the last 100 cycles of a 30,100-cycle trace
+    assert run("simulate", "--seed", 7, "--class", 4, "--cycles", 100,
+               "--out", "fresh.csv", "--out-dir", root) == 0
+    assert run("simulate", "--seed", 3, "--class", 0, "--cycles", 30_100,
+               "--out", "trace.csv", "--out-dir", root) == 0
+    lines = (root / "trace.csv").read_text().splitlines(keepends=True)
+    (root / "worn.csv").write_text(lines[0] + "".join(lines[-100:]))
+    for model in _LAB1_MODEL_SHA256:
+        for probe in ("fresh", "worn"):
+            stem = f"{model}_{probe}"
+            assert run("predict", "--model", lab1 / f"{model}.model.txt",
+                       "--probe", root / f"{probe}.csv",
+                       "--out-dir", root, "--out", stem) == 0
+            for ext in (".txt", ".csv"):
+                files[stem + ext] = (root / (stem + ext)).read_bytes()
+    capsys.readouterr()
+    return files
+
+
+# sha256 of what `scan` and `predict` write, as computed while a latency map
+# and a fresh baseline were each wrapped in a type of their own
+_FIELD_SHA256 = {
+    "scan5/stdout":
+        "c8b9897283e4bcf5bc6db724396b4bae4cd96194cb20baac606dd56a37825b86",
+    "scan5/m.csv":
+        "f23c30b52dd742a8128be0f403abb65f589236a72894e7f34666053f59255b97",
+    "scan5/m.csv.manifest":
+        "c827d203cb42db4dece5ab6ef7ed9cc39da6630b9e4d99323ddb4fc0b32201e1",
+    "scan5/r.csv":
+        "5d64707ed7ec01c8972df483c00cfc52ed87d5973633f6ba72c86065bb25399f",
+    "scan6/stdout":
+        "16fb4281accd752405138639438f0da96cb2832f29c5d6de535900d72be83d3f",
+    "scan6/m.csv":
+        "2a05bac80187c7a27068a06b0d2eab744affb224347607d7ac4b88a21647ac76",
+    "scan6/m.csv.manifest":
+        "d0ea4d29adce396f9e0c3badd791174ac0f09ace1a9744c35145146cb4805335",
+    "scan6/r.csv":
+        "47b89a83c5de14612a8a1a25edbe7630e0fb662c879705a35365ccbdc4c2425a",
+    "knn_fresh.txt":
+        "44796893df0405283ed74a9a736dd2f36a3c7d6712ab6dd9d3d8099990f63ce7",
+    "knn_fresh.csv":
+        "4f6fd9ba4cc14d539518f135cd81dc50099f81bd2cb6c0f367dff7aecd6f43b5",
+    "knn_worn.txt":
+        "7366e1a747e757d9bc2ed540d82b72077f80831ea54d5823799f64be124dd96b",
+    "knn_worn.csv":
+        "1a0dc2823778b17307430e535f05a89067c380e52e38785a5b2cbfe9254d3ddd",
+    "tree_fresh.txt":
+        "134a48a2c75881853205afb629131a3fe3f5975c3d916037fd712339ef3d7eba",
+    "tree_fresh.csv":
+        "d75536d36313d1e5cd4b5814a632cf743a621495ff855e233c403de03eaea852",
+    "tree_worn.txt":
+        "7366e1a747e757d9bc2ed540d82b72077f80831ea54d5823799f64be124dd96b",
+    "tree_worn.csv":
+        "1a0dc2823778b17307430e535f05a89067c380e52e38785a5b2cbfe9254d3ddd",
+    "svm_fresh.txt":
+        "95240ec541bc217377ed15f38516b112f1b380db9ba2740f742eb1e52fee9c68",
+    "svm_fresh.csv":
+        "3da3b46b66d7a994d5a9a5c2fa152170cf0ee8fe50fbe2a16a019ec8796e83fc",
+    "svm_worn.txt":
+        "2f972af571919211f975a1cdf9f91dfe54e1cceea1563ba201c6c5dd7df61126",
+    "svm_worn.csv":
+        "725cfa7669460933cf709f72ddebda1ee83bd2545b364c3cce6faf1a01313553",
+    "svm_mrmr_fresh.txt":
+        "95240ec541bc217377ed15f38516b112f1b380db9ba2740f742eb1e52fee9c68",
+    "svm_mrmr_fresh.csv":
+        "3da3b46b66d7a994d5a9a5c2fa152170cf0ee8fe50fbe2a16a019ec8796e83fc",
+    "svm_mrmr_worn.txt":
+        "2f972af571919211f975a1cdf9f91dfe54e1cceea1563ba201c6c5dd7df61126",
+    "svm_mrmr_worn.csv":
+        "725cfa7669460933cf709f72ddebda1ee83bd2545b364c3cce6faf1a01313553",
+}
+
+
+def test_field_command_bytes_are_pinned(lab1, tmp_path, capsys):
+    files = _field_outputs(lab1, tmp_path, capsys)
+    assert {name: hashlib.sha256(data).hexdigest()
+            for name, data in files.items()} == _FIELD_SHA256
 
 
 # sha256 of the lab-seed-1 svm with tol 5, as written from one object per
@@ -944,7 +1071,7 @@ def test_input_the_command_would_ignore_is_refused(workdir, tmp_path, capsys,
                                                    argv):
     """The last flag would not act on the run; the refusal names it."""
     path = tmp_path / "map.csv"
-    save_map(SpatialLatencyMap(np.full(64, 5.0)), path)
+    save_map(np.full(64, 5.0), path)
     argv = [str(a).format(ds=workdir / "two", map=path) for a in argv]
     flag = [a for a in argv if a.startswith("--")][-1]
     assert run(*argv, "--out-dir", tmp_path / "out") == 1
@@ -1257,7 +1384,7 @@ def test_no_flag_states_two_defaults(command):
 
 def test_dispatch_finds_the_handler_at_call_time(tmp_path, monkeypatch):
     path = tmp_path / "flat.csv"
-    save_map(SpatialLatencyMap(np.full(64, 5.0)), path)
+    save_map(np.full(64, 5.0), path)
     cli.build_parser()  # a parser that held handlers would hold the old one
     calls = []
 

@@ -1,6 +1,7 @@
 """Identification, recycled verdicts, and used-region localization."""
 
 import csv
+import dataclasses
 import io
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nvmsig.chipsim import (
-    SpatialLatencyMap,
     cycle_location,
     full_chip_scan,
     latency_block,
@@ -19,7 +19,6 @@ from nvmsig.chipsim import (
 from nvmsig.classifiers import train_knn
 from nvmsig.detector import (
     DetectionReport,
-    FreshBaseline,
     RecycledVerdict,
     UsedRegion,
     baseline_from_catalog,
@@ -119,14 +118,14 @@ def test_detect_precycled_probe_is_used():
 
 
 def test_detect_ratio_1_2_is_indeterminate():
-    base = FreshBaseline({3: 100.0})
+    base = {3: 100.0}
     verdict, ratio = detect_recycled(np.full(100, 120.0), 3, base)
     assert verdict is RecycledVerdict.INDETERMINATE
     assert ratio == pytest.approx(1.2)
 
 
 def test_detect_band_edges_belong_to_outer_verdicts():
-    base = FreshBaseline({0: 1.0})
+    base = {0: 1.0}
     assert detect_recycled(np.full(100, 1.1), 0, base)[0] is RecycledVerdict.FRESH
     assert detect_recycled(np.full(100, 1.3), 0, base)[0] is RecycledVerdict.USED
 
@@ -137,21 +136,21 @@ def test_detect_unknown_class_tag_rejected():
 
 
 def test_detect_threshold_order_validated():
-    base = FreshBaseline({0: 1.0})
+    base = {0: 1.0}
     with pytest.raises(ValidationError):
         detect_recycled(np.ones(100), 0, base,
                         used_threshold=1.1, fresh_threshold=1.3)
 
 
 def test_detect_custom_thresholds_respected():
-    base = FreshBaseline({0: 1.0})
+    base = {0: 1.0}
     verdict, _ = detect_recycled(np.full(100, 1.2), 0, base,
                                  used_threshold=1.15, fresh_threshold=1.05)
     assert verdict is RecycledVerdict.USED
 
 
 def test_verdict_monotone_in_elevation():
-    base = FreshBaseline({0: 1.0})
+    base = {0: 1.0}
     rank = {RecycledVerdict.FRESH: 0, RecycledVerdict.INDETERMINATE: 1,
             RecycledVerdict.USED: 2}
     last = -1
@@ -166,7 +165,7 @@ def test_detect_probe_whose_median_overflows_is_validation_error():
     """An even count's median averages its two middle values, which
     overflows near the float64 limit: an error, not a USED verdict at an
     infinite ratio.  An odd count takes its middle value and stays exact."""
-    base = FreshBaseline({0: 100.0})
+    base = {0: 100.0}
     with np.errstate(all="raise"):
         with pytest.raises(ValidationError, match="probe latencies too large"):
             detect_recycled(np.full(100, 1.7e308), 0, base)
@@ -174,16 +173,25 @@ def test_detect_probe_whose_median_overflows_is_validation_error():
     assert verdict is RecycledVerdict.USED and ratio == pytest.approx(1.7e306)
 
 
+def test_detect_ratio_beyond_float64_is_validation_error():
+    """A fresh mean of 1e-307 µs, which a catalog takes as positive, puts a
+    plain probe's ratio beyond float64: an error, not a USED verdict at an
+    infinite ratio."""
+    spec = dataclasses.replace(SPEC[4], base_latency_us=1e-307)
+    with pytest.raises(ValidationError, match="elevation ratio overflows"):
+        detect_recycled(np.full(100, 400.0), 4, baseline_from_catalog([spec]))
+
+
 # ------------------------------------------------------------- localization
 
 def test_locate_uniform_map_empty():
-    assert locate_used_regions(SpatialLatencyMap(np.full(256, 3.14))) == []
+    assert locate_used_regions(np.full(256, 3.14)) == []
 
 
 def test_locate_single_block_region():
     lat = np.ones(128)
     lat[100:105] = 2.0
-    regions = locate_used_regions(SpatialLatencyMap(lat))
+    regions = locate_used_regions(lat)
     assert regions == [UsedRegion(100, 104, 2.0)]
 
 
@@ -191,7 +199,7 @@ def test_locate_merges_across_single_gap():
     lat = np.ones(64)
     lat[10] = 2.0
     lat[12] = 3.0
-    (region,) = locate_used_regions(SpatialLatencyMap(lat))
+    (region,) = locate_used_regions(lat)
     assert (region.start_addr, region.end_addr) == (10, 12)
     assert region.peak_ratio == pytest.approx(3.0)
 
@@ -200,27 +208,35 @@ def test_locate_gap_of_two_splits_regions():
     lat = np.ones(64)
     lat[10] = 2.0
     lat[13] = 2.0
-    regions = locate_used_regions(SpatialLatencyMap(lat))
+    regions = locate_used_regions(lat)
     assert [(r.start_addr, r.end_addr) for r in regions] == [(10, 10), (13, 13)]
 
 
 def test_locate_validations():
     with pytest.raises(ValidationError):
-        locate_used_regions(SpatialLatencyMap(np.array([])))
+        locate_used_regions(np.array([]))
     with pytest.raises(ValidationError):
-        locate_used_regions(SpatialLatencyMap(np.ones(4)), flag_ratio=1.0)
+        locate_used_regions(np.ones(4), flag_ratio=1.0)
     with pytest.raises(ValidationError):
-        locate_used_regions(SpatialLatencyMap(np.array([1.0, -2.0])))
+        locate_used_regions(np.array([1.0, -2.0]))
 
 
 def test_locate_map_whose_median_overflows_is_validation_error():
     with np.errstate(all="raise"):
         with pytest.raises(ValidationError, match="map latencies too large"):
-            locate_used_regions(SpatialLatencyMap(np.full(64, 1.7e308)))
+            locate_used_regions(np.full(64, 1.7e308))
         lat = np.full(65, 1e300)
         lat[7] = 1.7e308
-        assert locate_used_regions(SpatialLatencyMap(lat)) == \
+        assert locate_used_regions(lat) == \
             [UsedRegion(7, 7, 1.7e308 / 1e300)]
+
+
+def test_locate_peak_ratio_beyond_float64_is_validation_error():
+    lat = np.full(64, 1e-300)
+    lat[5] = 1e10
+    with np.errstate(all="raise"):
+        with pytest.raises(ValidationError, match="peak ratio overflows"):
+            locate_used_regions(lat)
 
 
 def _random_spot_map(seed, n=400):
@@ -234,7 +250,7 @@ def _random_spot_map(seed, n=400):
 def test_locate_regions_disjoint_and_endpoints_flagged():
     for seed in range(25):
         lat, _ = _random_spot_map(seed)
-        regions = locate_used_regions(SpatialLatencyMap(lat))
+        regions = locate_used_regions(lat)
         cut = 1.5 * np.median(lat)
         prev_end = -2
         covered = set()
@@ -252,8 +268,8 @@ def test_locate_regions_disjoint_and_endpoints_flagged():
        seed=st.integers(0, 50))
 def test_locate_scaling_invariance(scale, seed):
     lat, _ = _random_spot_map(seed, n=200)
-    before = locate_used_regions(SpatialLatencyMap(lat))
-    after = locate_used_regions(SpatialLatencyMap(lat * scale))
+    before = locate_used_regions(lat)
+    after = locate_used_regions(lat * scale)
     assert [(r.start_addr, r.end_addr) for r in before] == \
            [(r.start_addr, r.end_addr) for r in after]
     for a, b in zip(before, after):
@@ -337,7 +353,7 @@ def test_map_csv_roundtrip(tmp_path):
     path = tmp_path / "map.csv"
     save_map(original, path)
     loaded = load_map(path)
-    assert np.array_equal(loaded.latencies, original.latencies)
+    assert loaded.dtype == np.float64 and np.array_equal(loaded, original)
     assert locate_used_regions(loaded) == locate_used_regions(original)
 
 
@@ -369,4 +385,4 @@ def test_map_blank_lines_are_skipped(tmp_path):
     with pytest.raises(ParseError, match="^line 6: duplicate address 1"):
         load_map(path)
     path.write_text("addr,latency_us\n\n0,1.5\n \n1,2.5\n\n")
-    assert load_map(path).latencies.tolist() == [1.5, 2.5]
+    assert load_map(path).tolist() == [1.5, 2.5]

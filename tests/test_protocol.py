@@ -13,7 +13,6 @@ from nvmsig.chipsim import (
     BUILTIN_CATALOG,
     ChipClassSpec,
     OpKind,
-    SpatialLatencyMap,
     Technology,
     cycle_location,
     full_chip_scan,
@@ -248,7 +247,7 @@ def test_latency_stats_default_shape():
 
 
 def test_latency_stats_single_sample_window():
-    out = latency_stats(toy_spec(), chips=1, locations=1,
+    out = latency_stats([toy_spec()], chips=1, locations=1,
                         checkpoints=[100], span=1)
     assert len(out) == 2
     for w in out:
@@ -270,7 +269,7 @@ def test_latency_stats_window_ranges_disjoint():
     # BEFORE of ckpt c is (c-span, c], AFTER is (c, c+span]: reconstruct and
     # compare against direct wear-range sampling
     spec = toy_spec(noise_sigma=0.01)
-    out = latency_stats(spec, chips=1, locations=1, checkpoints=[200, 400],
+    out = latency_stats([spec], chips=1, locations=1, checkpoints=[200, 400],
                         span=50, seed=5)
     from nvmsig._rng import derive_seed
     chip_seed = derive_seed(5, 0, 0, 0x57) & ((1 << 63) - 1)
@@ -293,15 +292,15 @@ def _chip_addr(spec, chip_seed):
 
 def test_latency_stats_validations():
     with pytest.raises(ValidationError):
-        latency_stats(toy_spec(), span=0)
+        latency_stats([toy_spec()], span=0)
     with pytest.raises(ValidationError):
-        latency_stats(toy_spec(), checkpoints=[100, 150], span=50)
+        latency_stats([toy_spec()], checkpoints=[100, 150], span=50)
     with pytest.raises(ValidationError):
-        latency_stats(toy_spec(), checkpoints=[10], span=50)
+        latency_stats([toy_spec()], checkpoints=[10], span=50)
     with pytest.raises(ValidationError, match="int64"):
-        latency_stats(toy_spec(), checkpoints=[(1 << 63) - 10], span=50)
+        latency_stats([toy_spec()], checkpoints=[(1 << 63) - 10], span=50)
     with pytest.raises(ValidationError, match="checkpoints is empty"):
-        latency_stats(toy_spec(), checkpoints=[])
+        latency_stats([toy_spec()], checkpoints=[])
 
 
 # sizes that numpy refuses outright, so no host can grant them
@@ -592,7 +591,7 @@ def test_save_map_bytes_equal_per_value_formatting(tmp_path_factory, rows):
     lat = rows[1][:, 0]
     path = tmp_path_factory.mktemp("map") / "map.csv"
     with np.errstate(all="raise"):
-        save_map(SpatialLatencyMap(lat), path)
+        save_map(lat, path)
     assert path.read_bytes() == ("addr,latency_us\n" + "".join(
         f"{addr},{v:.6f}\n" for addr, v in enumerate(lat))).encode()
 
