@@ -8,6 +8,7 @@ distance-based, so run it on standardized features; the MI filter bins each
 feature over its own range and is unaffected by per-feature affine scaling.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,8 @@ DEFAULT_K = 25
 # cells of the stacked joint-count table, and of the bin codes, of one
 # `_mi_rows` block; a block holds at least one row
 _JOINT_CELLS = 1 << 16
+_TINY = np.finfo(np.float64).tiny  # the smallest normal float64
+_LOG_TINY = np.log(_TINY)
 
 
 @dataclass(frozen=True)
@@ -93,6 +96,7 @@ def bin_feature(feature, bins: int = DEFAULT_BINS) -> np.ndarray:
 
 def _bin_rows(F, bins):
     """`bin_feature` of each row of the finite matrix F."""
+    _check_integer("bins", bins)
     # beyond 2**53 a float misses bin indices and the top one overflows int64
     if not 1 <= bins <= 2 ** 53:
         raise ValidationError("bins must be in [1, 2**53]")
@@ -185,6 +189,7 @@ def mrmr_select(train, k: int = DEFAULT_K, bins: int = DEFAULT_BINS) -> FeatureR
     """
     X, y = _train_xy(train)
     d = X.shape[1]
+    _check_integer("k", k)
     if not 1 <= k <= d:
         raise ValidationError(f"k must be in [1, {d}]")
     codes, height = _occupied(_bin_rows(X.T, bins))
@@ -228,6 +233,14 @@ def _nca(w, X, y):
     Two terms are dropped, both exactly: the row constant |z_i|^2 of the
     squared distance, which the row softmax cancels, and the row sums of M,
     which are p_i - p_i = 0 because every row of p sums to 1.
+
+    Subnormal operands slow `exp` and the products several times, so a
+    logit whose exp would be subnormal becomes -inf and a probability below
+    the smallest normal becomes 0; each row sum, at least 1, is the same
+    without them.  When each class is one run of rows, the same-label mask
+    is the diagonal blocks: p_i is a block row sum and M is P p_i off the
+    blocks and P (p_i - 1) on them, the mask path's arithmetic element by
+    element, with no n x n mask.
     """
     w = np.asarray(w, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
@@ -240,13 +253,35 @@ def _nca(w, X, y):
         P -= (Z * Z).sum(axis=1)  # -|z_i - z_j|^2 + |z_i|^2
         np.fill_diagonal(P, -np.inf)
         P -= P.max(axis=1, keepdims=True)
+        np.copyto(P, -np.inf, where=P < _LOG_TINY)  # NaN compares false
         np.exp(P, out=P)
         P /= P.sum(axis=1, keepdims=True)
-        same = y[:, None] == y[None, :]
-        p_i = np.add.reduce(P, axis=1, where=same)
-        P *= p_i[:, None] - same
+        np.copyto(P, 0.0, where=P < _TINY)
+        runs = _class_runs(y)
+        if runs is None:
+            same = y[:, None] == y[None, :]
+            p_i = np.add.reduce(P, axis=1, where=same)
+            P *= p_i[:, None] - same
+        else:
+            p_i = np.empty(y.size)
+            blocks = []  # M on each diagonal block, before P *= p_i
+            for a, b in runs:
+                p_i[a:b] = P[a:b, a:b].sum(axis=1)
+                blocks.append(P[a:b, a:b] * (p_i[a:b, None] - 1.0))
+            P *= p_i[:, None]
+            for (a, b), block in zip(runs, blocks):
+                P[a:b, a:b] = block
         s = (X * X).T @ P.sum(axis=0) - 2.0 * (X * (P @ X)).sum(axis=0)
         return float(p_i.mean()), (2.0 * w / X.shape[0]) * s
+
+
+def _class_runs(y):
+    """[(start, stop), ...] of the row runs of the 1-D labels y when each
+    class is one run, else None."""
+    bounds = [0, *(np.flatnonzero(y[1:] != y[:-1]) + 1).tolist(), y.size]
+    if len(set(y[bounds[:-1]].tolist())) < len(bounds) - 1:
+        return None
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def nca_select(train, k: int = DEFAULT_K, iters: int = 200,
@@ -258,6 +293,12 @@ def nca_select(train, k: int = DEFAULT_K, iters: int = 200,
     """
     X, y = _train_xy(train)
     d = X.shape[1]
+    _check_integer("k", k)
+    _check_integer("iters", iters)
+    if isinstance(learning_rate, bool) or not isinstance(learning_rate,
+                                                         numbers.Real):
+        raise ValidationError(
+            f"learning_rate must be a real number, got {learning_rate!r}")
     if not 1 <= k <= d:
         raise ValidationError(f"k must be in [1, {d}]")
     if iters < 1 or not 0 < learning_rate < np.inf:
@@ -271,6 +312,12 @@ def nca_select(train, k: int = DEFAULT_K, iters: int = 200,
         w = w + learning_rate * grad
     order = np.lexsort((np.arange(d), -np.abs(w)))[:k]
     return FeatureRanking("nca", order, np.abs(w)[order])
+
+
+def _check_integer(name, value):
+    # bool is an int, so True would quietly stand for 1
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 def _train_xy(train):

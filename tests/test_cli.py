@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvmsig import cli
+from nvmsig import cli, features
 from nvmsig.chipsim import (BUILTIN_CATALOG, dump_catalog, full_chip_scan,
                             load_catalog, new_chip)
 from nvmsig.classifiers import (KINDS, cross_validate, knn as knn_core,
@@ -971,6 +971,24 @@ def test_split_files_equal_the_library_split_in_unsorted_class_order(tmp_path):
         save_dataset(part, tmp_path / f"{name}.csv")
         assert (tmp_path / "cli" / f"dataset.{name}.csv").read_bytes() == \
             (tmp_path / f"{name}.csv").read_bytes(), name
+
+
+def _one_run_per_class(y):
+    starts = np.flatnonzero(np.diff(y)) + 1
+    return len(set(y[np.r_[0, starts]].tolist())) == starts.size + 1
+
+
+@pytest.mark.parametrize("data", ["lab1", "default"])
+def test_split_files_hold_each_class_in_one_run(lab1, tmp_path, data):
+    """The NCA gradient takes its class-block path only on such labels."""
+    root = lab1
+    if data == "default":
+        root = tmp_path
+        assert run("dataset", "--seed", 1, "--split", "--out-dir", root) == 0
+    for name in ("dataset.csv", "dataset.train.csv", "dataset.test.csv"):
+        y = load_dataset(root / name).y
+        assert _one_run_per_class(y), name
+        assert features._class_runs(y) is not None, name
 
 
 @pytest.mark.parametrize("edit", ["classes-dropped", "class-renumbered"])

@@ -1,6 +1,10 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -304,6 +308,53 @@ def test_mrmr_bits_are_pinned(lab1_train, data, bins):
                           ).hexdigest() == _MRMR_SHA256[data, bins]
 
 
+# sha256 of the int64 indices then the float64 scores of nca_select(k=25)
+# with one BLAS thread, as computed while every gradient step built the
+# n x n same-label mask: the lab-seed-1 train split standardised as
+# `nvmsig sweep` does it, and the same rows shuffled
+_NCA_SHA256 = {
+    "lab1": "c2df3cf9a8faf81f9e2ab26a005c58ff9e8fcf2dc6d4b9c36af07c5cce2e61bb",
+    "lab1-shuffled": "5463fb0427bfdcc1ec997d7bf5afed2eaec7fd59061d9ffa8ec5c3a18a9d4764",
+}
+_NCA_DIGESTS = """
+import hashlib
+from types import SimpleNamespace
+import numpy as np
+from nvmsig.chipsim import load_catalog
+from nvmsig.features import apply_standardizer, fit_standardizer, nca_select
+from nvmsig.protocol import build_dataset, split
+train = split(build_dataset(load_catalog(), chips_per_class=2,
+                            locations_per_chip=2, seed=1), seed=1)[0]
+z = apply_standardizer(fit_standardizer(train.X), train.X)
+shuffle = np.random.default_rng(0).permutation(train.y.size)
+for name, rows in (("lab1", slice(None)), ("lab1-shuffled", shuffle)):
+    got = nca_select(SimpleNamespace(X=z[rows], y=train.y[rows]), k=25)
+    print(name, hashlib.sha256(got.indices.tobytes()
+                               + got.scores.tobytes()).hexdigest())
+"""
+
+
+@pytest.fixture(scope="module")
+def nca_digests():
+    """The `_NCA_SHA256` digests of this build, from a child interpreter
+    with one BLAS thread: the gradient's matrix products round differently
+    on two."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", _NCA_DIGESTS], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return dict(line.split() for line in done.stdout.splitlines())
+
+
+@pytest.mark.parametrize("data", list(_NCA_SHA256))
+def test_nca_bits_are_pinned(nca_digests, data):
+    assert nca_digests[data] == _NCA_SHA256[data]
+
+
 @pytest.mark.parametrize("cells", [1 << 15, 1])
 def test_mrmr_matches_mutual_information_loop_beyond_row_count(cells,
                                                                monkeypatch):
@@ -374,6 +425,125 @@ def test_nca_matches_brute_force_reference(seed):
     assert abs(nca_objective(w, X, y) - objective) <= 1e-12 * abs(objective)
     assert (np.max(np.abs(nca_gradient(w, X, y) - grad))
             <= 1e-12 * np.max(np.abs(grad)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_nca_matches_brute_force_reference_on_class_runs(seed):
+    """The labels of the test above, sorted, so each class is one run."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(7, 16)), int(rng.integers(2, 5))
+    tags = rng.choice([2, 5, 9, 40, 77], size=int(rng.integers(3, 5)),
+                      replace=False)
+    y = np.sort(np.concatenate(
+        [tags[:1], tags[1:], rng.choice(tags[1:], n - len(tags))]))
+    assert features._class_runs(y) is not None
+    X = rng.normal(size=(n, d))
+    w = rng.uniform(0.3, 1.7, size=d)
+    objective, grad = nca_oracle(w, X, y)
+    assert abs(nca_objective(w, X, y) - objective) <= 1e-12 * abs(objective)
+    assert (np.max(np.abs(nca_gradient(w, X, y) - grad))
+            <= 1e-12 * np.max(np.abs(grad)))
+
+
+def assert_block_path_equals_mask_path(w, X, y, monkeypatch):
+    assert features._class_runs(y) is not None
+    objective, grad = features._nca(w, X, y)
+    with monkeypatch.context() as m:
+        m.setattr(features, "_class_runs", lambda y: None)
+        mask_objective, mask_grad = features._nca(w, X, y)
+    assert objective == mask_objective
+    assert np.array_equal(grad, mask_grad)
+
+
+@pytest.mark.parametrize("w", ["ones", "random"])
+def test_nca_block_path_equals_mask_path_on_lab_seed_1(lab1_train, w,
+                                                       monkeypatch):
+    z = apply_standardizer(fit_standardizer(lab1_train.X), lab1_train.X)
+    d = z.shape[1]
+    w = (np.ones(d) if w == "ones"
+         else np.random.default_rng(3).uniform(0.3, 1.7, size=d))
+    assert_block_path_equals_mask_path(w, z, lab1_train.y, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_nca_block_path_equals_mask_path_with_a_single_row_class(seed,
+                                                                 monkeypatch):
+    rng = np.random.default_rng(seed)
+    y = np.repeat([1, 4, 6], [1, int(rng.integers(2, 9)),
+                              int(rng.integers(2, 9))])
+    X = rng.normal(size=(y.size, 3))
+    assert_block_path_equals_mask_path(rng.uniform(0.3, 1.7, size=3), X, y,
+                                       monkeypatch)
+
+
+def test_nca_block_path_equals_mask_path_past_a_pairwise_sum_block(
+        monkeypatch):
+    """numpy sums a row in pairwise blocks of 128: runs of 150 and 130 rows
+    cross one."""
+    rng = np.random.default_rng(4)
+    y = np.repeat([0, 1, 2], [150, 130, 20])
+    X = rng.normal(size=(y.size, 4))
+    X[:, 0] += y
+    assert_block_path_equals_mask_path(rng.uniform(0.3, 1.7, size=4), X, y,
+                                       monkeypatch)
+
+
+def test_nca_block_path_equals_mask_path_on_unsorted_run_tags(monkeypatch):
+    rng = np.random.default_rng(5)
+    y = np.repeat([5, 2, 9], [4, 6, 5])
+    X = rng.normal(size=(y.size, 3))
+    assert_block_path_equals_mask_path(rng.uniform(0.3, 1.7, size=3), X, y,
+                                       monkeypatch)
+
+
+def test_nca_block_path_equals_mask_path_past_the_subnormal_cut(monkeypatch):
+    """Row 0 has two neighbours at squared distance 1, so its softmax sum
+    is about 2; the point at 26.63 gets a logit of about -708.1, an exp
+    just above tiny and a probability just below it, and the points at 40
+    and 41 get logits far below log(tiny)."""
+    X = np.array([[0.0], [1.0], [-1.0], [26.63], [40.0], [41.0]])
+    y = np.array([0, 0, 0, 1, 1, 2])
+    w = np.ones(1)
+    d2 = (X - X.T) ** 2
+    np.fill_diagonal(d2, np.inf)
+    logits = d2.min(axis=1, keepdims=True) - d2
+    tiny = np.finfo(np.float64).tiny
+    assert np.any(logits < np.log(tiny))
+    with np.errstate(under="ignore"):
+        p = np.exp(logits)
+        p /= p.sum(axis=1, keepdims=True)
+    assert np.any((0 < p) & (p < tiny))
+    assert_block_path_equals_mask_path(w, X, y, monkeypatch)
+
+
+@pytest.mark.parametrize("y", [[1, 1, 2, 2, 1], [3, 4, 3], [0, 1, 0, 1]])
+def test_nca_labels_with_a_class_in_two_runs_take_the_mask_path(y):
+    assert features._class_runs(np.array(y)) is None
+
+
+def test_nca_class_runs_are_the_row_bounds_of_each_class():
+    assert features._class_runs(np.array([5, 5, 2, 9, 9, 9])) == [
+        (0, 2), (2, 3), (3, 6)]
+
+
+@pytest.mark.parametrize("name,value", [("k", 2.0), ("k", True),
+                                        ("iters", 2.5), ("iters", True)])
+def test_nca_refuses_a_count_that_is_not_an_integer(name, value):
+    with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+        nca_select(toy(2, n=20, d=3), **{"k": 2, "iters": 5, name: value})
+
+
+@pytest.mark.parametrize("lr", ["0.1", True])
+def test_nca_refuses_a_learning_rate_that_is_not_a_real(lr):
+    with pytest.raises(ValidationError, match="learning_rate"):
+        nca_select(toy(2, n=20, d=3), k=2, iters=5, learning_rate=lr)
+
+
+@pytest.mark.parametrize("name,value", [("k", 2.0), ("k", True),
+                                        ("bins", 2.5), ("bins", True)])
+def test_mrmr_refuses_a_count_that_is_not_an_integer(name, value):
+    with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+        mrmr_select(toy(2, n=20, d=3), **{"k": 2, name: value})
 
 
 def test_nca_objective_nondecreasing_small_lr():
