@@ -157,16 +157,18 @@ def _digit_words(cells, kept, mag, neg) -> None:
 
 
 def read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file, split at `\\n`, `\\r\\n` or `\\r`.
+    """The lines of a UTF-8 text file, split at `\\n`, `\\r\\n` or `\\r` only.
     A byte sequence that is not UTF-8 is a ParseError at its line."""
     with open(path, "rb") as fh:
         data = fh.read()
+    if b"\r" in data:  # no UTF-8 sequence holds a CR or LF byte
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
-        text = data.decode("utf-8")
+        lines = data.decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text: {exc.reason}",
                          line=data.count(b"\n", 0, exc.start) + 1) from None
-    return text.splitlines()
+    return lines[:-1] if lines[-1] == "" else lines
 
 
 def parse_int64(text: str) -> int:
@@ -229,7 +231,7 @@ def read_block(lines, linenos, dtype, *, delimiter=None) -> np.ndarray:
 
 def has_line_break(name: str) -> bool:
     """True if `name` would end a line early in a line-based text file."""
-    return "".join(name.splitlines()) != name
+    return "\n" in name or "\r" in name
 
 
 def read_table(lines, header_fault, *, first=1, split=lambda line: line.split(",")):

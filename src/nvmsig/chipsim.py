@@ -272,13 +272,18 @@ def latency_at(chip: ChipInstance, addr, wear) -> np.ndarray:
     many locations at many wear counts.
     """
     spec = chip.spec
-    noiseless = expected_latency(chip, addr, wear)
-    if spec.noise_sigma > 0:
-        eps = spec.noise_sigma * hashed_normal(_TAG_NOISE, chip.chip_seed, addr, wear)
-        noiseless = noiseless * np.exp(eps)
-    # divide (not multiply by QUANTUM_US) so the result is bit-identical to
-    # parsing the same value back from decimal text
-    return np.round(noiseless / QUANTUM_US) / (1.0 / QUANTUM_US)
+    with np.errstate(over="ignore"):  # an inf latency is refused below
+        noiseless = expected_latency(chip, addr, wear)
+        if spec.noise_sigma > 0:
+            eps = spec.noise_sigma * hashed_normal(_TAG_NOISE, chip.chip_seed, addr, wear)
+            noiseless = noiseless * np.exp(eps)
+        # divide (not multiply by QUANTUM_US) so the result is bit-identical
+        # to parsing the same value back from decimal text
+        lat = np.round(noiseless / QUANTUM_US) / (1.0 / QUANTUM_US)
+    if not ((lat > 0) & (lat < np.inf)).all():
+        raise ValidationError(f"class{spec.class_tag}: a latency is not finite "
+                              f"or rounds to <= 0 at the {QUANTUM_US} µs quantum")
+    return lat
 
 
 def latency_block(chip: ChipInstance, addr: int, n: int) -> np.ndarray:

@@ -34,6 +34,8 @@ class StandardizationStats:
         object.__setattr__(self, "std", np.asarray(self.std, dtype=np.float64))
         if self.mean.shape != self.std.shape or self.mean.ndim != 1:
             raise ValidationError("mean/std must be matching 1-D vectors")
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.std).all()):
+            raise ValidationError("feature mean or spread overflows float64")
         if np.any(self.std < 0):
             raise ValidationError("std must be non-negative")
 
@@ -59,7 +61,8 @@ class FeatureRanking:
 
 def fit_standardizer(X) -> StandardizationStats:
     X = _check_matrix(X)
-    return StandardizationStats(X.mean(axis=0), X.std(axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf is refused
+        return StandardizationStats(X.mean(axis=0), X.std(axis=0))
 
 
 def apply_standardizer(stats: StandardizationStats, X) -> np.ndarray:
@@ -214,7 +217,7 @@ def mrmr_select(train, k: int = DEFAULT_K, bins: int = DEFAULT_BINS) -> FeatureR
 
 def nca_objective(w, X, y) -> float:
     """Mean leave-one-out soft neighbor probability under weights w."""
-    return _nca(w, X, y)[0]
+    return _nca(w, *_grouped(X, y))[0]
 
 
 def nca_gradient(w, X, y) -> np.ndarray:
@@ -224,11 +227,27 @@ def nca_gradient(w, X, y) -> np.ndarray:
     M_ij = p_ij (p_i - [y_i == y_j]).  Expanding the square gives row sums,
     column sums and one matrix product, so no n x n x d tensor is built.
     """
-    return _nca(w, X, y)[1]
+    return _nca(w, *_grouped(X, y))[1]
 
 
-def _nca(w, X, y):
-    """(objective, gradient) from one n x n buffer: logits, then p, then M.
+def _grouped(X, y):
+    """(X, X * X, runs): `_nca`'s step-invariant operands, with the rows of
+    X grouped by the labels y, classes in order of first appearance and
+    rows in file order within a class, and runs the [(start, stop), ...]
+    row run of each class."""
+    X = np.asarray(X, dtype=np.float64)
+    _, first, label = np.unique(y, return_index=True, return_inverse=True)
+    order = np.argsort(first[label], kind="stable")
+    if np.any(order != np.arange(order.size)):  # grouped rows keep their bits
+        X = X[order]
+    bounds = np.cumsum(np.bincount(label)[np.argsort(first)]).tolist()
+    with np.errstate(over="ignore"):  # caught as in `_nca`
+        return X, X * X, list(zip([0] + bounds[:-1], bounds))
+
+
+def _nca(w, X, XX, runs):
+    """(objective, gradient) from one n x n buffer: logits, then p, then M,
+    on the `_grouped` operands.
 
     Two terms are dropped, both exactly: the row constant |z_i|^2 of the
     squared distance, which the row softmax cancels, and the row sums of M,
@@ -237,14 +256,11 @@ def _nca(w, X, y):
     Subnormal operands slow `exp` and the products several times, so a
     logit whose exp would be subnormal becomes -inf and a probability below
     the smallest normal becomes 0; each row sum, at least 1, is the same
-    without them.  When each class is one run of rows, the same-label mask
-    is the diagonal blocks: p_i is a block row sum and M is P p_i off the
-    blocks and P (p_i - 1) on them, the mask path's arithmetic element by
-    element, with no n x n mask.
+    without them.  Each class is one run of rows, so the same-label pairs
+    are the diagonal blocks: p_i is a block row sum and M is P p_i off the
+    blocks and P (p_i - 1) on them, with no n x n mask.
     """
     w = np.asarray(w, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
     # overflow here shows up as non-finite output and is caught by the
     # gradient check in nca_select, so keep numpy quiet about it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -257,31 +273,16 @@ def _nca(w, X, y):
         np.exp(P, out=P)
         P /= P.sum(axis=1, keepdims=True)
         np.copyto(P, 0.0, where=P < _TINY)
-        runs = _class_runs(y)
-        if runs is None:
-            same = y[:, None] == y[None, :]
-            p_i = np.add.reduce(P, axis=1, where=same)
-            P *= p_i[:, None] - same
-        else:
-            p_i = np.empty(y.size)
-            blocks = []  # M on each diagonal block, before P *= p_i
-            for a, b in runs:
-                p_i[a:b] = P[a:b, a:b].sum(axis=1)
-                blocks.append(P[a:b, a:b] * (p_i[a:b, None] - 1.0))
-            P *= p_i[:, None]
-            for (a, b), block in zip(runs, blocks):
-                P[a:b, a:b] = block
-        s = (X * X).T @ P.sum(axis=0) - 2.0 * (X * (P @ X)).sum(axis=0)
+        p_i = np.empty(X.shape[0])
+        blocks = []  # M on each diagonal block, before P *= p_i
+        for a, b in runs:
+            p_i[a:b] = P[a:b, a:b].sum(axis=1)
+            blocks.append(P[a:b, a:b] * (p_i[a:b, None] - 1.0))
+        P *= p_i[:, None]
+        for (a, b), block in zip(runs, blocks):
+            P[a:b, a:b] = block
+        s = XX.T @ P.sum(axis=0) - 2.0 * (X * (P @ X)).sum(axis=0)
         return float(p_i.mean()), (2.0 * w / X.shape[0]) * s
-
-
-def _class_runs(y):
-    """[(start, stop), ...] of the row runs of the 1-D labels y when each
-    class is one run, else None."""
-    bounds = [0, *(np.flatnonzero(y[1:] != y[:-1]) + 1).tolist(), y.size]
-    if len(set(y[bounds[:-1]].tolist())) < len(bounds) - 1:
-        return None
-    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def nca_select(train, k: int = DEFAULT_K, iters: int = 200,
@@ -304,9 +305,10 @@ def nca_select(train, k: int = DEFAULT_K, iters: int = 200,
     if iters < 1 or not 0 < learning_rate < np.inf:
         raise ValidationError("iters must be >= 1 and learning_rate finite and > 0")
 
+    grouped = _grouped(X, y)
     w = np.ones(d)
     for it in range(iters):
-        grad = nca_gradient(w, X, y)
+        grad = _nca(w, *grouped)[1]
         if not np.all(np.isfinite(grad)):
             raise NumericError(f"weight gradient non-finite at iteration {it}")
         w = w + learning_rate * grad

@@ -317,6 +317,20 @@ def test_latency_sample_cannot_pass_int64():
     assert chip.wear[3] == (1 << 63) - 1
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field,value", [("noise_sigma", 800.0),
+                                         ("base_latency_us", 0.001)],
+                         ids=["beyond-float64", "below-the-quantum"])
+def test_a_latency_that_is_not_finite_or_rounds_to_0_is_refused(field, value):
+    """At noise sigma 800 a 50-cycle trace holds inf and 0 latencies, and
+    at 0.001 µs every latency rounds to 0."""
+    chip = new_chip(toy_spec(class_tag=3, **{field: value}), 1)
+    with pytest.raises(ValidationError, match="^class3: a latency is not finite"):
+        latency_block(chip, 0, 50)
+    with pytest.raises(ValidationError, match="^class3: "):
+        full_chip_scan(chip)
+
+
 def test_mean_curve_monotone_for_all_builtin_classes():
     wears = np.arange(0, 60000, 250)
     for spec in BUILTIN_CATALOG:

@@ -980,7 +980,8 @@ def _one_run_per_class(y):
 
 @pytest.mark.parametrize("data", ["lab1", "default"])
 def test_split_files_hold_each_class_in_one_run(lab1, tmp_path, data):
-    """The NCA gradient takes its class-block path only on such labels."""
+    """NCA groups interleaved classes once per fit, which moves their bits;
+    such files keep their row order."""
     root = lab1
     if data == "default":
         root = tmp_path
@@ -988,7 +989,9 @@ def test_split_files_hold_each_class_in_one_run(lab1, tmp_path, data):
     for name in ("dataset.csv", "dataset.train.csv", "dataset.test.csv"):
         y = load_dataset(root / name).y
         assert _one_run_per_class(y), name
-        assert features._class_runs(y) is not None, name
+        rows, _, runs = features._grouped(np.arange(y.size, dtype=float)[:, None], y)
+        assert np.array_equal(rows[:, 0], np.arange(y.size)), name
+        assert len(runs) == len(np.unique(y)), name
 
 
 @pytest.mark.parametrize("edit", ["classes-dropped", "class-renumbered"])
@@ -1435,6 +1438,62 @@ def test_undecodable_input_is_validation_error(workdir, tmp_path, capsys, argv):
     assert run(*argv, "--out-dir", tmp_path / "out") == 1
     err = capsys.readouterr().err
     assert "error: line 1: not UTF-8 text" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("data,line", [(b"a\rb\r\xe9\r", 3), (None, 5)],
+                         ids=["bad-byte-after-lone-CRs", "form-feed-in-a-row"])
+def test_a_fault_after_odd_line_breaks_names_its_line(workdir, tmp_path, capsys,
+                                                      data, line):
+    """Lines break at LF, CRLF and CR only: a form feed inside a row is
+    part of that row, and a lone CR ends a line."""
+    bad = tmp_path / "bad.csv"
+    if data is None:
+        lines = (workdir / "two.train.csv").read_text().splitlines()
+        lines[4] = lines[4].replace(".", "\f", 1)
+        data = ("\n".join(lines) + "\n").encode()
+    bad.write_bytes(data)
+    assert run("train", "--dataset", bad, "--out-dir", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_train_on_a_spread_beyond_float64_exits_1(workdir, tmp_path, capsys):
+    """Latencies of about 1e300 once printed numpy's overflow warning and
+    wrote a model whose std line was all inf."""
+    lines = (workdir / "two.train.csv").read_text().splitlines()
+    big = tmp_path / "big.csv"
+    big.write_text("\n".join(lines[:2] + [
+        ",".join(cells[:4] + [f"{c}e298" for c in cells[4:]])
+        for cells in (line.split(",") for line in lines[2:])]) + "\n")
+    assert run("train", "--kind", "knn", "--dataset", big,
+               "--out-dir", tmp_path / "out") == 1
+    assert capsys.readouterr().err == \
+        "error: feature mean or spread overflows float64\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field,value", [("noise_sigma", 800.0),
+                                         ("base_latency_us", 0.001)],
+                         ids=["beyond-float64", "below-the-quantum"])
+@pytest.mark.parametrize("argv,tag", [
+    (["simulate", "--class", 3, "--cycles", 50, "--out", "trace.csv"], 3),
+    (["dataset", "--chips-per-class", 1, "--locations-per-chip", 1], 0),
+    (["scan", "--class", 3, "--map-out", "map.csv"], 3),
+], ids=["simulate", "dataset", "scan"])
+def test_a_catalog_whose_latencies_are_not_finite_or_round_to_0_exits_1(
+        tmp_path, capsys, field, value, argv, tag):
+    catalog = tmp_path / "catalog.csv"
+    catalog.write_text(dump_catalog([dataclasses.replace(s, **{field: value})
+                                     for s in BUILTIN_CATALOG]))
+    assert run(*argv, "--seed", 1, "--catalog", catalog,
+               "--out-dir", tmp_path / "out") == 1
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: class{tag}: a latency is not finite")
+    assert err.count("\n") == 1 and out == ""
     assert not (tmp_path / "out").exists()
 
 

@@ -75,6 +75,14 @@ def test_standardizer_dead_feature_maps_to_zero():
     assert np.all(Z[:, 1] == 0.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e300, 1e308])
+def test_standardizer_refuses_a_spread_beyond_float64(scale):
+    X = scale * np.random.default_rng(0).uniform(-1.5, 1.5, size=(6, 2))
+    with pytest.raises(ValidationError, match="overflows float64"):
+        fit_standardizer(X)
+
+
 def test_standardizer_arity_mismatch():
     stats = fit_standardizer(np.ones((3, 2)))
     with pytest.raises(ValidationError):
@@ -309,12 +317,13 @@ def test_mrmr_bits_are_pinned(lab1_train, data, bins):
 
 
 # sha256 of the int64 indices then the float64 scores of nca_select(k=25)
-# with one BLAS thread, as computed while every gradient step built the
-# n x n same-label mask: the lab-seed-1 train split standardised as
-# `nvmsig sweep` does it, and the same rows shuffled
+# with one BLAS thread: the lab-seed-1 train split standardised as
+# `nvmsig sweep` does it, as computed while every gradient step built the
+# n x n same-label mask, and the same rows shuffled, as computed once the
+# fit grouped interleaved rows by class
 _NCA_SHA256 = {
     "lab1": "c2df3cf9a8faf81f9e2ab26a005c58ff9e8fcf2dc6d4b9c36af07c5cce2e61bb",
-    "lab1-shuffled": "5463fb0427bfdcc1ec997d7bf5afed2eaec7fd59061d9ffa8ec5c3a18a9d4764",
+    "lab1-shuffled": "5e79ec7337ec3f578ac9f6c4b85eff5eb0c1b953c4f9bf401a89cb0e3b789a0d",
 }
 _NCA_DIGESTS = """
 import hashlib
@@ -427,6 +436,13 @@ def test_nca_matches_brute_force_reference(seed):
             <= 1e-12 * np.max(np.abs(grad)))
 
 
+def class_order(y):
+    """(order, runs): the row order and class runs of `features._grouped`,
+    read off a one-column X that holds each row's index."""
+    X, _, runs = features._grouped(np.arange(len(y), dtype=float)[:, None], y)
+    return X[:, 0].astype(np.int64), runs
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_nca_matches_brute_force_reference_on_class_runs(seed):
     """The labels of the test above, sorted, so each class is one run."""
@@ -436,7 +452,7 @@ def test_nca_matches_brute_force_reference_on_class_runs(seed):
                       replace=False)
     y = np.sort(np.concatenate(
         [tags[:1], tags[1:], rng.choice(tags[1:], n - len(tags))]))
-    assert features._class_runs(y) is not None
+    assert np.array_equal(class_order(y)[0], np.arange(n))
     X = rng.normal(size=(n, d))
     w = rng.uniform(0.3, 1.7, size=d)
     objective, grad = nca_oracle(w, X, y)
@@ -445,58 +461,71 @@ def test_nca_matches_brute_force_reference_on_class_runs(seed):
             <= 1e-12 * np.max(np.abs(grad)))
 
 
-def assert_block_path_equals_mask_path(w, X, y, monkeypatch):
-    assert features._class_runs(y) is not None
-    objective, grad = features._nca(w, X, y)
-    with monkeypatch.context() as m:
-        m.setattr(features, "_class_runs", lambda y: None)
-        mask_objective, mask_grad = features._nca(w, X, y)
-    assert objective == mask_objective
-    assert np.array_equal(grad, mask_grad)
+def mask_nca(w, X, y):
+    """(objective, gradient) of one NCA step with the n x n same-label
+    mask, subnormal clamps included: the arithmetic that the class blocks
+    must give element by element."""
+    tiny = np.finfo(np.float64).tiny
+    with np.errstate(over="ignore", invalid="ignore"):
+        Z = X * w
+        P = (2.0 * Z) @ Z.T
+        P -= (Z * Z).sum(axis=1)
+        np.fill_diagonal(P, -np.inf)
+        P -= P.max(axis=1, keepdims=True)
+        np.copyto(P, -np.inf, where=P < np.log(tiny))
+        np.exp(P, out=P)
+        P /= P.sum(axis=1, keepdims=True)
+        np.copyto(P, 0.0, where=P < tiny)
+        same = y[:, None] == y[None, :]
+        p_i = np.add.reduce(P, axis=1, where=same)
+        P *= p_i[:, None] - same
+        s = (X * X).T @ P.sum(axis=0) - 2.0 * (X * (P @ X)).sum(axis=0)
+        return float(p_i.mean()), (2.0 * w / X.shape[0]) * s
+
+
+def assert_block_path_equals_mask_path(w, X, y):
+    assert np.array_equal(class_order(y)[0], np.arange(y.size))
+    objective, grad = mask_nca(w, X, y)
+    assert nca_objective(w, X, y) == objective
+    assert np.array_equal(nca_gradient(w, X, y), grad)
 
 
 @pytest.mark.parametrize("w", ["ones", "random"])
-def test_nca_block_path_equals_mask_path_on_lab_seed_1(lab1_train, w,
-                                                       monkeypatch):
+def test_nca_block_path_equals_mask_path_on_lab_seed_1(lab1_train, w):
     z = apply_standardizer(fit_standardizer(lab1_train.X), lab1_train.X)
     d = z.shape[1]
     w = (np.ones(d) if w == "ones"
          else np.random.default_rng(3).uniform(0.3, 1.7, size=d))
-    assert_block_path_equals_mask_path(w, z, lab1_train.y, monkeypatch)
+    assert_block_path_equals_mask_path(w, z, lab1_train.y)
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_nca_block_path_equals_mask_path_with_a_single_row_class(seed,
-                                                                 monkeypatch):
+def test_nca_block_path_equals_mask_path_with_a_single_row_class(seed):
     rng = np.random.default_rng(seed)
     y = np.repeat([1, 4, 6], [1, int(rng.integers(2, 9)),
                               int(rng.integers(2, 9))])
     X = rng.normal(size=(y.size, 3))
-    assert_block_path_equals_mask_path(rng.uniform(0.3, 1.7, size=3), X, y,
-                                       monkeypatch)
+    assert_block_path_equals_mask_path(rng.uniform(0.3, 1.7, size=3), X, y)
 
 
-def test_nca_block_path_equals_mask_path_past_a_pairwise_sum_block(
-        monkeypatch):
+def test_nca_block_path_equals_mask_path_past_a_pairwise_sum_block():
     """numpy sums a row in pairwise blocks of 128: runs of 150 and 130 rows
     cross one."""
     rng = np.random.default_rng(4)
     y = np.repeat([0, 1, 2], [150, 130, 20])
     X = rng.normal(size=(y.size, 4))
     X[:, 0] += y
-    assert_block_path_equals_mask_path(rng.uniform(0.3, 1.7, size=4), X, y,
-                                       monkeypatch)
+    assert_block_path_equals_mask_path(rng.uniform(0.3, 1.7, size=4), X, y)
 
 
-def test_nca_block_path_equals_mask_path_on_unsorted_run_tags(monkeypatch):
+def test_nca_block_path_equals_mask_path_on_unsorted_run_tags():
     rng = np.random.default_rng(5)
     y = np.repeat([5, 2, 9], [4, 6, 5])
     X = rng.normal(size=(y.size, 3))
-    assert_block_path_equals_mask_path(rng.uniform(0.3, 1.7, size=3), X, y,
-                                       monkeypatch)
+    assert_block_path_equals_mask_path(rng.uniform(0.3, 1.7, size=3), X, y)
 
 
-def test_nca_block_path_equals_mask_path_past_the_subnormal_cut(monkeypatch):
+def test_nca_block_path_equals_mask_path_past_the_subnormal_cut():
     """Row 0 has two neighbours at squared distance 1, so its softmax sum
     is about 2; the point at 26.63 gets a logit of about -708.1, an exp
     just above tiny and a probability just below it, and the points at 40
@@ -513,17 +542,40 @@ def test_nca_block_path_equals_mask_path_past_the_subnormal_cut(monkeypatch):
         p = np.exp(logits)
         p /= p.sum(axis=1, keepdims=True)
     assert np.any((0 < p) & (p < tiny))
-    assert_block_path_equals_mask_path(w, X, y, monkeypatch)
+    assert_block_path_equals_mask_path(w, X, y)
 
 
-@pytest.mark.parametrize("y", [[1, 1, 2, 2, 1], [3, 4, 3], [0, 1, 0, 1]])
-def test_nca_labels_with_a_class_in_two_runs_take_the_mask_path(y):
-    assert features._class_runs(np.array(y)) is None
+@pytest.mark.parametrize("y,order,runs", [
+    ([1, 1, 2, 2, 1], [0, 1, 4, 2, 3], [(0, 3), (3, 5)]),
+    ([3, 4, 3], [0, 2, 1], [(0, 2), (2, 3)]),
+    ([0, 1, 0, 1], [0, 2, 1, 3], [(0, 2), (2, 4)]),
+    ([7, 2, 2, 7, 5], [0, 3, 1, 2, 4], [(0, 2), (2, 4), (4, 5)])])
+def test_nca_class_order_groups_a_class_in_two_runs_by_first_appearance(
+        y, order, runs):
+    got_order, got_runs = class_order(np.array(y))
+    assert got_order.tolist() == order and got_runs == runs
 
 
 def test_nca_class_runs_are_the_row_bounds_of_each_class():
-    assert features._class_runs(np.array([5, 5, 2, 9, 9, 9])) == [
-        (0, 2), (2, 3), (3, 6)]
+    order, runs = class_order(np.array([5, 5, 2, 9, 9, 9]))
+    assert order.tolist() == list(range(6))
+    assert runs == [(0, 2), (2, 3), (3, 6)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(y=st.lists(st.integers(0, 3), min_size=4, max_size=16).filter(
+           lambda y: len(set(y)) > 1),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_nca_select_on_interleaved_classes_equals_it_on_grouped_rows(y, seed):
+    y = np.array(y)
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(y.size, 3))
+    first = {tag: i for i, tag in reversed(list(enumerate(y.tolist())))}
+    grouped = sorted(range(y.size), key=lambda i: (first[y[i]], i))
+    got = nca_select(SimpleNamespace(X=X, y=y), k=3, iters=8)
+    want = nca_select(SimpleNamespace(X=X[grouped], y=y[grouped]), k=3, iters=8)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.scores, want.scores)
 
 
 @pytest.mark.parametrize("name,value", [("k", 2.0), ("k", True),

@@ -35,6 +35,35 @@ def test_np_loadtxt_is_called_only_by_read_block():
     assert uses == [("_atomic.py", "read_block")]
 
 
+def _line_splits(path):
+    """(file, enclosing function) of each call in the module at `path`
+    that splits text into lines: `.splitlines()`, `.readlines()`, or a
+    `.split` or `.rsplit` at a string constant that holds a line break."""
+    splits = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            name, args = node.func.attr, node.args
+            at = args[0].value if args and isinstance(args[0], ast.Constant) else None
+            if name in ("splitlines", "readlines") or name in ("split", "rsplit") \
+                    and isinstance(at, str) and ("\n" in at or "\r" in at):
+                splits.append((path.relative_to(_SRC).as_posix(), func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return splits
+
+
+def test_only_read_lines_splits_text_into_lines():
+    """One line rule for every reader: `\\n`, `\\r\\n` and `\\r`, where
+    `str.splitlines` also breaks at form feeds and other separators."""
+    uses = [use for path in _sources() for use in _line_splits(path)]
+    assert uses == [("_atomic.py", "read_lines")]
+
+
 def test_no_loader_selects_columns():
     assert [p.name for p in _sources()
             if "usecols" in p.read_text(encoding="utf-8")] == []

@@ -20,6 +20,7 @@ from nvmsig.chipsim import (
     latency_block,
     new_chip,
 )
+from nvmsig.classifiers import load_model, save_model, train_knn
 from nvmsig.detector import save_map
 from nvmsig.errors import ParseError, ValidationError
 from nvmsig.protocol import (
@@ -454,6 +455,33 @@ def test_read_lines_names_the_line_of_a_bad_byte(tmp_path):
     path.write_bytes(b"a\r\nb\n\xe9t\xe9\n")
     with pytest.raises(ParseError, match="line 3: not UTF-8"):
         read_lines(path)
+
+
+def test_read_lines_names_the_line_of_a_bad_byte_after_lone_carriage_returns(
+        tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"a\rb\r\xe9t\xe9\r")
+    with pytest.raises(ParseError, match="line 3: not UTF-8"):
+        read_lines(path)
+
+
+@pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                 "\u2028", "\u2029"])
+def test_read_lines_breaks_only_at_newlines_and_carriage_returns(tmp_path, sep):
+    path = tmp_path / "f.txt"
+    path.write_text(f"a{sep}b\nc\r\n{sep}\rd", encoding="utf-8", newline="")
+    assert read_lines(path) == [f"a{sep}b", "c", sep, "d"]
+
+
+def test_a_class_name_holding_a_form_feed_round_trips(tmp_path):
+    ds = small_dataset()
+    ds.class_names = {0: "form\ffeed", 1: "\x1cgroup\x85", 2: "plain"}
+    save_dataset(ds, tmp_path / "ds.csv")
+    back = load_dataset(tmp_path / "ds.csv")
+    assert back.class_names == ds.class_names
+    assert np.array_equal(back.y, ds.y)
+    save_model(train_knn(back, k=3), tmp_path / "m.txt")
+    assert load_model(tmp_path / "m.txt").class_names == ds.class_names
 
 
 def test_dataset_file_shape(tmp_path):
