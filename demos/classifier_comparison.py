@@ -12,17 +12,10 @@ for why those defaults underfit this dataset and what tuning recovers.
 import argparse
 import time
 
-import numpy as np
-
 from nvmsig.chipsim import load_catalog
 from nvmsig.classifiers import evaluate, train_knn, train_svm, train_tree
-from nvmsig.features import apply_standardizer, fit_standardizer, mrmr_select, nca_select
+from nvmsig.features import SELECTORS, select
 from nvmsig.protocol import build_dataset, split
-
-
-class _Std:
-    def __init__(self, X, y):
-        self.X, self.y, self.class_names = X, y, {}
 
 
 def main():
@@ -37,23 +30,18 @@ def main():
     print(f"dataset: {ds.y.size} samples, {train.y.size} train / "
           f"{test.y.size} test ({time.perf_counter() - t0:.1f}s)")
 
-    rankings = {"none": None}
-    t0 = time.perf_counter()
-    rankings["mrmr"] = mrmr_select(train, k=args.select_k)
-    mrmr_time = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    stats = fit_standardizer(train.X)
-    rankings["nca"] = nca_select(_Std(apply_standardizer(stats, train.X),
-                                      train.y), k=args.select_k)
-    nca_time = time.perf_counter() - t0
-    sel_times = {"none": 0.0, "mrmr": mrmr_time, "nca": nca_time}
+    rankings, sel_times = {"none": None}, {"none": 0.0}
+    for sel in ("mrmr", "nca"):
+        t0 = time.perf_counter()
+        rankings[sel] = select(sel, train, k=args.select_k)
+        sel_times[sel] = time.perf_counter() - t0
 
     trainers = {"knn": train_knn, "tree": train_tree, "svm": train_svm}
 
     print(f"\n{'method':<7}{'features':<10}{'accuracy':<10}"
           f"{'select_s':<10}{'train_s':<10}{'infer_ms':<10}")
     for kind, make in trainers.items():
-        for sel in ("none", "mrmr", "nca"):
+        for sel in SELECTORS:
             model = make(train, ranking=rankings[sel])
             report = evaluate(model, test)
             label = "all" if sel == "none" else f"{sel}-{args.select_k}"

@@ -51,6 +51,7 @@ from .features import (
     mrmr_select,
     mutual_information,
     nca_select,
+    select,
 )
 from .protocol import (
     Dataset,

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._atomic import parse_int64, read_lines, read_table
+from ._atomic import has_line_break, parse_int64, read_lines, read_table
 from ._rng import hashed_normal
 from .errors import ParseError, ValidationError
 
@@ -99,6 +99,11 @@ class ChipClassSpec:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValidationError(f"{f.name} must be finite, got {value}")
+        for name in ("manufacturer", "capacity_label"):
+            # `load_catalog` reads one row per line
+            if has_line_break(getattr(self, name)):
+                raise ValidationError(f"{name} {getattr(self, name)!r} cannot be "
+                                      "stored: it holds a line break")
         if not 0 <= self.class_tag <= 8:
             raise ValidationError(f"class_tag must be in 0..8, got {self.class_tag}")
         if self.base_latency_us <= 0:

@@ -30,7 +30,8 @@ from .chipsim import (
     load_catalog,
     new_chip,
 )
-from ._atomic import atomic_open, format_rows, parse_int64, read_block, read_lines, read_table
+from ._atomic import (atomic_open, format_rows, has_line_break, parse_int64, read_block,
+                      read_lines, read_table)
 from .classifiers import KINDS, PARAMS, cross_validate, evaluate, load_model, save_model, train
 from .detector import (
     baseline_from_catalog,
@@ -40,12 +41,13 @@ from .detector import (
     save_map,
 )
 from .errors import NumericError, NvmsigError, ParseError, ValidationError
-from .features import apply_standardizer, fit_standardizer, mrmr_select, nca_select
+# only `select` is called here; `nca_select` stays a name of this module
+# because perfbench's tracer test reads it as `cli.nca_select`
+from .features import SELECTORS, nca_select, select
 from .protocol import (DEFAULT_CHECKPOINTS, build_dataset, load_dataset,
                        save_dataset, split, split_rows)
 
 OUT_DIR_ENV = "NVMSIG_OUT"
-SELECTORS = ("none", "mrmr", "nca")
 _TRACE_BLOCK = 4096  # rows per latency_block call in `nvmsig simulate`
 
 
@@ -65,8 +67,13 @@ def _parse_ints(text: str):
 
 
 def _parse_path(text: str) -> str:
+    """A path that a manifest line reads back as itself."""
     if "\x00" in text:
         raise ValueError(f"path {text!r} holds a NUL byte")
+    if has_line_break(text):
+        raise ValueError(f"path {text!r} holds a line break")
+    if text != text.strip():
+        raise ValueError(f"path {text!r} has leading or trailing whitespace")
     return text
 
 
@@ -277,19 +284,18 @@ def _catalog(cfg, tags=None):
 
 # ------------------------------------------------------------ training glue
 
+# config key -> selector keyword; `_MODEL_SWITCHES["selector"]` says which
+# keys reach each selector
+_SELECT_KEYWORDS = {"select_k": "k", "mrmr_bins": "bins", "nca_iters": "iters",
+                    "nca_lr": "learning_rate"}
+
+
 def _select(cfg, ds, selector: str):
-    """(ranking, seconds): `selector` fitted on `ds`; (None, 0.0) for none."""
-    if selector == "none":
-        return None, 0.0
+    """(ranking, seconds): `features.select` of `selector` on `ds`, timed."""
+    kw = {_SELECT_KEYWORDS[key]: getattr(cfg, key)
+          for key in _MODEL_SWITCHES["selector"][selector]}
     t0 = time.perf_counter()
-    if selector == "mrmr":
-        ranking = mrmr_select(ds, k=cfg.select_k, bins=cfg.mrmr_bins)
-    else:
-        # nca is distance-based, so rank on standardized features
-        stats = fit_standardizer(np.asarray(ds.X, dtype=np.float64))
-        z = apply_standardizer(stats, ds.X)
-        ranking = nca_select(SimpleNamespace(X=z, y=ds.y), k=cfg.select_k,
-                             iters=cfg.nca_iters, learning_rate=cfg.nca_lr)
+    ranking = select(selector, ds, **kw)
     return ranking, time.perf_counter() - t0
 
 

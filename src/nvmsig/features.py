@@ -3,18 +3,21 @@
 Two selectors are provided: a mutual-information filter (greedy
 relevance-minus-redundancy) and a gradient-ascent neighborhood scorer that
 learns per-feature weights.  Both return a FeatureRanking that downstream
-models apply before classification.  The neighborhood scorer is
-distance-based, so run it on standardized features; the MI filter bins each
-feature over its own range and is unaffected by per-feature affine scaling.
+models apply before classification.  `select` picks one by name: the
+neighborhood scorer is distance-based, so `select` gives it the z-scored
+features; the MI filter bins each feature over its own range and is
+unaffected by per-feature affine scaling.
 """
 
 import numbers
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import NumericError, ValidationError
 
+SELECTORS = ("none", "mrmr", "nca")
 DEFAULT_BINS = 16
 DEFAULT_K = 25
 # cells of the stacked joint-count table, and of the bin codes, of one
@@ -290,7 +293,8 @@ def nca_select(train, k: int = DEFAULT_K, iters: int = 200,
     """Per-feature weights by gradient ascent on LOO neighbor agreement.
 
     Weights start at 1, features are ranked by final |w| (descending, ties
-    toward the lowest index).  Expects standardized features.
+    toward the lowest index).  Expects standardized features, which
+    `select("nca", ...)` gives it.
     """
     X, y = _train_xy(train)
     d = X.shape[1]
@@ -314,6 +318,23 @@ def nca_select(train, k: int = DEFAULT_K, iters: int = 200,
         w = w + learning_rate * grad
     order = np.lexsort((np.arange(d), -np.abs(w)))[:k]
     return FeatureRanking("nca", order, np.abs(w)[order])
+
+
+def select(method: str, train, **kw):
+    """The `method` ranking of `train`, one of SELECTORS; None for "none",
+    which takes no keywords.  `kw` go to mrmr_select or nca_select, and
+    nca ranks the z-scored training features."""
+    if method not in SELECTORS:
+        raise ValidationError(f"unknown feature selector '{method}'")
+    if method == "none":
+        if kw:
+            raise TypeError(f"selector 'none' takes no keywords, got {sorted(kw)}")
+        return None
+    # module attributes are looked up per call, so they stay the entry points
+    if method == "mrmr":
+        return mrmr_select(train, **kw)
+    z = apply_standardizer(fit_standardizer(train.X), train.X)
+    return nca_select(SimpleNamespace(X=z, y=train.y), **kw)
 
 
 def _check_integer(name, value):

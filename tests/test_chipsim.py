@@ -67,6 +67,11 @@ def test_builtin_catalog_is_load_catalog_default():
     dict(base_latency_us=math.nan),
     dict(noise_sigma=math.inf),
     dict(step_cycles=1000, step_factor=math.inf),
+    # a label over two lines: `load_catalog` reads one row per line
+    dict(manufacturer="a\nb"),
+    dict(manufacturer="a\rb"),
+    dict(capacity_label="a\nb"),
+    dict(capacity_label="a\rb"),
 ])
 def test_spec_validation_rejects(bad):
     with pytest.raises(ValidationError):
@@ -88,7 +93,8 @@ def test_builtin_catalog_text_is_pinned():
 def test_catalog_round_trip_quotes_a_comma_and_a_quote(tmp_path):
     specs = [toy_spec(manufacturer='Acme, "Labs" Inc.', step_cycles=5000,
                       step_factor=1.25),
-             toy_spec(class_tag=1, capacity_label="2,048kb")]
+             toy_spec(class_tag=1, capacity_label="2,048kb"),
+             toy_spec(class_tag=2, manufacturer="a\x0cb", capacity_label="1\x0cMb")]
     path = tmp_path / "cat.csv"
     text = dump_catalog(specs)
     path.write_text(text, encoding="utf-8")

@@ -32,7 +32,7 @@ from nvmsig.classifiers import tree as tree_core
 from nvmsig.classifiers._dist import _halves
 from nvmsig.classifiers._text import fmt
 from nvmsig.errors import NumericError, ParseError, ValidationError
-from nvmsig.features import apply_standardizer, fit_standardizer, mrmr_select, nca_select
+from nvmsig.features import apply_standardizer, fit_standardizer, mrmr_select, select
 from nvmsig.protocol import build_dataset, split
 
 
@@ -560,15 +560,6 @@ def _svm_split(data):
                  train_fraction=0.8, seed=1)
 
 
-def _ranking(selector, train):
-    if selector == "none":
-        return None
-    if selector == "mrmr":
-        return mrmr_select(train, k=25)
-    z = apply_standardizer(fit_standardizer(train.X), train.X)
-    return nca_select(SimpleNamespace(X=z, y=train.y), k=25)
-
-
 def _as_written(a):
     """`a` as its model file reads back: each value at 9 significant digits."""
     return np.array([float(fmt(v)) for v in a.ravel()]).reshape(a.shape)
@@ -578,7 +569,7 @@ def _as_written(a):
     ("lab1", "none"), ("lab1", "mrmr"), ("lab1", "nca"), ("default", "mrmr")])
 def test_svm_pool_holds_each_support_row_once(tmp_path, data, selector):
     train, test = _svm_split(data)
-    model = train_svm(train, ranking=_ranking(selector, train))
+    model = train_svm(train, ranking=select(selector, train))
     core = model.core
     assert len(np.unique(core.pool, axis=0)) == len(core.pool)
     assert np.unique(core.member).tolist() == list(range(len(core.pool)))

@@ -17,12 +17,13 @@ from hypothesis import strategies as st
 from nvmsig import cli, features
 from nvmsig.chipsim import (BUILTIN_CATALOG, dump_catalog, full_chip_scan,
                             load_catalog, new_chip)
-from nvmsig.classifiers import (KINDS, cross_validate, knn as knn_core,
+from nvmsig.classifiers import (KINDS, PARAMS, cross_validate, knn as knn_core,
                                 load_model, predict_detail, save_model,
                                 svm as svm_core,
                                 train_knn, train_svm, train_tree)
 from nvmsig.detector import (detect_recycled, load_map, locate_used_regions,
                              save_map)
+from nvmsig._atomic import read_lines
 from nvmsig.errors import ParseError
 from nvmsig.features import mrmr_select, nca_select
 from nvmsig.protocol import (build_dataset, load_dataset, save_dataset, split,
@@ -346,8 +347,8 @@ def test_sweep_fits_each_selector_once(workdir, tmp_path, monkeypatch):
             return func(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(cli, "nca_select", counted("nca", cli.nca_select))
-    monkeypatch.setattr(cli, "mrmr_select", counted("mrmr", cli.mrmr_select))
+    monkeypatch.setattr(features, "nca_select", counted("nca", features.nca_select))
+    monkeypatch.setattr(features, "mrmr_select", counted("mrmr", features.mrmr_select))
     assert run("sweep", "--seed", 2, "--train", workdir / "two.train.csv",
                "--test", workdir / "two.test.csv", "--select-k", 4,
                "--nca-iters", 10, "--out-dir", tmp_path) == 0
@@ -1239,6 +1240,23 @@ def test_nul_byte_in_path_is_validation_error(tmp_path, capsys, command, key,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("path,fault", [("a\nb.csv", "line break"),
+                                        ("a\rb.csv", "line break"),
+                                        (" sp.csv", "whitespace"),
+                                        ("sp.csv\t", "whitespace")])
+def test_path_that_a_manifest_would_not_read_back_is_refused(tmp_path, capsys,
+                                                             path, fault):
+    """A manifest line holds one path up to its line break with its ends
+    stripped, so such a path could not rerun: refused before any write."""
+    argv = ["simulate", "--seed", 1, "--cycles", 5, "--out", path]
+    assert run(*argv, "--out-dir", tmp_path / "out") == 1
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1
+    assert f"argument --out: path {path!r} " in errors[0] and fault in errors[0]
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_unknown_key_rejected(tmp_path, capsys):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("seed = 1\nwibble = 2\n")
@@ -1298,8 +1316,9 @@ def test_dataset_without_rows_after_class_names_fails_at_line_2(tmp_path, text):
         load_dataset(path)
 
 
-# (library function, its parameter, the config key that sets it); the
-# config keys' defaults are what `-h` prints
+# (library function, its parameter, the config key that sets it) of the
+# keys that no trainer or selector takes; the config keys' defaults are
+# what `-h` prints
 _LIBRARY_DEFAULTS = [
     (load_catalog, "path", "catalog"),
     (build_dataset, "chips_per_class", "chips_per_class"),
@@ -1308,27 +1327,31 @@ _LIBRARY_DEFAULTS = [
     (build_dataset, "checkpoints", "checkpoints"),
     (split, "train_fraction", "train_fraction"),
     (split_rows, "train_fraction", "train_fraction"),
-    (train_knn, "k", "k"),
-    (train_tree, "max_depth", "max_depth"),
-    (train_tree, "min_leaf", "min_leaf"),
-    (train_svm, "C", "c"),
-    (train_svm, "gamma", "gamma"),
-    (train_svm, "tol", "tol"),
-    (mrmr_select, "k", "select_k"),
-    (mrmr_select, "bins", "mrmr_bins"),
-    (nca_select, "k", "select_k"),
-    (nca_select, "iters", "nca_iters"),
-    (nca_select, "learning_rate", "nca_lr"),
     (cross_validate, "folds", "folds"),
     (locate_used_regions, "flag_ratio", "flag_ratio"),
     (detect_recycled, "used_threshold", "used_threshold"),
     (detect_recycled, "fresh_threshold", "fresh_threshold"),
 ]
+# the config keys with a default that no library function takes
+_CLI_ONLY = {"split", "kind", "selector", "class_tag", "addr", "cycles", "spots"}
 
 
 def test_cli_defaults_are_the_library_defaults():
+    """Each default that the CLI repeats equals the library's, by value: the
+    fixed list above, then each trainer's and each selector's keywords as
+    the CLI passes them on."""
+    trainers = {"knn": train_knn, "tree": train_tree, "svm": train_svm}
+    selectors = {"mrmr": mrmr_select, "nca": nca_select}
+    pairs = list(_LIBRARY_DEFAULTS)
+    pairs += [(trainers[kind], key, key.lower())
+              for kind, params in PARAMS.items() for key in params]
+    pairs += [(selectors[sel], cli._SELECT_KEYWORDS[key], key)
+              for sel, keys in cli._MODEL_SWITCHES["selector"].items()
+              for key in keys]
+    assert {key for _, _, key in pairs} == {
+        key for key, f in cli._SCHEMA.items() if f.default is not None} - _CLI_ONLY
     differ = []
-    for fn, param, key in _LIBRARY_DEFAULTS:
+    for fn, param, key in pairs:
         library = inspect.signature(fn).parameters[param].default
         if isinstance(library, tuple):
             library = list(library)
@@ -1495,6 +1518,70 @@ def test_a_catalog_whose_latencies_are_not_finite_or_round_to_0_exits_1(
     assert err.startswith(f"error: class{tag}: a latency is not finite")
     assert err.count("\n") == 1 and out == ""
     assert not (tmp_path / "out").exists()
+
+
+# the field commands in the order their files feed each other; `{name}` is
+# the file `name` of this catalog's run, or the builtin run's where this
+# catalog's run wrote none, and `catalog` marks the commands that take --catalog
+_FIELD_RUN = [
+    ("catalog", "simulate", "--seed", 1, "--class", 3, "--cycles", 100, "--out", "trace.csv"),
+    ("catalog", "dataset", "--seed", 1, "--chips-per-class", 2, "--locations-per-chip", 2,
+     "--checkpoints", "0,10000", "--split", "--out", "ds.csv"),
+    ("", "train", "--dataset", "{ds.train.csv}", "--selector", "nca", "--select-k", 5,
+     "--nca-iters", 5, "--out", "model.txt"),
+    ("", "sweep", "--train", "{ds.train.csv}", "--test", "{ds.test.csv}", "--select-k", 5,
+     "--nca-iters", 5),
+    ("catalog", "scan", "--seed", 1, "--class", 3, "--map-out", "map.csv",
+     "--out", "regions.csv"),
+] + [("catalog", "predict", "--model", f"{{sweep_{kind}_none.model.txt}}",
+      "--probe", "{trace.csv}", "--out", f"verdict_{kind}") for kind in KINDS]
+
+
+def _read_back(path):
+    """Read `path` with the reader of its kind of file; the confusion,
+    sweep, region and verdict tables have none, so they are read as text."""
+    name = path.name
+    if name.endswith(".manifest"):
+        return cli.read_config(path)
+    if name.endswith("model.txt"):
+        return load_model(path)
+    reader = {"trace.csv": cli._load_probe, "map.csv": load_map, "ds.csv": load_dataset,
+              "ds.train.csv": load_dataset, "ds.test.csv": load_dataset}
+    return reader.get(name, read_lines)(path)
+
+
+@pytest.mark.filterwarnings("error")
+def test_every_field_command_on_three_catalogs_exits_0_or_1_with_files_that_read_back(
+        tmp_path, capsys):
+    """On the builtin catalog, and with every class at `noise_sigma = 800`
+    (latencies beyond float64) or at `base_latency_us = 1e300`, each command
+    exits 0, or exits 1 with one `error:` line, and every file written
+    reads back."""
+    catalogs = {"builtin": "builtin"}
+    for name, field, value in [("noisy", "noise_sigma", 800.0),
+                               ("huge", "base_latency_us", 1e300)]:
+        catalogs[name] = tmp_path / f"{name}.catalog.csv"
+        catalogs[name].write_text(dump_catalog([dataclasses.replace(s, **{field: value})
+                                                for s in BUILTIN_CATALOG]))
+    exits = {}
+    for name, catalog in catalogs.items():
+        own = tmp_path / name
+        for takes_catalog, command, *argv in _FIELD_RUN:
+            argv = [str(a) for a in argv]
+            for i, arg in enumerate(argv):
+                if arg.startswith("{"):
+                    mine = own / arg[1:-1]
+                    argv[i] = mine if mine.exists() else tmp_path / "builtin" / arg[1:-1]
+            if takes_catalog:
+                argv += ["--catalog", catalog]
+            code = run(command, *argv, "--out-dir", own)
+            errors = [line for line in capsys.readouterr().err.splitlines()
+                      if line.startswith("error:")]
+            assert (code, len(errors)) in ((0, 0), (1, 1)), (name, command, code, errors)
+            exits.setdefault(name, []).append(code)
+            for path in own.iterdir() if own.exists() else ():
+                _read_back(path)
+    assert exits["builtin"] == [0] * len(_FIELD_RUN)
 
 
 @pytest.mark.parametrize("num_locations", [_BEYOND_INT64, str(1 << 62)])

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvmsig import features
+from nvmsig import classifiers, features
 from nvmsig.chipsim import load_catalog
 from nvmsig.errors import NumericError, ValidationError
 from nvmsig.features import (
@@ -24,6 +24,7 @@ from nvmsig.features import (
     nca_gradient,
     nca_objective,
     nca_select,
+    select,
 )
 from nvmsig.protocol import build_dataset, split
 
@@ -639,3 +640,50 @@ def test_nca_nonfinite_gradient_aborts():
     with pytest.raises(NumericError, match="iteration"):
         nca_select(ds, k=2, iters=5, learning_rate=1e200)
 
+
+def _lab_train(seed):
+    """The lab-seed training split (nvmsig dataset --seed <seed>
+    --chips-per-class 2 --locations-per-chip 2 --split)."""
+    return split(build_dataset(load_catalog(), chips_per_class=2,
+                               locations_per_chip=2, seed=seed), seed=seed)[0]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_select_nca_is_the_acceptance_gates_sequence(seed):
+    """`select("nca", ...)` keeps every bit of the sequence that the
+    acceptance gate's `rankings` fixture runs: fit_standardizer, then
+    apply_standardizer, then nca_select on the z-scored rows."""
+    train = _lab_train(seed)
+    stats = fit_standardizer(train.X)
+    z = apply_standardizer(stats, train.X)
+    want = nca_select(SimpleNamespace(X=z, y=train.y, class_names={}), k=25)
+    got = select("nca", train, k=25)
+    assert got.method == "nca"
+    assert got.indices.tobytes() == want.indices.tobytes()
+    assert got.scores.tobytes() == want.scores.tobytes()
+
+
+def test_select_mrmr_is_mrmr_select_and_none_is_none(lab1_train):
+    got = select("mrmr", lab1_train, k=7, bins=8)
+    want = mrmr_select(lab1_train, k=7, bins=8)
+    assert got.method == "mrmr"
+    assert got.indices.tobytes() == want.indices.tobytes()
+    assert got.scores.tobytes() == want.scores.tobytes()
+    assert select("none", lab1_train) is None
+    assert features.SELECTORS == ("none", "mrmr", "nca")
+
+
+def test_select_refuses_an_unknown_selector():
+    with pytest.raises(ValidationError, match="unknown feature selector 'lasso'"):
+        select("lasso", toy(2, n=20, d=3))
+
+
+@pytest.mark.parametrize("method,kw", [("none", {"k": 2}), ("mrmr", {"iters": 5}),
+                                       ("nca", {"bins": 5})])
+def test_select_refuses_a_keyword_as_train_does(method, kw):
+    """A keyword that the selector does not take is a TypeError naming it,
+    as `classifiers.train` gives for a keyword its trainer does not take."""
+    with pytest.raises(TypeError, match="keyword"):
+        classifiers.train("knn", toy(2, n=20, d=3), bins=5)
+    with pytest.raises(TypeError, match=f"keyword.*{next(iter(kw))}"):
+        select(method, toy(2, n=20, d=3), **kw)

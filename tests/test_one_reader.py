@@ -1,10 +1,12 @@
 """Every numeric block is read by `_atomic.read_block`: one np.loadtxt pass
-per block, one record per line, no column selection."""
+per block, one record per line, no column selection.  Features are
+selected by name in `features.select` only."""
 
 import ast
 from pathlib import Path
 
-_SRC = Path(__file__).resolve().parents[1] / "src" / "nvmsig"
+_ROOT = Path(__file__).resolve().parents[1]
+_SRC = _ROOT / "src" / "nvmsig"
 
 
 def _sources():
@@ -67,3 +69,29 @@ def test_only_read_lines_splits_text_into_lines():
 def test_no_loader_selects_columns():
     assert [p.name for p in _sources()
             if "usecols" in p.read_text(encoding="utf-8")] == []
+
+
+def _calls(path, name):
+    """(file from the repository root, enclosing function) of each call of
+    `name`, bare or as an attribute, in the module at `path`."""
+    calls = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            calls.append((path.relative_to(_ROOT).as_posix(), func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return calls
+
+
+def test_only_features_select_calls_nca_select():
+    """One place picks a selector by name and z-scores the rows that NCA
+    ranks; every other caller in the program and the demos goes through it."""
+    paths = _sources() + sorted((_ROOT / "demos").glob("*.py"))
+    uses = [use for path in paths for use in _calls(path, "nca_select")]
+    assert uses == [("src/nvmsig/features.py", "select")]
